@@ -9,13 +9,15 @@ two sides.
 from .analysis import (
     AnalysisReport,
     PipelineConfig,
+    PipelineRun,
     compare,
     decide_verdict,
-    homology_bound,
     morsification_invariance,
     morsify,
     report_from_json,
+    report_from_run,
     report_to_json,
+    run,
 )
 from .critfind import CriticalPoint, SolveConfig, find_critical_points, poincare_index
 from .cycledetect import (
@@ -56,6 +58,7 @@ __all__ = [
     "LimitCycle",
     "MilnorData",
     "PipelineConfig",
+    "PipelineRun",
     "Poly2",
     "Section",
     "SolveConfig",
@@ -71,7 +74,6 @@ __all__ = [
     "fiber_residence",
     "find_critical_points",
     "hausdorff_distance",
-    "homology_bound",
     "integrate",
     "load_vf",
     "morsification_invariance",
@@ -80,8 +82,10 @@ __all__ = [
     "parse_vf",
     "poincare_index",
     "report_from_json",
+    "report_from_run",
     "report_to_json",
     "return_map",
+    "run",
     "section_crossings",
     "select_radii",
     "submersion_check",

@@ -4,6 +4,11 @@ The headline quantity is B, the sum over equilibria of stabilized closed-loop
 counts of the local level curves.  detect_limit_cycles supplies the empirical
 side.  The verdict compares the two; a violated inequality is reported as a
 finding, never suppressed.
+
+`run` is the one place that chains critical points -> fiber sweep ->
+detection; it returns the objects as a `PipelineRun` and never raises on a
+parseable field.  `compare` (the JSON report), `morsification_invariance`
+(one table row per field) and the CLI (report plus portrait) all consume it.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .critfind import CritFindError, SolveConfig, find_critical_points
+from .critfind import CritFindError, CriticalPoint, SolveConfig, find_critical_points
 from .cycledetect import (
     DetectConfig,
+    LimitCycle,
     cycle_class_map,
     detect_limit_cycles,
     fiber_residence,
@@ -112,21 +118,6 @@ def decide_verdict(milnor, n_detected: int, bound: int, had_failures: bool) -> s
     return VERDICT_HOLDS
 
 
-def homology_bound(v: VectorField, cfg: PipelineConfig = PipelineConfig()):
-    """B = sum of stabilized per-point loop counts; critfind errors propagate."""
-    cps = find_critical_points(v, cfg.solve)
-    locs = [(cp.x, cp.y) for cp in cps]
-
-    def one(i_cp):
-        i, cp = i_cp
-        others = locs[:i] + locs[i + 1:]
-        return vanishing_cycle_count(v, cp.id, locs[i], others, cfg.fiber)
-
-    milnor = _map_items(one, enumerate(cps), cfg.threads)
-    bound = sum(m.l for m in milnor if m.stable)
-    return bound, milnor
-
-
 def _placeholder_milnor(point_id: int) -> MilnorData:
     return MilnorData(point_id=point_id, delta=0.0, eta_sweep=(), counts_per_eta=(),
                       l=0, stable=False, submersion_ok=False, witness=None)
@@ -175,15 +166,36 @@ def _diagnostics(v, cycles, milnor_by_id, loc_by_id, cfg: PipelineConfig, notes)
     return rows
 
 
-def compare(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> AnalysisReport:
-    """Full pipeline on one field; failures downgrade the verdict, never raise."""
+@dataclass(frozen=True)
+class PipelineRun:
+    """The objects one pass of the pipeline computed for one field."""
+
+    field: VectorField
+    cfg: PipelineConfig
+    cps: tuple[CriticalPoint, ...]
+    milnor: tuple[MilnorData, ...]  # per point; a placeholder where the sweep failed
+    cycles: tuple[LimitCycle, ...]
+    notes: tuple[str, ...]
+    critfind_error: str | None = None  # "Type: message"; nothing else ran
+    detect_error: str | None = None    # "Type: message"; cycles is empty
+    had_failures: bool = False         # a sweep or the detection failed
+
+    @property
+    def bound(self) -> int:
+        return sum(m.l for m in self.milnor if m.stable)
+
+
+def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
+    """Critical points, then the fiber sweep per point (across cfg.threads),
+    then cycle detection, each once.  Failures are recorded as notes and
+    flags, never raised."""
     notes: list[str] = []
-    had_failures = False
     try:
         cps = find_critical_points(v, cfg.solve)
     except CritFindError as e:
-        notes.append(f"critical point search failed: {type(e).__name__}: {e}")
-        return _assemble(v, cfg, [], [], [], VERDICT_INCONCLUSIVE, notes)
+        msg = f"{type(e).__name__}: {e}"
+        notes.append(f"critical point search failed: {msg}")
+        return PipelineRun(v, cfg, (), (), (), tuple(notes), critfind_error=msg)
 
     locs = [(cp.x, cp.y) for cp in cps]
 
@@ -195,6 +207,7 @@ def compare(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> AnalysisR
         except FiberError as e:
             return (cp.id, f"{type(e).__name__}: {e}")
 
+    had_failures = False
     milnor = []
     for got in _map_items(one, enumerate(cps), cfg.threads):
         if isinstance(got, MilnorData):
@@ -205,20 +218,34 @@ def compare(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> AnalysisR
             notes.append(f"fiber sweep failed at point {pid}: {msg}")
             milnor.append(_placeholder_milnor(pid))
 
+    detect_error = None
     try:
         cycles = detect_limit_cycles(v, cps, cfg.detect)
     except Exception as e:  # contract: detection must not abort the report
         had_failures = True
-        notes.append(f"cycle detection failed: {type(e).__name__}: {e}")
+        detect_error = f"{type(e).__name__}: {e}"
+        notes.append(f"cycle detection failed: {detect_error}")
         cycles = []
 
-    return _assemble(v, cfg, cps, milnor, cycles, None, notes,
-                     had_failures=had_failures)
+    return PipelineRun(v, cfg, tuple(cps), tuple(milnor), tuple(cycles), tuple(notes),
+                       detect_error=detect_error, had_failures=had_failures)
 
 
-def _assemble(v, cfg, cps, milnor, cycles, forced_verdict, notes, had_failures=False):
-    bound = sum(m.l for m in milnor if m.stable)
-    verdict = forced_verdict or decide_verdict(milnor, len(cycles), bound, had_failures)
+def compare(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> AnalysisReport:
+    """Full pipeline on one field; failures downgrade the verdict, never raise."""
+    return report_from_run(run(v, cfg))
+
+
+def report_from_run(r: PipelineRun) -> AnalysisReport:
+    """The report of one run: verdict, equality hypothesis and, for each
+    detected cycle, the diagnostics against its enclosed points' fibers."""
+    v, cfg, cps, milnor, cycles = r.field, r.cfg, r.cps, r.milnor, r.cycles
+    notes = list(r.notes)
+    bound = r.bound
+    if r.critfind_error is not None:
+        verdict = VERDICT_INCONCLUSIVE
+    else:
+        verdict = decide_verdict(milnor, len(cycles), bound, r.had_failures)
     failed_at = [m.point_id for m in milnor if not m.submersion_ok]
     milnor_by_id = {m.point_id: m for m in milnor}
     loc_by_id = {cp.id: (cp.x, cp.y) for cp in cps}
@@ -227,12 +254,12 @@ def _assemble(v, cfg, cps, milnor, cycles, forced_verdict, notes, had_failures=F
         system_name=v.name,
         config_echo=_config_echo(cfg),
         critical_points=tuple(_cp_summary(cp) for cp in cps),
-        milnor=tuple(milnor),
+        milnor=milnor,
         bound=int(bound),
         detected=tuple(_cycle_summary(c) for c in cycles),
         verdict=verdict,
         equality_hypothesis={
-            "submersion_ok_all": not failed_at and not had_failures,
+            "submersion_ok_all": not failed_at and not r.had_failures,
             "failed_at": [int(i) for i in failed_at],
         },
         diagnostics=tuple(diag),
@@ -264,32 +291,25 @@ def morsify(v: VectorField, s: float, seed: int) -> VectorField:
 def morsification_invariance(v: VectorField, s_values, seeds,
                              cfg: PipelineConfig = PipelineConfig()):
     """Table of (s, seed, k, B, detected, changed) rows; row 0 is the base
-    field.  'changed' flags any deviation of (k, B, detected) from the base."""
+    field.  'changed' flags any deviation of (k, B, detected) from the base.
+    A failed critical point search leaves k, B and detected None, a failed
+    detection leaves detected None; 'error' names either.  A point whose
+    fiber sweep failed counts as unstable."""
 
-    def run(field):
-        try:
-            cps = find_critical_points(field, cfg.solve)
-        except CritFindError as e:
-            return {"k": None, "B": None, "detected": None,
-                    "error": f"{type(e).__name__}: {e}"}
-        locs = [(cp.x, cp.y) for cp in cps]
-        milnor = []
-        for i, cp in enumerate(cps):
-            others = locs[:i] + locs[i + 1:]
-            try:
-                milnor.append(vanishing_cycle_count(field, cp.id, locs[i], others,
-                                                    cfg.fiber))
-            except FiberError:
-                milnor.append(_placeholder_milnor(cp.id))
-        bound = sum(m.l for m in milnor if m.stable)
-        cycles = detect_limit_cycles(field, cps, cfg.detect)
-        return {"k": len(cps), "B": int(bound), "detected": len(cycles), "error": None}
+    def counts(r: PipelineRun) -> dict:
+        if r.critfind_error is not None:
+            return {"k": None, "B": None, "detected": None, "error": r.critfind_error}
+        detected = None if r.detect_error is not None else len(r.cycles)
+        return {"k": len(r.cps), "B": int(r.bound), "detected": detected,
+                "error": r.detect_error}
 
     jobs = [(0.0, None, v)]
     for s in s_values:
         for seed in seeds:
             jobs.append((float(s), int(seed), morsify(v, s, seed)))
-    results = _map_items(lambda j: run(j[2]), jobs, cfg.threads)
+    # fields run in parallel, the points of one field sequentially
+    field_cfg = replace(cfg, threads=1)
+    results = _map_items(lambda j: counts(run(j[2], field_cfg)), jobs, cfg.threads)
     base = results[0]
     rows = []
     for (s, seed, _), res in zip(jobs, results):
@@ -378,16 +398,18 @@ def report_from_json(text: str) -> AnalysisReport:
 __all__ = [
     "AnalysisReport",
     "PipelineConfig",
+    "PipelineRun",
     "VERDICT_HOLDS",
     "VERDICT_INCONCLUSIVE",
     "VERDICT_VIOLATED",
     "compare",
     "decide_verdict",
-    "homology_bound",
     "morsification_invariance",
     "morsify",
     "report_from_dict",
     "report_from_json",
+    "report_from_run",
     "report_to_dict",
     "report_to_json",
+    "run",
 ]

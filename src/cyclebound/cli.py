@@ -19,9 +19,10 @@ from .analysis import (
     VERDICT_VIOLATED,
     _cp_summary,
     _cycle_summary,
-    compare,
     morsification_invariance,
+    report_from_run,
     report_to_json,
+    run,
 )
 from .critfind import CritFindError, find_critical_points
 from .cycledetect import detect_limit_cycles
@@ -240,8 +241,8 @@ def cmd_analyze(args) -> int:
     v = _load(args.input)
     if v is None:
         return EXIT_USAGE
-    cfg = _config_from(args)
-    report = compare(v, cfg)
+    r = run(v, _config_from(args))
+    report = report_from_run(r)
     print(f"system: {report.system_name}")
     print(f"critical points: {len(report.critical_points)}")
     print(f"bound B = {report.bound}, detected cycles = {len(report.detected)}")
@@ -253,25 +254,18 @@ def cmd_analyze(args) -> int:
             fh.write(report_to_json(report))
             fh.write("\n")
     if args.svg:
-        try:
-            cps = find_critical_points(v, cfg.solve)
-        except CritFindError:
-            cps = []
-        cycles = detect_limit_cycles(v, cps, cfg.detect) if cps else []
+        loc_by_id = {cp.id: (cp.x, cp.y) for cp in r.cps}
         fibers = []
-        for m in report.milnor:
+        for m in r.milnor:
             if not (m.stable and m.eta_sweep):
                 continue
-            loc = next(((c["x"], c["y"]) for c in report.critical_points
-                        if c["id"] == m.point_id), None)
-            if loc is None:
-                continue
+            loc = loc_by_id[m.point_id]
             try:
                 eta = m.eta_sweep[len(m.eta_sweep) // 2]
-                fibers.append((extract_fiber(v, loc, m.delta, eta, cfg.fiber), loc))
+                fibers.append((extract_fiber(v, loc, m.delta, eta, r.cfg.fiber), loc))
             except FiberError:
                 continue
-        write_svg(phase_portrait_svg(v, cps, cycles, fibers), args.svg)
+        write_svg(phase_portrait_svg(v, r.cps, r.cycles, fibers), args.svg)
     if report.verdict == VERDICT_HOLDS:
         return EXIT_OK
     if report.verdict == VERDICT_VIOLATED:

@@ -44,32 +44,6 @@ EQUILIBRIUM = "equilibrium"
 STEP_UNDERFLOW = "step_underflow"
 
 
-class FieldEval:
-    """Plain-float evaluation of (p, q), fast enough for step loops."""
-
-    __slots__ = ("_prows", "_qrows", "sign")
-
-    def __init__(self, v: VectorField, sign: float = 1.0):
-        self._prows = v.p._horner_rows()
-        self._qrows = v.q._horner_rows()
-        self.sign = sign
-
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
-        p = 0.0
-        for row in self._prows:
-            ry = 0.0
-            for c in row:
-                ry = ry * y + c
-            p = p * x + ry
-        q = 0.0
-        for row in self._qrows:
-            ry = 0.0
-            for c in row:
-                ry = ry * y + c
-            q = q * x + ry
-        return self.sign * p, self.sign * q
-
-
 def rk_step(f, x: float, y: float, h: float, k1=None):
     """One Dormand-Prince step from (x, y) with step h.
 
@@ -197,7 +171,11 @@ def integrate(
     """
     if rtol <= 0 or atol <= 0 or t_max <= 0:
         raise ValueError("rtol, atol and t_max must be positive")
-    f = FieldEval(v, sign=direction)
+    peval, qeval = v.p.eval, v.q.eval
+
+    def f(x: float, y: float) -> tuple[float, float]:
+        return direction * peval(x, y), direction * qeval(x, y)
+
     bx0, bx1, by0, by1 = v.box.inflate(box_inflation)
     x, y = float(x0[0]), float(x0[1])
     t = 0.0
@@ -364,7 +342,6 @@ __all__ = [
     "DP_C",
     "DP_E",
     "EQUILIBRIUM",
-    "FieldEval",
     "Section",
     "SectionCrossing",
     "STEP_UNDERFLOW",

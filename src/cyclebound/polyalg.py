@@ -77,9 +77,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
@@ -91,9 +88,6 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
@@ -296,19 +290,6 @@ class Poly2:
         return acc
 
     __call__ = eval
-
-    def eval_with_condition(self, x: float, y: float) -> tuple[float, float]:
-        """Value plus a condition factor: sum |c_ij x^i y^j| / |p(x, y)|.
-
-        The rounding error of `eval` is bounded by machine epsilon times a
-        small multiple of this factor.
-        """
-        val = self.eval(x, y)
-        mag = 0.0
-        for (i, j), c in self._terms.items():
-            mag += abs(float(c)) * abs(x) ** i * abs(y) ** j
-        cond = mag / abs(val) if val != 0.0 else _INF
-        return val, cond
 
     def coeff_matrix(self) -> np.ndarray:
         """Dense float coefficient matrix C with C[i, j] = coeff of x^i y^j."""
@@ -578,10 +559,6 @@ class Box:
 
     def floats(self) -> tuple[float, float, float, float]:
         return (float(self.xmin), float(self.xmax), float(self.ymin), float(self.ymax))
-
-    def contains(self, x: float, y: float) -> bool:
-        x0, x1, y0, y1 = self.floats()
-        return x0 <= x <= x1 and y0 <= y <= y1
 
     def inflate(self, factor: float) -> tuple[float, float, float, float]:
         x0, x1, y0, y1 = self.floats()

@@ -4,9 +4,7 @@ import time
 import pytest
 
 import cyclebound as cb
-from cyclebound.analysis import compare
-from cyclebound.critfind import find_critical_points
-from cyclebound.cycledetect import detect_limit_cycles
+from cyclebound.analysis import report_from_run, run
 
 SYSTEMS_DIR = pathlib.Path(__file__).resolve().parent.parent / "systems"
 CORPUS = [
@@ -24,16 +22,26 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def corpus_cps(corpus):
-    return {name: find_critical_points(v) for name, v in corpus.items()}
+def corpus_runs(corpus):
+    """One pipeline run per system with its report, plus the wall time of
+    both together."""
+    out = {}
+    for name, v in corpus.items():
+        t0 = time.perf_counter()
+        r = run(v)
+        rep = report_from_run(r)
+        out[name] = (r, rep, time.perf_counter() - t0)
+    return out
 
 
 @pytest.fixture(scope="session")
-def corpus_cycles(corpus, corpus_cps):
-    return {
-        name: detect_limit_cycles(corpus[name], corpus_cps[name])
-        for name in CORPUS
-    }
+def corpus_cps(corpus_runs):
+    return {name: list(r.cps) for name, (r, _, _) in corpus_runs.items()}
+
+
+@pytest.fixture(scope="session")
+def corpus_cycles(corpus_runs):
+    return {name: list(r.cycles) for name, (r, _, _) in corpus_runs.items()}
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +52,9 @@ def vdp_period():
 
 
 @pytest.fixture(scope="session")
-def corpus_reports(corpus):
-    """Full pipeline reports plus wall time, one fresh run per system."""
-    out = {}
-    for name, v in corpus.items():
-        t0 = time.perf_counter()
-        rep = compare(v)
-        out[name] = (rep, time.perf_counter() - t0)
-    return out
+def corpus_reports(corpus_runs):
+    """Full pipeline reports plus the wall time of run and report."""
+    return {name: (rep, wall) for name, (_, rep, wall) in corpus_runs.items()}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

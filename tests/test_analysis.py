@@ -41,16 +41,16 @@ class TestDecideVerdict:
 
 class TestHomologyBound:
     def test_sum_over_points(self, pair_field):
-        bound, milnor = an.homology_bound(pair_field)
-        assert bound == 2
-        assert len(milnor) == 2
-        assert bound == sum(m.l for m in milnor)
-        assert all(m.stable for m in milnor)
+        r = an.run(pair_field)
+        assert r.bound == 2
+        assert len(r.milnor) == 2
+        assert r.bound == sum(m.l for m in r.milnor)
+        assert all(m.stable for m in r.milnor)
 
-    def test_center(self, corpus):
-        bound, milnor = an.homology_bound(corpus["linear-center"])
-        assert bound == 1
-        assert [m.l for m in milnor] == [1]
+    def test_center(self, corpus_runs):
+        r, _, _ = corpus_runs["linear-center"]
+        assert r.bound == 1
+        assert [m.l for m in r.milnor] == [1]
 
 
 class TestCompareReports:
@@ -135,6 +135,23 @@ class TestMorsificationInvariance:
         assert rows[1]["changed"] is False
         base = (rows[0]["k"], rows[0]["B"], rows[0]["detected"])
         assert (rows[1]["k"], rows[1]["B"], rows[1]["detected"]) == base
+
+    def test_detection_failure_stays_in_its_row(self, pair_field,
+                                                monkeypatch):
+        real = an.detect_limit_cycles
+
+        def flaky(v, cps, cfg):
+            if "+" in v.name:
+                raise RuntimeError("no return map")
+            return real(v, cps, cfg)
+
+        monkeypatch.setattr("cyclebound.analysis.detect_limit_cycles", flaky)
+        base, row = an.morsification_invariance(pair_field, [1e-3], [1])
+        assert base["error"] is None and base["detected"] == 0
+        assert (row["k"], row["B"]) == (base["k"], base["B"])
+        assert row["detected"] is None
+        assert row["error"] == "RuntimeError: no return map"
+        assert row["changed"]
 
     def test_degenerate_field_flags_change(self, corpus):
         rows = an.morsification_invariance(corpus["degenerate-demo"],

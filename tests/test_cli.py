@@ -167,6 +167,44 @@ class TestArtifacts:
         assert svg.lstrip().startswith("<svg")
         assert len(svg) > 1000
 
+    def test_analyze_figure_survives_failed_detection(self, capsys, tmp_path,
+                                                      pair_file, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no return map")
+
+        monkeypatch.setattr("cyclebound.analysis.detect_limit_cycles", fail)
+        monkeypatch.setattr("cyclebound.cli.detect_limit_cycles", fail,
+                            raising=False)
+        out_svg = tmp_path / "portrait.svg"
+        code, out, _ = run(capsys, "analyze", pair_file, "--svg", str(out_svg))
+        assert code == EXIT_INCONCLUSIVE
+        assert "cycle detection failed: RuntimeError: no return map" in out
+        assert out_svg.read_text().lstrip().startswith("<svg")
+
+    def test_analyze_runs_each_stage_once(self, capsys, tmp_path, pair_file,
+                                          monkeypatch):
+        import cyclebound.analysis
+        import cyclebound.cli
+
+        calls = {"critfind": 0, "detect": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (cyclebound.analysis, cyclebound.cli):
+            monkeypatch.setattr(mod, "find_critical_points",
+                                counted("critfind", mod.find_critical_points))
+            monkeypatch.setattr(mod, "detect_limit_cycles",
+                                counted("detect", mod.detect_limit_cycles))
+        code, _, _ = run(capsys, "analyze", pair_file,
+                         "--json", str(tmp_path / "report.json"),
+                         "--svg", str(tmp_path / "portrait.svg"))
+        assert code == EXIT_OK
+        assert calls == {"critfind": 1, "detect": 1}
+
     def test_reports_identical_modulo_timestamp(self, capsys, tmp_path,
                                                 pair_file):
         """Same input and config give byte-identical reports."""

@@ -217,7 +217,11 @@ def cmd_cycles(args) -> int:
     except CritFindError as e:
         print(f"critical point search failed: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    cycles = detect_limit_cycles(v, cps, cfg.detect)
+    try:
+        cycles = detect_limit_cycles(v, cps, cfg.detect)
+    except Exception as e:  # same contract as analyze: report, do not crash
+        print(f"cycle detection failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     print(f"{len(cycles)} limit cycle(s)")
     for i, lc in enumerate(cycles):
         print(f"  [{i}] period={lc.period:.9g} {lc.stability} "

@@ -25,6 +25,7 @@ import numpy as np
 from .polyalg import Poly2, VectorField
 
 _polyval2d = np.polynomial.polynomial.polyval2d
+_polygrid2d = np.polynomial.polynomial.polygrid2d
 
 
 class FiberError(RuntimeError):
@@ -142,7 +143,12 @@ def select_radii(
 
 class _Workspace:
     """Per-(field, point, delta) caches: the distance-squared polynomial and
-    per-grid node/center evaluations reused across the eta sweep."""
+    per-grid node/center evaluations reused across the eta sweep.
+
+    Grid evaluation is separable: polygrid2d runs Horner on the 1-D x axis,
+    then on the y axis, so a level of n cells holds no (n+1)^2 coordinate
+    arrays and no (degree+1) x (n+1)^2 temporary.  Each value goes through
+    the same operations as polyval2d at that point, in the same order."""
 
     def __init__(self, v: VectorField, location: tuple[float, float], delta: float):
         self.v = v
@@ -174,20 +180,19 @@ class _Workspace:
         d = self.delta
         xs = np.linspace(px - d, px + d, n + 1)
         ys = np.linspace(py - d, py + d, n + 1)
-        xn, yn = np.meshgrid(xs, ys, indexing="ij")
-        g0n = self.g0.eval_grid(xn, yn)
+        g0n = _polygrid2d(xs, ys, self.g0.coeff_matrix())
         h = 2.0 * d / n
         cx = 0.5 * (xs[:-1] + xs[1:])
         cy = 0.5 * (ys[:-1] + ys[1:])
-        cxg, cyg = np.meshgrid(cx, cy, indexing="ij")
-        g0c = self.g0.eval_grid(cxg, cyg)
-        gxc = np.abs(self.g0x.eval_grid(cxg, cyg))
-        gyc = np.abs(self.g0y.eval_grid(cxg, cyg))
-        rad = (gxc + gyc) * (0.5 * h) + 0.5 * self._hess_bound * (0.5 * h) ** 2
+        g0c = _polygrid2d(cx, cy, self.g0.coeff_matrix())
+        rad = np.abs(_polygrid2d(cx, cy, self.g0x.coeff_matrix()))
+        rad += np.abs(_polygrid2d(cx, cy, self.g0y.coeff_matrix()))
+        rad *= 0.5 * h
+        rad += 0.5 * self._hess_bound * (0.5 * h) ** 2
         rad += 1e-12 * float(np.abs(g0n).max()) + 1e-300
         # cells fully outside the closed ball get discarded
-        ndx = np.maximum(np.abs(cxg - px) - 0.5 * h, 0.0)
-        ndy = np.maximum(np.abs(cyg - py) - 0.5 * h, 0.0)
+        ndx = np.maximum(np.abs(cx - px) - 0.5 * h, 0.0)[:, None]
+        ndy = np.maximum(np.abs(cy - py) - 0.5 * h, 0.0)[None, :]
         keep = ndx * ndx + ndy * ndy <= d * d
         lv = {"xs": xs, "ys": ys, "g0n": g0n, "g0c": g0c, "rad": rad, "keep": keep, "h": h}
         self._levels[n] = lv
@@ -526,15 +531,14 @@ def submersion_check(
     ws = _ws if _ws is not None else _Workspace(v, location, delta)
     lv = ws.level(cfg.grid)
     xs, ys = lv["xs"], lv["ys"]
-    xn, yn = np.meshgrid(xs, ys, indexing="ij")
     px, py = ws.location
-    in_ball = (xn - px) ** 2 + (yn - py) ** 2 <= delta * delta
+    in_ball = ((xs - px) ** 2)[:, None] + ((ys - py) ** 2)[None, :] <= delta * delta
     g0n = lv["g0n"]
     mask = in_ball & (g0n >= eta_lo * eta_lo) & (g0n <= eta_hi * eta_hi)
     if not mask.any():
         return True, None
-    gpx = v.p.partial(0).eval_grid(xn, yn)
-    gpy = v.p.partial(1).eval_grid(xn, yn)
+    gpx = _polygrid2d(xs, ys, v.p.partial(0).coeff_matrix())
+    gpy = _polygrid2d(xs, ys, v.p.partial(1).coeff_matrix())
     grad = np.hypot(gpx, gpy)
     bad = mask & (grad <= cfg.submersion_tol)
     if not bad.any():

@@ -154,6 +154,19 @@ class TestArtifacts:
         assert lines[0] == "cycle,vertex,x,y"
         assert len(lines) > 500
 
+    def test_cycles_reports_failed_detection(self, capsys, tmp_path, pair_file,
+                                             monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no return map")
+
+        monkeypatch.setattr("cyclebound.cli.detect_limit_cycles", fail)
+        out_json = tmp_path / "cycles.json"
+        code, out, err = run(capsys, "cycles", pair_file, "--json", str(out_json))
+        assert code == EXIT_INCONCLUSIVE
+        assert "cycle detection failed: RuntimeError: no return map" in err
+        assert out == ""
+        assert not out_json.exists()
+
     def test_analyze_report_and_figure(self, capsys, tmp_path, pair_file):
         out_json = tmp_path / "report.json"
         out_svg = tmp_path / "portrait.svg"

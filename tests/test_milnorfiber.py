@@ -10,6 +10,7 @@ random fields.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -154,6 +155,45 @@ class TestBetti:
         assert mf.betti(closed) == (1, 1)
         arcs = mf.extract_fiber(stretch, (0.0, 0.0), 1.0, 1.5)
         assert mf.betti(arcs) == (2, 0)
+
+
+class TestWorkspaceLevel:
+    """Separable grid evaluation of g0 and its gradient bound."""
+
+    LOC, DELTA = (0.25, -0.5), 0.75
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("degree,seed", [(2, 3), (3, 5), (4, 1)])
+    def test_bit_identical_to_meshgrid_eval(self, degree, seed, n):
+        ws = mf._Workspace(random_field(seed, degree=degree), self.LOC, self.DELTA)
+        lv = ws.level(n)
+        xs, ys, h = lv["xs"], lv["ys"], lv["h"]
+        xn, yn = np.meshgrid(xs, ys, indexing="ij")
+        cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]),
+                             indexing="ij")
+        g0n = ws.g0.eval_grid(xn, yn)
+        rad = (np.abs(ws.g0x.eval_grid(cx, cy)) + np.abs(ws.g0y.eval_grid(cx, cy))) \
+            * (0.5 * h) + 0.5 * ws._hess_bound * (0.5 * h) ** 2
+        rad += 1e-12 * float(np.abs(g0n).max()) + 1e-300
+        ndx = np.maximum(np.abs(cx - self.LOC[0]) - 0.5 * h, 0.0)
+        ndy = np.maximum(np.abs(cy - self.LOC[1]) - 0.5 * h, 0.0)
+        assert np.array_equal(lv["g0n"], g0n)
+        assert np.array_equal(lv["g0c"], ws.g0.eval_grid(cx, cy))
+        assert np.array_equal(lv["rad"], rad)
+        assert np.array_equal(lv["keep"], ndx * ndx + ndy * ndy <= self.DELTA * self.DELTA)
+
+    def test_peak_memory_near_kept_arrays(self):
+        """A cold level allocates little beyond the arrays it keeps; a
+        meshgrid with polyval2d peaked at about 8x those bytes here."""
+        v = random_field(5, degree=3)
+        tracemalloc.start()
+        try:
+            lv = mf._Workspace(v, self.LOC, self.DELTA).level(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in lv.values() if isinstance(a, np.ndarray))
+        assert peak <= 3 * kept
 
 
 class TestSubmersion:

@@ -158,7 +158,8 @@ def cmd_fiber(args) -> int:
     try:
         cps = find_critical_points(v, cfg.solve)
     except CritFindError as e:
-        print(f"critical point search failed: {e}", file=sys.stderr)
+        print(f"critical point search failed: {type(e).__name__}: {e}",
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
     by_id = {cp.id: cp for cp in cps}
     if args.point_id not in by_id:
@@ -215,7 +216,8 @@ def cmd_cycles(args) -> int:
     try:
         cps = find_critical_points(v, cfg.solve)
     except CritFindError as e:
-        print(f"critical point search failed: {e}", file=sys.stderr)
+        print(f"critical point search failed: {type(e).__name__}: {e}",
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
     try:
         cycles = detect_limit_cycles(v, cps, cfg.detect)

@@ -9,11 +9,11 @@ shrink to the resolution tolerance, get clustered, and are kept with a flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import Box, Interval, Poly2, VectorField, interval_eval
+from .polyalg import Interval, Poly2, VectorField, interval_eval
 
 
 class CritFindError(RuntimeError):

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .odeflow import DP_A, DP_E, Section, T_END, integrate, section_crossings
+from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, integrate,
+                      rk_step, section_crossings)
 from .polyalg import VectorField
 
 log = logging.getLogger(__name__)
-
-_polyval2d = np.polynomial.polynomial.polyval2d
 
 
 class NoReturn(RuntimeError):
@@ -156,19 +155,6 @@ def _make_seeds(v: VectorField, cps, cfg: DetectConfig) -> np.ndarray:
     return seeds
 
 
-def _hermite01(y0, d0, y1, d1, t):
-    t2 = t * t
-    t3 = t2 * t
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * d0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * d1)
-
-
-def _hermite01_deriv(y0, d0, y1, d1, t):
-    t2 = t * t
-    return ((6 * t2 - 6 * t) * y0 + (3 * t2 - 4 * t + 1) * d0
-            + (-6 * t2 + 6 * t) * y1 + (3 * t2 - 2 * t) * d1)
-
-
 def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float):
     """Integrate all seeds at once, logging section-line crossings.
 
@@ -179,11 +165,9 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     fams: list[dict] = [dict() for _ in range(m)]
     if m == 0:
         return fams
-    cpm = v.p.coeff_matrix()
-    cqm = v.q.coeff_matrix()
 
     def field(xx, yy):
-        return time_sign * _polyval2d(xx, yy, cpm), time_sign * _polyval2d(xx, yy, cqm)
+        return time_sign * v.p.eval_grid(xx, yy), time_sign * v.q.eval_grid(xx, yy)
 
     bx0, bx1, by0, by1 = v.box.inflate(1.5)
     sy = [s.anchor[1] for s in sections]
@@ -205,24 +189,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             idx = np.nonzero(active)[0]
             xa, ya = x[idx], y[idx]
             ha = np.minimum(h[idx], cfg.t_horizon - t[idx])
-            kx = np.empty((7, idx.size))
-            ky = np.empty((7, idx.size))
-            kx[0], ky[0] = k1x[idx], k1y[idx]
-            x5 = y5 = None
-            for s in range(1, 7):
-                accx = np.zeros(idx.size)
-                accy = np.zeros(idx.size)
-                for j, c in enumerate(DP_A[s]):
-                    if c:
-                        accx += c * kx[j]
-                        accy += c * ky[j]
-                nx = xa + ha * accx
-                ny = ya + ha * accy
-                kx[s], ky[s] = field(nx, ny)
-                if s == 6:
-                    x5, y5 = nx, ny
-            ex = ha * sum(c * kx[j] for j, c in enumerate(DP_E) if c)
-            ey = ha * sum(c * ky[j] for j, c in enumerate(DP_E) if c)
+            x5, y5, ex, ey, (k7x, k7y) = rk_step(field, xa, ya, ha, (k1x[idx], k1y[idx]))
             scx = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(xa), np.abs(x5))
             scy = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(ya), np.abs(y5))
             errn = np.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
@@ -244,8 +211,8 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             ha_a = ha[acc]
             ya_a = ya[acc]
             x5_a, y5_a = x5[acc], y5[acc]
-            k0y_a, k6y_a = ky[0][acc], ky[6][acc]
-            k0x_a, k6x_a = kx[0][acc], kx[6][acc]
+            k1y_a, k7y_a = k1y[gidx], k7y[acc]
+            k1x_a, k7x_a = k1x[gidx], k7x[acc]
             xa_a = xa[acc]
 
             for si in range(len(sections)):
@@ -256,24 +223,15 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     g = int(gidx[w])
                     hh = float(ha_a[w])
                     py0, py1 = float(ya_a[w]), float(y5_a[w])
-                    dy0, dy1 = float(k0y_a[w]) * hh, float(k6y_a[w]) * hh
-                    a, b = 0.0, 1.0
-                    fa = py0 - sy[si]
-                    for _ in range(45):
-                        mid = 0.5 * (a + b)
-                        fm = _hermite01(py0, dy0, py1, dy1, mid) - sy[si]
-                        if (fa < 0) != (fm < 0):
-                            b = mid
-                        else:
-                            a, fa = mid, fm
-                    tau = 0.5 * (a + b)
+                    dy0, dy1 = float(k1y_a[w]) * hh, float(k7y_a[w]) * hh
+                    tau = hermite_root(py0, dy0, py1, dy1, sy[si], 0.0, 1.0, py0 - sy[si], 45)
                     t_cross = float(t[g]) + tau * hh
                     if t_cross - float(t[g]) < 1e-12 and t[g] == 0.0:
                         continue
                     px0, px1 = float(xa_a[w]), float(x5_a[w])
-                    dx0, dx1 = float(k0x_a[w]) * hh, float(k6x_a[w]) * hh
-                    xc = _hermite01(px0, dx0, px1, dx1, tau)
-                    dydt = _hermite01_deriv(py0, dy0, py1, dy1, tau)
+                    dx0, dx1 = float(k1x_a[w]) * hh, float(k7x_a[w]) * hh
+                    xc = hermite(px0, dx0, px1, dx1, tau)
+                    dydt = hermite_deriv(py0, dy0, py1, dy1, tau)
                     if dydt == 0.0:
                         dydt = py1 - py0
                     dirc = 1 if dydt > 0 else -1
@@ -290,14 +248,14 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             x[gidx] = x5_a
             y[gidx] = y5_a
             t[gidx] += ha_a
-            k1x[gidx] = k6x_a
-            k1y[gidx] = k6y_a
+            k1x[gidx] = k7x_a
+            k1y[gidx] = k7y_a
             errp[gidx] = np.maximum(errn[acc], 1e-10)
             out = (
                 (x5_a < bx0) | (x5_a > bx1) | (y5_a < by0) | (y5_a > by1)
                 | ~np.isfinite(x5_a) | ~np.isfinite(y5_a)
             )
-            eqm = np.hypot(k6x_a, k6y_a) < 1e-10
+            eqm = np.hypot(k7x_a, k7y_a) < 1e-10
             tend = t[gidx] >= cfg.t_horizon - 1e-12
             dead = out | eqm | tend
             if dead.any():

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .polyalg import VectorField
 
-# Butcher tableau (exact rationals kept as float literals of exact fractions)
-DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Butcher tableau (exact rationals kept as float literals of exact fractions).
+# The last row holds the fifth-order weights, so the last stage point is the
+# step's result and its field value seeds the next step (first same as last).
 DP_A = (
     (),
     (1 / 5,),
@@ -32,7 +33,6 @@ DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # fifth-order weights minus the embedded fourth-order weights
 DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
@@ -44,32 +44,64 @@ EQUILIBRIUM = "equilibrium"
 STEP_UNDERFLOW = "step_underflow"
 
 
-def rk_step(f, x: float, y: float, h: float, k1=None):
+def _combine(coeffs, ks):
+    """Sums of c * k over the nonzero coefficients, left to right, per coordinate."""
+    sx = sy = 0.0
+    for c, k in zip(coeffs, ks):
+        if c:
+            sx = sx + c * k[0]
+            sy = sy + c * k[1]
+    return sx, sy
+
+
+def rk_step(f, x, y, h, k1=None):
     """One Dormand-Prince step from (x, y) with step h.
 
-    Returns (x5, y5, err_x, err_y, k7) where k7 can seed the next step.
+    Works on floats and, elementwise, on numpy arrays of states and steps;
+    the inputs are not modified.  Returns (x5, y5, err_x, err_y, k7) where
+    k7 = f(x5, y5) can seed the next step.
     """
     if k1 is None:
         k1 = f(x, y)
     ks = [k1]
-    for s in range(1, 7):
-        ax = x
-        ay = y
-        row = DP_A[s]
-        for a, k in zip(row, ks):
-            ax += h * a * k[0]
-            ay += h * a * k[1]
-        ks.append(f(ax, ay))
-    x5 = x
-    y5 = y
-    ex = 0.0
-    ey = 0.0
-    for b, e, k in zip(DP_B5, DP_E, ks):
-        x5 += h * b * k[0]
-        y5 += h * b * k[1]
-        ex += h * e * k[0]
-        ey += h * e * k[1]
-    return x5, y5, ex, ey, ks[6]
+    for row in DP_A[1:]:
+        sx, sy = _combine(row, ks)
+        x5, y5 = x + h * sx, y + h * sy
+        ks.append(f(x5, y5))
+    ex, ey = _combine(DP_E, ks)
+    return x5, y5, h * ex, h * ey, ks[6]
+
+
+def hermite(y0, d0, y1, d1, s):
+    """Cubic Hermite interpolant on [0, 1]; the slopes d0, d1 are already
+    scaled by the step.  Takes floats or numpy arrays."""
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * d0
+            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * d1)
+
+
+def hermite_deriv(y0, d0, y1, d1, s):
+    """Derivative of `hermite` with respect to s (divide by the step for d/dt)."""
+    s2 = s * s
+    return ((6 * s2 - 6 * s) * y0 + (3 * s2 - 4 * s + 1) * d0
+            + (-6 * s2 + 6 * s) * y1 + (3 * s2 - 2 * s) * d1)
+
+
+def hermite_root(y0, d0, y1, d1, level, lo, hi, flo, steps):
+    """Bisect hermite(y0, d0, y1, d1, s) = level on [lo, hi] in `steps` halvings.
+
+    flo is the interpolant minus level at lo; the bracket must hold a sign
+    change.  Returns the midpoint of the final bracket.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = hermite(y0, d0, y1, d1, mid) - level
+        if (flo < 0) != (fm < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -83,65 +115,35 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
 
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    def _segment(self, t: float) -> int:
+    def _segment(self, t: float):
+        """(node index, step, position in [0, 1]) of the segment holding t."""
         i = bisect.bisect_right(self.times, t) - 1
-        return min(max(i, 0), len(self.times) - 2)
+        i = min(max(i, 0), len(self.times) - 2)
+        h = self.times[i + 1] - self.times[i]
+        return i, h, ((t - self.times[i]) / h if h else 0.0)
+
+    def _nodes(self, i, h, c):
+        """Hermite data of coordinate c on segment i: values and scaled slopes."""
+        return (self.states[i, c], h * self.derivs[i, c],
+                self.states[i + 1, c], h * self.derivs[i + 1, c])
 
     def state_at(self, t: float) -> tuple[float, float]:
         """Cubic Hermite interpolation between the bracketing nodes."""
-        i = self._segment(t)
-        return _hermite(self.times[i], self.times[i + 1],
-                        self.states[i], self.states[i + 1],
-                        self.derivs[i], self.derivs[i + 1], t)
+        i, h, s = self._segment(t)
+        if h == 0:
+            return float(self.states[i, 0]), float(self.states[i, 1])
+        return hermite(*self._nodes(i, h, 0), s), hermite(*self._nodes(i, h, 1), s)
 
     def deriv_at(self, t: float) -> tuple[float, float]:
-        i = self._segment(t)
-        return _hermite_deriv(self.times[i], self.times[i + 1],
-                              self.states[i], self.states[i + 1],
-                              self.derivs[i], self.derivs[i + 1], t)
+        i, h, s = self._segment(t)
+        if h == 0:
+            return float(self.derivs[i, 0]), float(self.derivs[i, 1])
+        return (hermite_deriv(*self._nodes(i, h, 0), s) / h,
+                hermite_deriv(*self._nodes(i, h, 1), s) / h)
 
 
-def _hermite(t0, t1, x0, x1, d0, d1, t):
-    h = t1 - t0
-    if h == 0:
-        return float(x0[0]), float(x0[1])
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return (
-        h00 * x0[0] + h * h10 * d0[0] + h01 * x1[0] + h * h11 * d1[0],
-        h00 * x0[1] + h * h10 * d0[1] + h01 * x1[1] + h * h11 * d1[1],
-    )
-
-
-def _hermite_deriv(t0, t1, x0, x1, d0, d1, t):
-    h = t1 - t0
-    if h == 0:
-        return float(d0[0]), float(d0[1])
-    s = (t - t0) / h
-    g00 = 6 * s * (s - 1) / h
-    g10 = (1 - s) * (1 - 3 * s)
-    g01 = -g00
-    g11 = s * (3 * s - 2)
-    return (
-        g00 * x0[0] + g10 * d0[0] + g01 * x1[0] + g11 * d1[0],
-        g00 * x0[1] + g10 * d0[1] + g01 * x1[1] + g11 * d1[1],
-    )
-
-
-def _initial_step(f, x, y, rtol, atol):
+def _initial_step(f, x, y):
     vx, vy = f(x, y)
-    scale = atol + rtol * max(abs(x), abs(y), 1.0)
     speed = math.hypot(vx, vy)
     if speed == 0.0:
         return 1e-6
@@ -184,7 +186,7 @@ def integrate(
     states = [(x, y)]
     derivs = [k1]
     reason = T_END
-    h = min(_initial_step(f, x, y, rtol, atol), h_max, t_max)
+    h = min(_initial_step(f, x, y), h_max, t_max)
     err_prev = 1.0
     n_acc = 0
     n_rej = 0
@@ -274,6 +276,10 @@ class SectionCrossing:
     u: float
 
 
+# positions along a segment where the signed distance is sampled for brackets
+_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 def section_crossings(
     v: VectorField,
     traj: Trajectory,
@@ -282,46 +288,37 @@ def section_crossings(
     direction: float = 1.0,
 ) -> list[SectionCrossing]:
     """All transversal crossings of the section in the positive normal
-    direction, localized to t_tol by bisection on the dense output."""
+    direction, localized to t_tol by bisection on the dense output.
+
+    Along one segment the signed distance to the section line is itself a
+    cubic Hermite, with node values n.(x_i - anchor) and slopes h n.x'_i; it
+    is sampled at five points per segment to bracket sign changes, with the
+    sign convention of `hermite_root` (zero counts as positive).
+    """
+    nx, ny = section.normal
+    ax, ay = section.anchor
+    dist = (traj.states[:, 0] - ax) * nx + (traj.states[:, 1] - ay) * ny
+    rate = traj.derivs[:, 0] * nx + traj.derivs[:, 1] * ny
+    hs = np.diff(traj.times)
+    segs = (dist[:-1], hs * rate[:-1], dist[1:], hs * rate[1:])
+    vals = np.stack([hermite(*segs, s) for s in _SAMPLES], axis=1)
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    bracket = (fa < 0.0) != (fb < 0.0)
+    if bracket.size:
+        bracket[0, 0] &= fa[0, 0] != 0.0  # departure exactly on the section
     out: list[SectionCrossing] = []
-    times = traj.times
-    n = len(times)
-
-    def sval(t: float) -> float:
-        sx, sy = traj.state_at(t)
-        return section.signed_distance(sx, sy)
-
-    for i in range(n - 1):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        if t1 <= t0:
-            continue
-        # s(t) is cubic along a Hermite segment: sample enough to bracket
-        samples = np.linspace(t0, t1, 5)
-        vals = [sval(t) for t in samples]
-        for a, b, fa, fb in zip(samples, samples[1:], vals, vals[1:]):
-            if fa == 0.0 and i == 0 and a == times[0]:
-                continue  # departure exactly on the section
-            if fa * fb > 0.0 or (fa == 0.0 and fb == 0.0):
-                continue
-            lo, hi = float(a), float(b)
-            flo = fa
-            while hi - lo > t_tol:
-                mid = 0.5 * (lo + hi)
-                fm = sval(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                    flo = fm
-            tc = 0.5 * (lo + hi)
-            cx, cy = traj.state_at(tc)
-            dx, dy = traj.deriv_at(tc)
-            sdot = direction * (dx * section.normal[0] + dy * section.normal[1])
-            if sdot <= 0.0:
-                continue  # wrong direction or tangential
-            u = section.offset(cx, cy)
-            if abs(u) <= section.halfwidth:
-                out.append(SectionCrossing(t=tc, state=(cx, cy), u=u))
+    for i, k in zip(*np.nonzero(bracket)):
+        h = float(hs[i])
+        seg = tuple(float(c[i]) for c in segs)
+        steps = max(0, math.ceil(math.log2(0.25 * h / t_tol)))
+        s = hermite_root(*seg, 0.0, _SAMPLES[k], _SAMPLES[k + 1], float(fa[i, k]), steps)
+        if direction * hermite_deriv(*seg, s) <= 0.0:
+            continue  # wrong direction or tangential
+        cx = hermite(*traj._nodes(i, h, 0), s)
+        cy = hermite(*traj._nodes(i, h, 1), s)
+        u = section.offset(cx, cy)
+        if abs(u) <= section.halfwidth:
+            out.append(SectionCrossing(t=float(traj.times[i]) + s * h, state=(cx, cy), u=u))
     return out
 
 
@@ -338,8 +335,6 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 __all__ = [
     "BOX_EXIT",
     "DP_A",
-    "DP_B5",
-    "DP_C",
     "DP_E",
     "EQUILIBRIUM",
     "Section",

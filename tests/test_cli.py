@@ -52,6 +52,18 @@ class TestExitCodes:
         assert "verdict: inconclusive" in out
         assert "critical point search failed" in out
 
+    @pytest.mark.parametrize("argv", [("critpoints",),
+                                      ("fiber", "--point-id", "0", "--eta", "0.1"),
+                                      ("cycles",)],
+                             ids=["critpoints", "fiber", "cycles"])
+    def test_failed_point_search_names_its_type(self, capsys, tmp_path, argv):
+        """Every subcommand that runs critfind reports the exception type."""
+        path = tmp_path / "line.vf"
+        path.write_text("P = x\nQ = 0\nbox = [-5, 5] x [-5, 5]\n")
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_INCONCLUSIVE
+        assert "critical point search failed: DepthLimitExceeded:" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.vf"
         path.write_text("P = x +\nQ = y\nbox = [-5, 5] x [-5, 5]\n")

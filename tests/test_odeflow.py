@@ -138,6 +138,21 @@ class TestFixedStepOrder:
                        k1=self._circle_rhs(1.0, 0.0))
         assert cold[:4] == warm[:4]
 
+    def test_elementwise_on_arrays(self):
+        """On arrays each output equals the scalar step bit for bit, and the
+        input arrays come back unchanged."""
+        xs = np.array([1.0, 0.3, -2.0])
+        ys = np.array([0.0, 0.7, 0.5])
+        hs = np.array([0.1, 0.05, 0.2])
+        x_in, y_in = xs.copy(), ys.copy()
+        x5, y5, ex, ey, (kx, ky) = rk_step(self._circle_rhs, xs, ys, hs)
+        for j in range(3):
+            ref = rk_step(self._circle_rhs, float(xs[j]), float(ys[j]), float(hs[j]))
+            got = np.array([x5[j], y5[j], ex[j], ey[j], kx[j], ky[j]])
+            assert np.array_equal(got, np.array([*ref[:4], *ref[4]]))
+        assert np.array_equal(xs, x_in)
+        assert np.array_equal(ys, y_in)
+
     def test_error_estimate_scale(self):
         out = rk_step(self._circle_rhs, 1.0, 0.0, 0.1)
         est = math.hypot(out[2], out[3])
@@ -159,6 +174,16 @@ class TestDenseOutput:
         for t in ts[:: max(1, len(ts) // 20)]:
             x, y = traj.state_at(float(t))
             assert math.hypot(x - math.cos(t), y - math.sin(t)) < 1e-7
+
+    def test_single_node_trajectory(self, rotation):
+        """A run that underflows before its first step still interpolates."""
+        traj = integrate(rotation, (1.0, 0.0), 1e-13)
+        assert traj.terminated_by == "step_underflow"
+        assert len(traj.times) == 1
+        assert traj.state_at(0.0) == (1.0, 0.0)
+        assert all(math.isfinite(d) for d in traj.deriv_at(0.0))
+        sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
+        assert section_crossings(rotation, traj, sec) == []
 
     def test_deriv_residual_bound(self, corpus):
         """deriv_at stays within 10x the local tolerance of the field.
@@ -215,6 +240,10 @@ class TestSectionCrossings:
         sec = Section((2.0, 0.0), (0.0, 1.0), 1.9)
         hits = section_crossings(v, traj, sec, direction=-1.0)
         assert len(hits) >= 8
+        for hit in hits:
+            sx, sy = traj.state_at(hit.t)
+            assert abs(sec.signed_distance(sx, sy)) <= 1e-9
+            assert math.hypot(hit.state[0] - sx, hit.state[1] - sy) <= 1e-12
         gaps = np.diff([h.t for h in hits])
         assert abs(gaps[0] - vdp_period) < 1e-3
         assert np.all(np.abs(gaps[1:] - vdp_period) < 1e-6)

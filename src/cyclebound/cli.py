@@ -93,22 +93,25 @@ class BadArgument(ValueError):
 
 
 def _config_from(args) -> PipelineConfig:
-    cfg = PipelineConfig(threads=getattr(args, "threads", 1) or 1)
+    cfg = PipelineConfig(threads=args.threads)
     fiber = cfg.fiber
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         if args.grid < 64:
             raise BadArgument(f"--grid must be at least 64, got {args.grid}")
         fiber = replace(fiber, grid=args.grid)
-    if getattr(args, "max_grid", None):
+    if args.max_grid is not None:
+        if args.max_grid < fiber.grid:
+            raise BadArgument(f"--max-grid must be at least the grid {fiber.grid}, "
+                              f"got {args.max_grid}")
         fiber = replace(fiber, max_grid=args.max_grid)
     detect = cfg.detect
-    if getattr(args, "t_horizon", None):
+    if args.t_horizon is not None:
         detect = replace(detect, t_horizon=args.t_horizon)
-    if getattr(args, "rays", None):
+    if args.rays is not None:
         detect = replace(detect, rays=args.rays)
-    if getattr(args, "radii", None):
+    if args.radii is not None:
         detect = replace(detect, radii=args.radii)
-    if getattr(args, "grid_seeds", None):
+    if args.grid_seeds is not None:
         detect = replace(detect, grid_seeds=args.grid_seeds)
     return replace(cfg, fiber=fiber, detect=detect)
 
@@ -118,6 +121,16 @@ def _load(path):
         return load_vf(path)
     except (PolyParseError, VectorFieldError, OSError) as e:
         print(f"cyclebound: cannot load {path}: {e}", file=sys.stderr)
+        return None
+
+
+def _critical_points(v, cfg):
+    """The critical points of v, or None after reporting why the search failed."""
+    try:
+        return find_critical_points(v, cfg.solve)
+    except CritFindError as e:
+        print(f"critical point search failed: {type(e).__name__}: {e}",
+              file=sys.stderr)
         return None
 
 
@@ -132,11 +145,8 @@ def cmd_critpoints(args) -> int:
     if v is None:
         return EXIT_USAGE
     cfg = _config_from(args)
-    try:
-        cps = find_critical_points(v, cfg.solve)
-    except CritFindError as e:
-        print(f"critical point search failed: {type(e).__name__}: {e}",
-              file=sys.stderr)
+    cps = _critical_points(v, cfg)
+    if cps is None:
         return EXIT_INCONCLUSIVE
     print(f"{'id':>3} {'x':>18} {'y':>18} {'index':>6} {'det':>12} "
           f"{'nondeg':>7} {'bdry':>5}")
@@ -155,11 +165,8 @@ def cmd_fiber(args) -> int:
     if v is None:
         return EXIT_USAGE
     cfg = _config_from(args)
-    try:
-        cps = find_critical_points(v, cfg.solve)
-    except CritFindError as e:
-        print(f"critical point search failed: {type(e).__name__}: {e}",
-              file=sys.stderr)
+    cps = _critical_points(v, cfg)
+    if cps is None:
         return EXIT_INCONCLUSIVE
     by_id = {cp.id: cp for cp in cps}
     if args.point_id not in by_id:
@@ -213,11 +220,8 @@ def cmd_cycles(args) -> int:
     if v is None:
         return EXIT_USAGE
     cfg = _config_from(args)
-    try:
-        cps = find_critical_points(v, cfg.solve)
-    except CritFindError as e:
-        print(f"critical point search failed: {type(e).__name__}: {e}",
-              file=sys.stderr)
+    cps = _critical_points(v, cfg)
+    if cps is None:
         return EXIT_INCONCLUSIVE
     try:
         cycles = detect_limit_cycles(v, cps, cfg.detect)

@@ -107,20 +107,9 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(_directed_hausdorff(a, cb), _directed_hausdorff(b, ca))
 
 
-def _min_dist_to_polyline(p, pts: np.ndarray) -> float:
-    poly = _close_loop(pts)
-    a = poly[:-1]
-    d = poly[1:] - a
-    l2 = np.maximum((d * d).sum(1), 1e-300)
-    ap = np.asarray(p, float)[None] - a
-    t = np.clip((ap * d).sum(-1) / l2, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return float(np.sqrt(((np.asarray(p, float)[None] - proj) ** 2).sum(-1)).min())
-
-
 def winding_number(pts: np.ndarray, p, tol: float = 1e-9) -> int:
     """Winding of a closed polyline around p by angle accumulation."""
-    if _min_dist_to_polyline(p, pts) <= tol:
+    if _directed_hausdorff(np.asarray([p], float), _close_loop(pts)) <= tol:
         raise PointOnCycle(f"point {p} lies on the polyline")
     ang = np.arctan2(pts[:, 1] - p[1], pts[:, 0] - p[0])
     d = np.diff(np.append(ang, ang[0]))
@@ -345,7 +334,7 @@ def _first_return_u(v, sec, u, t_ref, sgn, dirc, cfg):
                          direction=sgn, equilibrium_tol=1e-14)
     except Exception:
         return None
-    for c in section_crossings(v, traj, sec, direction=dirc):
+    for c in section_crossings(traj, sec, direction=dirc):
         if c.t > 0.05 * t_ref:
             return float(c.u)
     return None
@@ -546,7 +535,7 @@ def return_map(v: VectorField, section: Section, x, t_max: float = 200.0,
         raise NoReturn("departure is tangent to the section")
     dirc = 1.0 if wn > 0 else -1.0
     traj = integrate(v, x, t_max, rtol=rtol, atol=atol, direction=direction)
-    for c in section_crossings(v, traj, section, direction=dirc):
+    for c in section_crossings(traj, section, direction=dirc):
         if c.t > 1e-8:
             return (float(c.state[0]), float(c.state[1])), float(c.t)
     raise NoReturn(f"no return to the section within t={t_max:g}")

@@ -151,7 +151,6 @@ class _Workspace:
     the same operations as polyval2d at that point, in the same order."""
 
     def __init__(self, v: VectorField, location: tuple[float, float], delta: float):
-        self.v = v
         self.location = (float(location[0]), float(location[1]))
         self.delta = float(delta)
         px, py = self.location
@@ -160,15 +159,13 @@ class _Workspace:
         dp = v.p - Poly2({(0, 0): p0})
         dq = v.q - Poly2({(0, 0): q0})
         self.g0 = dp * dp + dq * dq
-        g0x = self.g0.partial(0)
-        g0y = self.g0.partial(1)
-        self.g0x = g0x
-        self.g0y = g0y
+        self.g0x = self.g0.partial(0)
+        self.g0y = self.g0.partial(1)
         axm = max(abs(px - delta), abs(px + delta))
         aym = max(abs(py - delta), abs(py + delta))
-        bxx = float(_polyval2d(axm, aym, g0x.partial(0).abs_coeff_matrix()))
-        bxy = float(_polyval2d(axm, aym, g0x.partial(1).abs_coeff_matrix()))
-        byy = float(_polyval2d(axm, aym, g0y.partial(1).abs_coeff_matrix()))
+        bxx = float(_polyval2d(axm, aym, self.g0x.partial(0).abs_coeff_matrix()))
+        bxy = float(_polyval2d(axm, aym, self.g0x.partial(1).abs_coeff_matrix()))
+        byy = float(_polyval2d(axm, aym, self.g0y.partial(1).abs_coeff_matrix()))
         self._hess_bound = bxx + 2.0 * bxy + byy
         self._levels: dict[int, dict] = {}
 
@@ -199,151 +196,104 @@ class _Workspace:
         return lv
 
 
-# case -> list of segments, each segment a pair of local edge names;
+# case -> segments, each a pair of cell edges; an edge is the offset of its
+# key (kind, i, j) from the cell (i, j): "h" keys the edge from node (i, j)
+# to (i+1, j), "v" the edge from (i, j) to (i, j+1).
 # corner bit 1 = (i, j), 2 = (i+1, j), 4 = (i+1, j+1), 8 = (i, j+1)
+_BOTTOM, _RIGHT, _TOP, _LEFT = ("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0)
 _SEGMENTS = {
-    1: (("left", "bottom"),),
-    2: (("bottom", "right"),),
-    3: (("left", "right"),),
-    4: (("right", "top"),),
-    6: (("bottom", "top"),),
-    7: (("left", "top"),),
-    8: (("top", "left"),),
-    9: (("bottom", "top"),),
-    11: (("right", "top"),),
-    12: (("left", "right"),),
-    13: (("bottom", "right"),),
-    14: (("left", "bottom"),),
+    1: ((_LEFT, _BOTTOM),),
+    2: ((_BOTTOM, _RIGHT),),
+    3: ((_LEFT, _RIGHT),),
+    4: ((_RIGHT, _TOP),),
+    6: ((_BOTTOM, _TOP),),
+    7: ((_LEFT, _TOP),),
+    8: ((_TOP, _LEFT),),
+    9: ((_BOTTOM, _TOP),),
+    11: ((_RIGHT, _TOP),),
+    12: ((_LEFT, _RIGHT),),
+    13: ((_BOTTOM, _RIGHT),),
+    14: ((_LEFT, _BOTTOM),),
 }
 _SADDLE = {
     # center negative / center nonnegative
-    5: ((("bottom", "right"), ("top", "left")), (("left", "bottom"), ("right", "top"))),
-    10: ((("left", "bottom"), ("right", "top")), (("bottom", "right"), ("top", "left"))),
+    5: (((_BOTTOM, _RIGHT), (_TOP, _LEFT)), ((_LEFT, _BOTTOM), (_RIGHT, _TOP))),
+    10: (((_LEFT, _BOTTOM), (_RIGHT, _TOP)), ((_BOTTOM, _RIGHT), (_TOP, _LEFT))),
 }
-
-
-def _edge_key(name: str, i: int, j: int):
-    if name == "bottom":
-        return ("h", i, j)
-    if name == "top":
-        return ("h", i, j + 1)
-    if name == "left":
-        return ("v", i, j)
-    return ("v", i + 1, j)
 
 
 def _march(ws: _Workspace, eta: float, n: int):
     """One marching-squares pass; returns (chains, unresolved_count).
 
-    chains: list of (vertex array, closed flag), unclipped.
+    chains: list of (vertex array, closed flag), unclipped.  A closed chain
+    repeats its first vertex at its end.
     """
     lv = ws.level(n)
-    g = lv["g0n"] - eta * eta
-    neg = g < 0.0
-    case = (
-        neg[:-1, :-1].astype(np.int8)
-        + 2 * neg[1:, :-1]
-        + 4 * neg[1:, 1:]
-        + 8 * neg[:-1, 1:]
-    )
-    keep = lv["keep"]
-    crossing = (case != 0) & (case != 15) & keep
-    uniform = ((case == 0) | (case == 15)) & keep
+    lvl = eta * eta
+    g0n, g0c, keep = lv["g0n"], lv["g0c"], lv["keep"]
+    neg = g0n < lvl  # g = g0n - lvl < 0, tested without forming g
+    c00, c10, c11, c01 = neg[:-1, :-1], neg[1:, :-1], neg[1:, 1:], neg[:-1, 1:]
+    crossing = (c00 | c10 | c11 | c01) & ~(c00 & c10 & c11 & c01) & keep
 
-    # a uniform cell not next to any crossed cell, whose Taylor enclosure of g
-    # straddles zero, may hide a component below grid resolution
+    # a kept cell not next to any crossed cell, whose Taylor enclosure of g
+    # straddles zero, may hide a component below grid resolution.  The 3x3
+    # dilation runs along each axis in two in-place steps: the second reads
+    # the first's result, so each cell ORs itself and both neighbours.
     adj = crossing.copy()
-    adj[1:, :] |= crossing[:-1, :]
-    adj[:-1, :] |= crossing[1:, :]
-    adj[:, 1:] |= crossing[:, :-1]
-    adj[:, :-1] |= crossing[:, 1:]
-    adj[1:, 1:] |= crossing[:-1, :-1]
-    adj[1:, :-1] |= crossing[:-1, 1:]
-    adj[:-1, 1:] |= crossing[1:, :-1]
-    adj[:-1, :-1] |= crossing[1:, 1:]
-    gc = lv["g0c"] - eta * eta
-    unresolved = int((uniform & ~adj & (np.abs(gc) <= lv["rad"])).sum())
+    adj[1:] |= adj[:-1]
+    adj[:-1] |= adj[1:]
+    adj[:, 1:] |= adj[:, :-1]
+    adj[:, :-1] |= adj[:, 1:]
+    gc = g0c - lvl
+    unresolved = np.count_nonzero(keep & ~adj & (np.abs(gc, out=gc) <= lv["rad"]))
 
-    xs, ys = lv["xs"], lv["ys"]
-    verts: dict[tuple, tuple[float, float]] = {}
+    # an edge borders two cells and a cell's segments use each of its edges
+    # at most once, so every edge key has at most two neighbours: the
+    # segments form simple paths and loops
+    ii, jj = np.divmod(np.flatnonzero(crossing), n)
+    case = c00[ii, jj] + 2 * c10[ii, jj] + 4 * c11[ii, jj] + 8 * c01[ii, jj]
+    nbrs: dict[tuple, list[tuple]] = {}
+    for i, j, c in zip(ii.tolist(), jj.tolist(), case.tolist()):
+        segs = _SADDLE[c][0 if g0c[i, j] - lvl < 0.0 else 1] if c in _SADDLE else _SEGMENTS[c]
+        for (kind1, di1, dj1), (kind2, di2, dj2) in segs:
+            k1, k2 = (kind1, i + di1, j + dj1), (kind2, i + di2, j + dj2)
+            nbrs.setdefault(k1, []).append(k2)
+            nbrs.setdefault(k2, []).append(k1)
 
-    def vertex(key) -> tuple[float, float]:
-        pt = verts.get(key)
-        if pt is not None:
-            return pt
-        kind, i, j = key
-        if kind == "h":
-            ga, gb = g[i, j], g[i + 1, j]
-            t = ga / (ga - gb)
-            pt = (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-        else:
-            ga, gb = g[i, j], g[i, j + 1]
-            t = ga / (ga - gb)
-            pt = (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
-        verts[key] = pt
-        return pt
-
-    adjacency: dict[tuple, list[tuple]] = {}
-    seg_set = set()
-    for i, j in np.argwhere(crossing):
-        c = int(case[i, j])
-        if c in _SADDLE:
-            segs = _SADDLE[c][0] if gc[i, j] < 0.0 else _SADDLE[c][1]
-        else:
-            segs = _SEGMENTS[c]
-        for e1, e2 in segs:
-            k1 = _edge_key(e1, int(i), int(j))
-            k2 = _edge_key(e2, int(i), int(j))
-            if k1 == k2:
-                continue
-            seg = (k1, k2) if k1 < k2 else (k2, k1)
-            if seg in seg_set:
-                continue
-            seg_set.add(seg)
-            adjacency.setdefault(k1, []).append(k2)
-            adjacency.setdefault(k2, []).append(k1)
-
+    # paths start at their smaller end, loops at their smallest key towards
+    # its smaller neighbour
     chains = []
-    used = set()
+    seen = set()
+    for start in sorted(k for k, nb in nbrs.items() if len(nb) == 1) + sorted(nbrs):
+        if start in seen:
+            continue
+        keys = [start]
+        prev, cur = start, min(nbrs[start])
+        while cur != start:
+            keys.append(cur)
+            nb = nbrs[cur]
+            if len(nb) == 1:
+                break
+            prev, cur = cur, nb[1] if nb[0] == prev else nb[0]
+        seen.update(keys)
+        if cur == start:
+            keys.append(start)
+        chains.append((keys, cur == start))
+    if not chains:
+        return [], unresolved
 
-    def walk(start, first):
-        keys = [start, first]
-        used.add((start, first) if start < first else (first, start))
-        prev, cur = start, first
-        while True:
-            nxts = [k for k in adjacency[cur] if k != prev and
-                    ((cur, k) if cur < k else (k, cur)) not in used]
-            if not nxts:
-                return keys, cur == start
-            nxt = min(nxts)
-            used.add((cur, nxt) if cur < nxt else (nxt, cur))
-            keys.append(nxt)
-            if nxt == start:
-                return keys, True
-            prev, cur = cur, nxt
-
-    for start in sorted(k for k, nb in adjacency.items() if len(nb) == 1):
-        for first in sorted(adjacency[start]):
-            seg = (start, first) if start < first else (first, start)
-            if seg in used:
-                continue
-            keys, closed = walk(start, first)
-            chains.append((keys, closed))
-    for start in sorted(adjacency):
-        for first in sorted(adjacency[start]):
-            seg = (start, first) if start < first else (first, start)
-            if seg in used:
-                continue
-            keys, closed = walk(start, first)
-            chains.append((keys, closed))
-
-    out = []
-    for keys, closed in chains:
-        pts = np.array([vertex(k) for k in keys])
-        if closed and (keys[0] != keys[-1]):
-            pts = np.vstack([pts, pts[:1]])
-        out.append((pts, closed))
-    return out, unresolved
+    # linear interpolation along each edge, all vertices at once
+    kinds, ki, kj = zip(*(k for keys, _ in chains for k in keys))
+    hor = np.array(kinds) == "h"
+    i, j = np.array(ki), np.array(kj)
+    i1, j1 = i + hor, j + ~hor
+    ga, gb = g0n[i, j] - lvl, g0n[i1, j1] - lvl
+    t = ga / (ga - gb)
+    xs, ys = lv["xs"][i], lv["ys"][j]
+    x = np.where(hor, xs + t * (lv["xs"][i1] - xs), xs)
+    y = np.where(hor, ys, ys + t * (lv["ys"][j1] - ys))
+    pts = np.split(np.column_stack([x, y]), np.cumsum([len(k) for k, _ in chains[:-1]]))
+    return [(p, closed) for p, (_, closed) in zip(pts, chains)], unresolved
 
 
 def _snap_chain(ws: _Workspace, eta: float, pts: np.ndarray, h: float) -> np.ndarray:
@@ -356,15 +306,12 @@ def _snap_chain(ws: _Workspace, eta: float, pts: np.ndarray, h: float) -> np.nda
     """
     x = pts[:, 0].copy()
     y = pts[:, 1].copy()
-    cg = ws.g0.coeff_matrix()
-    cgx = ws.g0x.coeff_matrix()
-    cgy = ws.g0y.coeff_matrix()
     lvl = eta * eta
     cap = 0.6 * h
     for _ in range(3):
-        g = _polyval2d(x, y, cg) - lvl
-        gx = _polyval2d(x, y, cgx)
-        gy = _polyval2d(x, y, cgy)
+        g = ws.g0.eval_grid(x, y) - lvl
+        gx = ws.g0x.eval_grid(x, y)
+        gy = ws.g0y.eval_grid(x, y)
         n2 = gx * gx + gy * gy
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(n2 > 0.0, g / np.maximum(n2, 1e-300), 0.0)

@@ -281,7 +281,6 @@ _SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def section_crossings(
-    v: VectorField,
     traj: Trajectory,
     section: Section,
     t_tol: float = 1e-10,

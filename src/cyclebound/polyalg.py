@@ -70,10 +70,6 @@ class Interval:
         return Interval(_down(f), _up(f))
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from cyclebound.cli import main
+from cyclebound.cli import _build_parser, _config_from, main
 
 SYSTEMS = pathlib.Path(__file__).resolve().parent.parent / "systems"
 
@@ -97,6 +97,17 @@ class TestExitCodes:
         assert code == EXIT_BADARG
         assert "64" in err
 
+    @pytest.mark.parametrize("argv", [("--grid", "0"), ("--grid", "63"),
+                                      ("--max-grid", "128"),
+                                      ("--grid", "512", "--max-grid", "256")],
+                             ids=["grid-0", "grid-63", "max-grid-below-default",
+                                  "max-grid-below-grid"])
+    def test_grid_values_checked(self, capsys, argv):
+        code, _, err = run(capsys, "critpoints",
+                           str(SYSTEMS / "linear-center.vf"), *argv)
+        assert code == EXIT_BADARG
+        assert "--grid" in err or "--max-grid" in err
+
     def test_empty_perturbation_list(self, capsys):
         code, _, err = run(capsys, "morsify",
                            str(SYSTEMS / "degenerate-demo.vf"), "--s", "")
@@ -105,6 +116,17 @@ class TestExitCodes:
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == EXIT_USAGE
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("flag,field", [("--t-horizon", "t_horizon"),
+                                            ("--rays", "rays"),
+                                            ("--radii", "radii"),
+                                            ("--grid-seeds", "grid_seeds")])
+    def test_zero_reaches_config(self, flag, field):
+        """A zero override is used, not dropped for being falsy."""
+        args = _build_parser().parse_args(["cycles", "x.vf", flag, "0"])
+        assert getattr(_config_from(args).detect, field) == 0
 
 
 class TestShowConfig:

@@ -196,6 +196,61 @@ class TestWorkspaceLevel:
         assert peak <= 3 * kept
 
 
+class TestMarchChains:
+    """Each grid edge with a sign change that borders a kept crossed cell
+    is a vertex of exactly one chain, and each segment lies on one chain:
+    an edge borders two cells and a cell uses each of its edges at most
+    once, so no edge has three segments."""
+
+    @pytest.mark.parametrize("degree,seed", [(2, 4), (3, 5), (4, 1)])
+    def test_each_crossed_edge_in_one_chain(self, degree, seed):
+        v = random_field(seed, degree=degree)
+        locs = [c.location for c in find_critical_points(v)]
+        saddles = opened = 0
+        for k, loc in enumerate(locs):
+            delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+            ws = mf._Workspace(v, loc, delta)
+            for n in (256, 512):
+                lv = ws.level(n)
+                xs, ys = lv["xs"], lv["ys"]
+                # past the swept range the curve leaves the ball: open chains
+                for eta in sweep + [4.0 * sweep[0]]:
+                    g = lv["g0n"] - eta * eta
+                    neg = g < 0.0
+                    case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
+                    cells = (case != 0) & (case != 15) & lv["keep"]
+                    here = int((cells & ((case == 5) | (case == 10))).sum())
+                    saddles += here
+                    # edge (i, j) along x borders cells (i, j - 1) and (i, j);
+                    # edge (i, j) along y borders cells (i - 1, j) and (i, j)
+                    hb = np.zeros((n, n + 1), bool)
+                    hb[:, :-1] |= cells
+                    hb[:, 1:] |= cells
+                    vb = np.zeros((n + 1, n), bool)
+                    vb[:-1] |= cells
+                    vb[1:] |= cells
+                    i, j = np.nonzero(hb & (neg[:-1] != neg[1:]))
+                    t = g[i, j] / (g[i, j] - g[i + 1, j])
+                    want = set(zip((xs[i] + t * (xs[i + 1] - xs[i])).tolist(), ys[j].tolist()))
+                    i, j = np.nonzero(vb & (neg[:, :-1] != neg[:, 1:]))
+                    t = g[i, j] / (g[i, j] - g[i, j + 1])
+                    want |= set(zip(xs[i].tolist(), (ys[j] + t * (ys[j + 1] - ys[j])).tolist()))
+                    got = []
+                    chains = mf._march(ws, eta, n)[0]
+                    # one segment per crossed cell, two per saddle cell
+                    assert sum(len(p) - 1 for p, _ in chains) == int(cells.sum()) + here
+                    opened += sum(not closed for _, closed in chains)
+                    for pts, closed in chains:
+                        pts = [tuple(p) for p in pts.tolist()]
+                        if closed:
+                            assert pts[0] == pts[-1]
+                            pts = pts[:-1]
+                        got += pts
+                    assert len(got) == len(set(got))
+                    assert set(got) == want
+        assert saddles > 0 and opened > 0
+
+
 class TestSubmersion:
     def test_radial_passes(self, radial):
         ok, witness = mf.submersion_check(radial, (0.0, 0.0), 2.0, 0.5, 1.0)

@@ -183,7 +183,7 @@ class TestDenseOutput:
         assert traj.state_at(0.0) == (1.0, 0.0)
         assert all(math.isfinite(d) for d in traj.deriv_at(0.0))
         sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        assert section_crossings(rotation, traj, sec) == []
+        assert section_crossings(traj, sec) == []
 
     def test_deriv_residual_bound(self, corpus):
         """deriv_at stays within 10x the local tolerance of the field.
@@ -210,7 +210,7 @@ class TestSectionCrossings:
         """Crossings of the positive x-axis land at multiples of 2 pi."""
         traj = integrate(rotation, (1.0, 0.0), 20.0)
         sec = Section((1.0, 0.0), (0.0, 1.0), 2.0)
-        hits = section_crossings(rotation, traj, sec)
+        hits = section_crossings(traj, sec)
         assert len(hits) == 3
         for k, hit in enumerate(hits, start=1):
             assert hit.t == pytest.approx(k * TWO_PI, abs=1e-6)
@@ -221,24 +221,24 @@ class TestSectionCrossings:
         """The rotation crosses the positive x-axis upward only."""
         traj = integrate(rotation, (1.0, 0.0), 20.0)
         sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        assert section_crossings(rotation, traj, sec, direction=-1.0) == []
+        assert section_crossings(traj, sec, direction=-1.0) == []
         # on the negative axis the same flow crosses downward, at odd
         # multiples of pi
         neg = Section((-1.0, 0.0), (0.0, 1.0), 0.5)
-        down = section_crossings(rotation, traj, neg, direction=-1.0)
+        down = section_crossings(traj, neg, direction=-1.0)
         assert [round(h.t / math.pi) for h in down] == [1, 3, 5]
 
     def test_section_never_met(self, rotation):
         traj = integrate(rotation, (1.0, 0.0), 20.0)
         far = Section((10.0, 0.0), (0.0, 1.0), 0.5)
-        assert section_crossings(rotation, traj, far) == []
+        assert section_crossings(traj, far) == []
 
     def test_vdp_gaps_match_reference(self, corpus, vdp_period):
         """Crossing gaps converge to the independently computed period."""
         v = corpus["van-der-pol"]
         traj = integrate(v, (2.0, 0.0), 60.0)
         sec = Section((2.0, 0.0), (0.0, 1.0), 1.9)
-        hits = section_crossings(v, traj, sec, direction=-1.0)
+        hits = section_crossings(traj, sec, direction=-1.0)
         assert len(hits) >= 8
         for hit in hits:
             sx, sy = traj.state_at(hit.t)

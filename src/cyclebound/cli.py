@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -105,14 +106,13 @@ def _config_from(args) -> PipelineConfig:
                               f"got {args.max_grid}")
         fiber = replace(fiber, max_grid=args.max_grid)
     detect = cfg.detect
-    if args.t_horizon is not None:
-        detect = replace(detect, t_horizon=args.t_horizon)
-    if args.rays is not None:
-        detect = replace(detect, rays=args.rays)
-    if args.radii is not None:
-        detect = replace(detect, radii=args.radii)
-    if args.grid_seeds is not None:
-        detect = replace(detect, grid_seeds=args.grid_seeds)
+    for field, flag in (("t_horizon", "--t-horizon"), ("rays", "--rays"),
+                        ("radii", "--radii"), ("grid_seeds", "--grid-seeds")):
+        value = getattr(args, field)
+        if value is not None:
+            if not 0 <= value < math.inf:
+                raise BadArgument(f"{flag} must be finite and non-negative, got {value}")
+            detect = replace(detect, **{field: value})
     return replace(cfg, fiber=fiber, detect=detect)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .polyalg import Poly2, VectorField
 
 _polyval2d = np.polynomial.polynomial.polyval2d
-_polygrid2d = np.polynomial.polynomial.polygrid2d
 
 
 class FiberError(RuntimeError):
@@ -145,9 +144,10 @@ class _Workspace:
     """Per-(field, point, delta) caches: the distance-squared polynomial and
     per-grid node/center evaluations reused across the eta sweep.
 
-    Grid evaluation is separable: polygrid2d runs Horner on the 1-D x axis,
-    then on the y axis, so a level of n cells holds no (n+1)^2 coordinate
-    arrays and no (degree+1) x (n+1)^2 temporary.  Each value goes through
+    Grid evaluation is separable (`Poly2.eval_outer`): Horner runs on the
+    1-D x axis, then the y pass multiplies and adds into one preallocated
+    (n+1)^2 array in place, so a level of n cells holds no coordinate
+    meshes and no per-coefficient-row temporaries.  Each value goes through
     the same operations as polyval2d at that point, in the same order."""
 
     def __init__(self, v: VectorField, location: tuple[float, float], delta: float):
@@ -177,13 +177,15 @@ class _Workspace:
         d = self.delta
         xs = np.linspace(px - d, px + d, n + 1)
         ys = np.linspace(py - d, py + d, n + 1)
-        g0n = _polygrid2d(xs, ys, self.g0.coeff_matrix())
+        g0n = self.g0.eval_outer(xs, ys)
         h = 2.0 * d / n
         cx = 0.5 * (xs[:-1] + xs[1:])
         cy = 0.5 * (ys[:-1] + ys[1:])
-        g0c = _polygrid2d(cx, cy, self.g0.coeff_matrix())
-        rad = np.abs(_polygrid2d(cx, cy, self.g0x.coeff_matrix()))
-        rad += np.abs(_polygrid2d(cx, cy, self.g0y.coeff_matrix()))
+        g0c = self.g0.eval_outer(cx, cy)
+        rad = self.g0x.eval_outer(cx, cy)
+        np.abs(rad, out=rad)
+        gy = self.g0y.eval_outer(cx, cy)
+        rad += np.abs(gy, out=gy)
         rad *= 0.5 * h
         rad += 0.5 * self._hess_bound * (0.5 * h) ** 2
         rad += 1e-12 * float(np.abs(g0n).max()) + 1e-300
@@ -484,9 +486,7 @@ def submersion_check(
     mask = in_ball & (g0n >= eta_lo * eta_lo) & (g0n <= eta_hi * eta_hi)
     if not mask.any():
         return True, None
-    gpx = _polygrid2d(xs, ys, v.p.partial(0).coeff_matrix())
-    gpy = _polygrid2d(xs, ys, v.p.partial(1).coeff_matrix())
-    grad = np.hypot(gpx, gpy)
+    grad = np.hypot(v.p.partial(0).eval_outer(xs, ys), v.p.partial(1).eval_outer(xs, ys))
     bad = mask & (grad <= cfg.submersion_tol)
     if not bad.any():
         return True, None

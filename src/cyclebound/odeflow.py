@@ -321,16 +321,6 @@ def section_crossings(
     return out
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y"])
-        for t, (x, y) in zip(traj.times, traj.states):
-            w.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
-
-
 __all__ = [
     "BOX_EXIT",
     "DP_A",
@@ -344,5 +334,4 @@ __all__ = [
     "integrate",
     "rk_step",
     "section_crossings",
-    "trajectory_to_csv",
 ]

@@ -150,7 +150,7 @@ class Poly2:
     x^i * y^j.  The zero polynomial has no terms and degree -1.
     """
 
-    __slots__ = ("_terms", "_key", "_rows", "_cmat", "_amat")
+    __slots__ = ("_terms", "_key", "_rows", "_cmat", "_amat", "_ivals")
 
     def __init__(self, terms=None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -166,6 +166,7 @@ class Poly2:
         self._rows = None
         self._cmat = None
         self._amat = None
+        self._ivals = None
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -309,6 +310,24 @@ class Poly2:
     def eval_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval2d(x, y, self.coeff_matrix())
 
+    def eval_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Values on the grid xs[:, None], ys[None, :], bit-identical to
+        numpy's polygrid2d(xs, ys, coeff_matrix()).
+
+        Horner in x runs on the 1-D axis first (polyval), giving one row of
+        x-values per y power.  The y pass then works in place on one
+        (len(xs), len(ys)) array instead of allocating two per coefficient
+        row; IEEE + and * commute, so every value is the same.  `+ ys * 0`
+        keeps polyval's signed zeros.
+        """
+        ys = np.asarray(ys)
+        r = np.polynomial.polynomial.polyval(xs, self.coeff_matrix())
+        out = r[-1][:, None] + ys * 0
+        for row in r[-2::-1]:
+            out *= ys
+            out += row[:, None]
+        return out
+
     def render(self) -> str:
         """Canonical form: graded-lex term order, explicit '*' and '^'."""
         if not self._terms:
@@ -348,12 +367,6 @@ def _render_monomial(k: tuple[int, int]) -> str:
     return "*".join(pieces)
 
 
-def jacobian_det(v: "VectorField") -> Poly2:
-    """Exact determinant of the Jacobian of (P, Q)."""
-    p, q = v.p, v.q
-    return p.partial(0) * q.partial(1) - p.partial(1) * q.partial(0)
-
-
 def interval_eval(p: Poly2, box: tuple[Interval, Interval]) -> Interval:
     """Interval enclosure of the range of p over box = (Ix, Iy).
 
@@ -363,6 +376,8 @@ def interval_eval(p: Poly2, box: tuple[Interval, Interval]) -> Interval:
     ix, iy = box
     if not p._terms:
         return Interval(0.0, 0.0)
+    if p._ivals is None:
+        p._ivals = tuple((i, j, Interval.from_fraction(c)) for (i, j), c in p._key)
     mi = max(i for i, _ in p._terms)
     mj = max(j for _, j in p._terms)
     xp = [Interval(1.0, 1.0)]
@@ -372,8 +387,8 @@ def interval_eval(p: Poly2, box: tuple[Interval, Interval]) -> Interval:
     for n in range(1, mj + 1):
         yp.append(iy.pow_int(n))
     acc = Interval(0.0, 0.0)
-    for (i, j), c in sorted(p._terms.items()):
-        acc = acc + Interval.from_fraction(c) * xp[i] * yp[j]
+    for i, j, c in p._ivals:
+        acc = acc + c * xp[i] * yp[j]
     return acc
 
 

@@ -108,6 +108,17 @@ class TestExitCodes:
         assert code == EXIT_BADARG
         assert "--grid" in err or "--max-grid" in err
 
+    @pytest.mark.parametrize("flag,value", [("--rays", "-1"), ("--radii", "-2"),
+                                            ("--grid-seeds", "-3"),
+                                            ("--t-horizon", "-0.5"),
+                                            ("--t-horizon", "nan"),
+                                            ("--t-horizon", "inf")])
+    def test_detection_values_checked(self, capsys, flag, value):
+        code, _, err = run(capsys, "cycles",
+                           str(SYSTEMS / "degenerate-demo.vf"), flag, value)
+        assert code == EXIT_BADARG
+        assert flag in err
+
     def test_empty_perturbation_list(self, capsys):
         code, _, err = run(capsys, "morsify",
                            str(SYSTEMS / "degenerate-demo.vf"), "--s", "")

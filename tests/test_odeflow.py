@@ -17,7 +17,6 @@ from cyclebound.odeflow import (
     integrate,
     rk_step,
     section_crossings,
-    trajectory_to_csv,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -247,16 +246,3 @@ class TestSectionCrossings:
         gaps = np.diff([h.t for h in hits])
         assert abs(gaps[0] - vdp_period) < 1e-3
         assert np.all(np.abs(gaps[1:] - vdp_period) < 1e-6)
-
-
-class TestCsvExport:
-    def test_round_trip(self, rotation, tmp_path):
-        traj = integrate(rotation, (1.0, 0.0), 1.0)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "t,x,y"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (len(traj.times), 3)
-        assert np.allclose(data[:, 0], traj.times, rtol=0.0, atol=1e-12)
-        assert np.allclose(data[:, 1:], traj.states, rtol=0.0, atol=1e-12)

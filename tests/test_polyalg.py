@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,6 @@ from cyclebound.polyalg import (
     PolyParseError,
     VectorFieldError,
     interval_eval,
-    jacobian_det,
     parse_poly,
     parse_vf,
 )
@@ -98,6 +98,44 @@ class TestEval:
             assert p.eval(x, y) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+class TestEvalOuter:
+    AXES = [np.linspace(-1.5, 1.5, 7), np.linspace(-0.9, 2.3, 12),
+            np.array([0.3]), np.array([-0.0]), np.array([-2.0, -0.0, 0.0, 1e-3])]
+
+    def polys(self):
+        rng = np.random.default_rng(41)
+        yield Poly2()
+        yield parse_poly("-3/7")
+        yield parse_poly("x^3 - 2*x + 1/3")
+        yield parse_poly("-y^4 + y")
+        for degree in range(9):
+            yield rand_poly(rng, degree, -2, 2)
+
+    def test_bit_identical_to_polygrid2d(self):
+        for p in self.polys():
+            for xs in self.AXES:
+                for ys in self.AXES:
+                    ref = np.polynomial.polynomial.polygrid2d(xs, ys, p.coeff_matrix())
+                    got = p.eval_outer(xs, ys)
+                    assert np.array_equal(got, ref) and got.dtype == ref.dtype
+                    assert got.tobytes() == ref.tobytes()  # signed zeros too
+
+    def test_peak_memory_is_the_output(self):
+        p = rand_poly(np.random.default_rng(43), 6)
+        xs = np.linspace(-1.0, 1.0, 1025)
+        ys = np.linspace(-0.5, 1.5, 1025)
+        p.coeff_matrix()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = p.eval_outer(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # polygrid2d peaks at 3.0x: two fresh grids per Horner step
+        assert peak <= 1.1 * out.nbytes
+
+
 class TestPartial:
     def test_spec_examples(self):
         assert parse_poly("x^2*y").partial(0) == parse_poly("2*x*y")
@@ -121,26 +159,6 @@ class TestPartial:
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
-class TestJacobianDet:
-    def test_identity_and_rotation(self):
-        assert jacobian_det(parse_vf("P = x\nQ = y")) == parse_poly("1")
-        assert jacobian_det(parse_vf("P = -y\nQ = x")) == parse_poly("1")
-
-    def test_van_der_pol_origin(self):
-        v = parse_vf("P = y\nQ = (1 - x^2)*y - x")
-        d = jacobian_det(v)
-        # hand expansion: 0*(1-x^2) - 1*(-2xy - 1) = 2xy + 1
-        assert d == parse_poly("2*x*y + 1")
-        assert d.eval(0.0, 0.0) == 1.0
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(17)
-        from cyclebound.polyalg import VectorField
-        for _ in range(25):
-            p, q = rand_poly(rng, 4), rand_poly(rng, 4)
-            assert jacobian_det(VectorField(p, q)) == Poly2() - jacobian_det(VectorField(q, p))
-
-
 class TestInterval:
     def test_spec_enclosures(self):
         iv = interval_eval(parse_poly("x"), (Interval(0, 1), Interval(0, 1)))
@@ -161,6 +179,22 @@ class TestInterval:
             iv = interval_eval(p, (Interval(x0, x1), Interval(y0, y1)))
             val = p.eval(sx, sy)
             assert iv.lo <= val <= iv.hi
+
+    def test_cached_coefficients_match_term_formula(self):
+        rng = np.random.default_rng(47)
+        one = Interval(1.0, 1.0)
+        for _ in range(200):
+            p = rand_poly(rng, int(rng.integers(0, 6)), -3, 3)
+            p = p.scale(F(1, 3))  # c/3 is rarely a float, so from_fraction widens it
+            x0, x1 = sorted(rng.uniform(-3, 3, size=2))
+            y0, y1 = sorted(rng.uniform(-3, 3, size=2))
+            ix, iy = Interval(x0, x1), Interval(y0, y1)
+            ref = Interval(0.0, 0.0)
+            for (i, j), c in sorted(p.terms.items()):
+                ref = ref + Interval.from_fraction(c) * (ix.pow_int(i) if i else one) \
+                    * (iy.pow_int(j) if j else one)
+            assert interval_eval(p, (ix, iy)) == ref
+            assert interval_eval(p, (ix, iy)) == ref  # second call reads the cache
 
     def test_pow_through_zero(self):
         iv = Interval(-2.0, 1.0).pow_int(2)

@@ -28,7 +28,6 @@ from .cycledetect import (
     enclosure_matrix,
     fiber_residence,
     hausdorff_distance,
-    return_map,
     winding_number,
 )
 from .milnorfiber import (
@@ -84,7 +83,6 @@ __all__ = [
     "report_from_json",
     "report_from_run",
     "report_to_json",
-    "return_map",
     "run",
     "section_crossings",
     "select_radii",

@@ -17,7 +17,7 @@ import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -64,12 +64,6 @@ class AnalysisReport:
     diagnostics: tuple
     timestamp: str
     notes: tuple
-
-
-def _config_echo(cfg: PipelineConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def _cp_summary(cp) -> dict:
@@ -134,7 +128,7 @@ def _diagnostics(v, cycles, milnor_by_id, loc_by_id, cfg: PipelineConfig, notes)
             md = milnor_by_id.get(pid)
             if md is None or not md.eta_sweep:
                 continue
-            mean, var = fiber_residence(lc, v, None)
+            mean, var = fiber_residence(lc, v)
             row = {
                 "cycle": ci,
                 "cp": int(pid),
@@ -252,7 +246,7 @@ def report_from_run(r: PipelineRun) -> AnalysisReport:
     diag = _diagnostics(v, cycles, milnor_by_id, loc_by_id, cfg, notes) if cycles else []
     return AnalysisReport(
         system_name=v.name,
-        config_echo=_config_echo(cfg),
+        config_echo=asdict(cfg),
         critical_points=tuple(_cp_summary(cp) for cp in cps),
         milnor=milnor,
         bound=int(bound),
@@ -275,8 +269,8 @@ def report_from_run(r: PipelineRun) -> AnalysisReport:
 def morsify(v: VectorField, s: float, seed: int) -> VectorField:
     """V + s * (random affine field), coefficients uniform in [-1, 1] from the
     seeded generator; s = 0 returns the input field unchanged."""
-    if s < 0:
-        raise ValueError("perturbation size must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"perturbation size must be finite and nonnegative, got {s}")
     if s == 0:
         return v
     rng = random.Random(seed)
@@ -325,66 +319,21 @@ def morsification_invariance(v: VectorField, s_values, seeds,
 # serialization
 
 
-def _milnor_to_dict(m: MilnorData) -> dict:
-    return {
-        "point_id": int(m.point_id),
-        "delta": float(m.delta),
-        "eta_sweep": [float(e) for e in m.eta_sweep],
-        "counts_per_eta": [None if c is None else [int(c[0]), int(c[1])]
-                           for c in m.counts_per_eta],
-        "l": int(m.l),
-        "stable": bool(m.stable),
-        "submersion_ok": bool(m.submersion_ok),
-        "witness": None if m.witness is None else [float(m.witness[0]),
-                                                   float(m.witness[1])],
-    }
-
-
-def _milnor_from_dict(d: dict) -> MilnorData:
-    return MilnorData(
-        point_id=int(d["point_id"]),
-        delta=float(d["delta"]),
-        eta_sweep=tuple(float(e) for e in d["eta_sweep"]),
-        counts_per_eta=tuple(None if c is None else (int(c[0]), int(c[1]))
-                             for c in d["counts_per_eta"]),
-        l=int(d["l"]),
-        stable=bool(d["stable"]),
-        submersion_ok=bool(d["submersion_ok"]),
-        witness=None if d["witness"] is None else (float(d["witness"][0]),
-                                                   float(d["witness"][1])),
-    )
+def _tuples(x):
+    """JSON arrays back to tuples, at every depth."""
+    return tuple(_tuples(e) for e in x) if isinstance(x, list) else x
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
-    return {
-        "system_name": r.system_name,
-        "config_echo": r.config_echo,
-        "critical_points": list(r.critical_points),
-        "milnor": [_milnor_to_dict(m) for m in r.milnor],
-        "bound": r.bound,
-        "detected": list(r.detected),
-        "verdict": r.verdict,
-        "equality_hypothesis": r.equality_hypothesis,
-        "diagnostics": list(r.diagnostics),
-        "timestamp": r.timestamp,
-        "notes": list(r.notes),
-    }
+    return asdict(r)
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    return AnalysisReport(
-        system_name=d["system_name"],
-        config_echo=d["config_echo"],
-        critical_points=tuple(d["critical_points"]),
-        milnor=tuple(_milnor_from_dict(m) for m in d["milnor"]),
-        bound=int(d["bound"]),
-        detected=tuple(d["detected"]),
-        verdict=d["verdict"],
-        equality_hypothesis=d["equality_hypothesis"],
-        diagnostics=tuple(d["diagnostics"]),
-        timestamp=d["timestamp"],
-        notes=tuple(d["notes"]),
-    )
+    """Inverse of report_to_dict on a JSON-loaded document; a missing or
+    unknown key raises."""
+    milnor = tuple(MilnorData(**{k: _tuples(x) for k, x in m.items()}) for m in d["milnor"])
+    seqs = {k: tuple(d[k]) for k in ("critical_points", "detected", "diagnostics", "notes")}
+    return AnalysisReport(**{**d, **seqs, "milnor": milnor})
 
 
 def report_to_json(r: AnalysisReport) -> str:

@@ -297,6 +297,9 @@ def cmd_morsify(args) -> int:
     if not s_values or not seeds:
         print("cyclebound: --s and --seeds must be nonempty", file=sys.stderr)
         return EXIT_USAGE
+    for s in s_values:
+        if not 0 <= s < math.inf:
+            raise BadArgument(f"--s must be finite and non-negative, got {s}")
     rows = morsification_invariance(v, s_values, seeds, cfg)
     print(f"{'s':>10} {'seed':>6} {'k':>4} {'B':>4} {'cycles':>7} {'changed':>8}")
     for r in rows:

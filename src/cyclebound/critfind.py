@@ -81,11 +81,6 @@ class CriticalPoint:
         return a * d - b * c
 
 
-def is_nondegenerate(v: VectorField, point: tuple[float, float], tol: float = 1e-9) -> bool:
-    j = v.jacobian_at(point[0], point[1])
-    return abs(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]) > tol
-
-
 _FBox = tuple[float, float, float, float]
 
 
@@ -425,6 +420,5 @@ __all__ = [
     "StepTooCoarse",
     "ZeroOnCircle",
     "find_critical_points",
-    "is_nondegenerate",
     "poincare_index",
 ]

@@ -29,10 +29,6 @@ from .polyalg import VectorField
 log = logging.getLogger(__name__)
 
 
-class NoReturn(RuntimeError):
-    """Trajectory never comes back to the section."""
-
-
 class PointOnCycle(RuntimeError):
     """Winding number undefined: the point sits on the polyline."""
 
@@ -525,22 +521,6 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
 # stand-alone operations
 
 
-def return_map(v: VectorField, section: Section, x, t_max: float = 200.0,
-               rtol: float = 1e-10, atol: float = 1e-13, direction: float = 1.0):
-    """First return of the flow through x to the section, same crossing
-    direction.  Returns ((x, y), t); raises NoReturn."""
-    fx, fy = v.eval(float(x[0]), float(x[1]))
-    wn = direction * (fx * section.normal[0] + fy * section.normal[1])
-    if wn == 0.0:
-        raise NoReturn("departure is tangent to the section")
-    dirc = 1.0 if wn > 0 else -1.0
-    traj = integrate(v, x, t_max, rtol=rtol, atol=atol, direction=direction)
-    for c in section_crossings(traj, section, direction=dirc):
-        if c.t > 1e-8:
-            return (float(c.state[0]), float(c.state[1])), float(c.t)
-    raise NoReturn(f"no return to the section within t={t_max:g}")
-
-
 def enclosure_matrix(cycles, cps) -> np.ndarray:
     """Winding numbers, entry (c, i) = winding of cycle c around point i."""
     mat = np.zeros((len(cycles), len(cps)), dtype=int)
@@ -550,7 +530,7 @@ def enclosure_matrix(cycles, cps) -> np.ndarray:
     return mat
 
 
-def fiber_residence(cycle: LimitCycle, v: VectorField, cp) -> tuple[float, float]:
+def fiber_residence(cycle: LimitCycle, v: VectorField) -> tuple[float, float]:
     """Mean of ||V|| along the cycle and its relative spread (max-min)/mean.
 
     At a zero of V the local level sets are ||V(x) - V(p)|| = const with
@@ -581,13 +561,11 @@ def cycle_class_map(cycle: LimitCycle, fiber) -> tuple[int | None, float]:
 __all__ = [
     "DetectConfig",
     "LimitCycle",
-    "NoReturn",
     "PointOnCycle",
     "cycle_class_map",
     "detect_limit_cycles",
     "enclosure_matrix",
     "fiber_residence",
     "hausdorff_distance",
-    "return_map",
     "winding_number",
 ]

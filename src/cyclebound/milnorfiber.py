@@ -62,7 +62,6 @@ class Component:
 
     vertices: tuple[tuple[float, float], ...]
     closed: bool
-    arc_endpoints_on_sphere: bool
 
     def __post_init__(self):
         if len(self.vertices) < 3:
@@ -394,7 +393,6 @@ def _extract_once(ws: _Workspace, eta: float, n: int):
                 Component(
                     vertices=tuple((float(x), float(y)) for x, y in cpts),
                     closed=cclosed,
-                    arc_endpoints_on_sphere=not cclosed,
                 )
             )
     comps.sort(key=lambda c: (min(p[0] for p in c.vertices), min(p[1] for p in c.vertices)))

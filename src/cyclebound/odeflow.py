@@ -261,9 +261,6 @@ class Section:
     def tangent(self) -> tuple[float, float]:
         return (-self.normal[1], self.normal[0])
 
-    def signed_distance(self, x: float, y: float) -> float:
-        return (x - self.anchor[0]) * self.normal[0] + (y - self.anchor[1]) * self.normal[1]
-
     def offset(self, x: float, y: float) -> float:
         tx, ty = self.tangent
         return (x - self.anchor[0]) * tx + (y - self.anchor[1]) * ty

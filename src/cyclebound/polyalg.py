@@ -257,29 +257,13 @@ class Poly2:
             out = out + (xp[i] * yp[j]).scale(c)
         return out
 
-    def _horner_rows(self):
-        # rows[k] = dense float coefficients of the y-polynomial multiplying
-        # x^(max_i - k), highest y power first
-        if self._rows is None:
-            if not self._terms:
-                self._rows = ((0.0,),)
-            else:
-                mi = max(i for i, _ in self._terms)
-                mj = max(j for _, j in self._terms)
-                rows = []
-                for i in range(mi, -1, -1):
-                    row = [0.0] * (mj + 1)
-                    for (ti, tj), c in self._terms.items():
-                        if ti == i:
-                            row[mj - tj] = float(c)
-                    rows.append(tuple(row))
-                self._rows = tuple(rows)
-        return self._rows
-
     def eval(self, x: float, y: float) -> float:
         """Horner-style evaluation in float arithmetic."""
+        if self._rows is None:
+            # the coefficient matrix as lists, highest powers of x and y first
+            self._rows = self.coeff_matrix()[::-1, ::-1].tolist()
         acc = 0.0
-        for row in self._horner_rows():
+        for row in self._rows:
             ry = 0.0
             for c in row:
                 ry = ry * y + c
@@ -604,12 +588,6 @@ class VectorField:
                 [self.q.partial(0).eval(x, y), self.q.partial(1).eval(x, y)],
             ]
         )
-
-    def negated(self) -> "VectorField":
-        return VectorField(-self.p, -self.q, name=self.name, box=self.box)
-
-    def scaled(self, c) -> "VectorField":
-        return VectorField(self.p.scale(c), self.q.scale(c), name=self.name, box=self.box)
 
 
 def _parse_scalar(text: str, line: int) -> Fraction:

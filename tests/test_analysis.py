@@ -1,6 +1,8 @@
 """Pipeline assembly: bound, verdict, report serialization, morsification."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -93,6 +95,33 @@ class TestReportJson:
             again = an.report_from_json(an.report_to_json(rep))
             assert again == rep
 
+    def test_round_trip_of_rare_records(self):
+        """A failed level (None), a submersion witness and the placeholder
+        of a failed sweep, none of which the corpus reports hold."""
+        swept = MilnorData(point_id=0, delta=0.5, eta_sweep=(0.2, 0.1, 0.05),
+                           counts_per_eta=((1, 0), None, (1, 0)), l=1, stable=False,
+                           submersion_ok=False, witness=(0.25, -0.125))
+        placeholder = MilnorData(point_id=1, delta=0.0, eta_sweep=(), counts_per_eta=(),
+                                 l=0, stable=False, submersion_ok=False, witness=None)
+        rep = an.AnalysisReport(
+            system_name="rare", config_echo=dataclasses.asdict(an.PipelineConfig()),
+            critical_points=(), milnor=(swept, placeholder), bound=0, detected=(),
+            verdict=an.VERDICT_INCONCLUSIVE,
+            equality_hypothesis={"submersion_ok_all": False, "failed_at": [0, 1]},
+            diagnostics=(), timestamp="2024-01-01T00:00:00+00:00",
+            notes=("fiber sweep failed at point 1: GridTooCoarse: cap",))
+        text = an.report_to_json(rep)
+        assert an.report_from_json(text) == rep
+        doc = json.loads(text)
+        assert set(doc["milnor"][0]) == {f.name for f in dataclasses.fields(MilnorData)}
+        del doc["milnor"][0]["delta"]
+        with pytest.raises(TypeError):
+            an.report_from_dict(doc)
+        doc = json.loads(text)
+        del doc["bound"]
+        with pytest.raises(TypeError):
+            an.report_from_dict(doc)
+
     def test_json_is_plain(self, corpus_reports):
         rep, _ = corpus_reports["cubic-one-cycle"]
         doc = json.loads(an.report_to_json(rep))
@@ -108,6 +137,11 @@ class TestMorsify:
     def test_negative_size_rejected(self, pair_field):
         with pytest.raises(ValueError):
             an.morsify(pair_field, -1e-3, 1)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_size_rejected(self, pair_field, s):
+        with pytest.raises(ValueError, match="finite"):
+            an.morsify(pair_field, s, 1)
 
     def test_deterministic_per_seed(self, pair_field):
         a = an.morsify(pair_field, 1e-3, 1)

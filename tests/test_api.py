@@ -1,7 +1,11 @@
-"""Every name listed in an __all__ of cyclebound or its modules exists."""
+"""Every name listed in an __all__ of cyclebound or its modules exists and
+has a caller."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -9,9 +13,35 @@ import cyclebound
 
 MODULES = ["cyclebound"] + [f"cyclebound.{m.name}"
                             for m in pkgutil.iter_modules(cyclebound.__path__)]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# files outside the package whose uses of the public names count as callers
+USERS = ("tests/test_acceptance.py", "perfbench/run.py")
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_entries_exist(name):
     mod = importlib.import_module(name)
     assert [a for a in getattr(mod, "__all__", ()) if not hasattr(mod, a)] == []
+
+
+def _references(path: pathlib.Path) -> set[str]:
+    """Names read in one Python file, bare or as attributes.  A def or class
+    line, an assignment, an import list or an __all__ string is not a read."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+    return refs
+
+
+def test_public_names_have_a_caller():
+    sources = sorted((ROOT / "src" / "cyclebound").glob("*.py"))
+    refs = set().union(*(_references(p) for p in sources + [ROOT / u for u in USERS]))
+    refs |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    # dunders such as __version__ are metadata read by tools, not functions
+    public = {a for name in MODULES
+              for a in getattr(importlib.import_module(name), "__all__", ())
+              if not a.startswith("__")}
+    assert sorted(public - refs) == []

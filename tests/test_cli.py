@@ -119,6 +119,18 @@ class TestExitCodes:
         assert code == EXIT_BADARG
         assert flag in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e400", "1e-3,-1e-3"])
+    def test_perturbation_sizes_checked(self, capsys, monkeypatch, value):
+        """A bad size is refused before any field is analysed."""
+        def never(*args):
+            raise AssertionError("morsification ran")
+
+        monkeypatch.setattr("cyclebound.cli.morsification_invariance", never)
+        code, _, err = run(capsys, "morsify",
+                           str(SYSTEMS / "degenerate-demo.vf"), "--s", value)
+        assert code == EXIT_BADARG
+        assert "--s" in err
+
     def test_empty_perturbation_list(self, capsys):
         code, _, err = run(capsys, "morsify",
                            str(SYSTEMS / "degenerate-demo.vf"), "--s", "")

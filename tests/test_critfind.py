@@ -10,7 +10,6 @@ from cyclebound.critfind import (
     SolveConfig,
     ZeroOnCircle,
     find_critical_points,
-    is_nondegenerate,
     poincare_index,
 )
 from cyclebound.polyalg import Poly2, VectorField, parse_poly, parse_vf
@@ -139,6 +138,11 @@ class TestFindCriticalPoints:
         assert len(cps) == 1
         assert not cps[0].nondegenerate
         assert cps[0].index == 0
+        for text, nondeg in (("P = x\nQ = y", True), ("P = x^2\nQ = y", False),
+                             ("P = y\nQ = (1 - x^2)*y - x", True)):
+            [cp] = find_critical_points(parse_vf(text))
+            assert math.hypot(*cp.location) < 1e-12
+            assert cp.nondegenerate is nondeg
 
 
 class TestPoincareIndex:
@@ -173,9 +177,3 @@ class TestPoincareIndex:
                     expect = 1 if cp.jacobian_determinant() > 0 else -1
                     assert cp.index == expect
 
-
-class TestIsNondegenerate:
-    def test_examples(self):
-        assert is_nondegenerate(parse_vf("P = x\nQ = y"), (0.0, 0.0))
-        assert not is_nondegenerate(parse_vf("P = x^2\nQ = y"), (0.0, 0.0))
-        assert is_nondegenerate(parse_vf("P = y\nQ = (1 - x^2)*y - x"), (0.0, 0.0))

@@ -1,9 +1,8 @@
-"""Limit-cycle detection and return-map checks.
+"""Limit-cycle detection, winding numbers and fiber residence.
 
 The cubic system contracts onto the exact unit circle with period
 2 pi, giving closed forms for period, shape, and stability. Van der
-Pol's period is checked against an independent scipy reference in
-the section tests; here it anchors return-map contraction.
+Pol's period is checked against an independent scipy reference.
 """
 
 import math
@@ -14,7 +13,6 @@ import pytest
 import cyclebound as cb
 from cyclebound import cycledetect as cd
 from cyclebound import milnorfiber as mf
-from cyclebound.odeflow import Section
 
 from oracles import circle, hausdorff_resampled, winding_brute
 
@@ -76,37 +74,6 @@ class TestDetect:
         assert a[0].period == b[0].period
 
 
-class TestReturnMap:
-    def test_rotation_full_turn(self):
-        rot = cb.parse_vf("P = -y\nQ = x\nbox = [-3, 3] x [-3, 3]\n")
-        sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        pt, t = cd.return_map(rot, sec, (1.0, 0.0))
-        assert t == pytest.approx(TWO_PI, abs=1e-9)
-        assert pt[0] == pytest.approx(1.0, abs=1e-9)
-        assert abs(pt[1]) < 1e-9
-
-    def test_escaping_flow_never_returns(self):
-        rad = cb.parse_vf("P = x\nQ = y\nbox = [-5, 5] x [-5, 5]\n")
-        sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        with pytest.raises(cd.NoReturn):
-            cd.return_map(rad, sec, (1.0, 0.0))
-
-    def test_vdp_contraction(self, corpus):
-        """Successive returns approach the cycle geometrically."""
-        v = corpus["van-der-pol"]
-        sec = Section((2.0, 0.0), (0.0, 1.0), 1.9)
-        p0 = (2.5, 0.0)
-        p1, t1 = cd.return_map(v, sec, p0)
-        p2, t2 = cd.return_map(v, sec, tuple(p1))
-        p3, _ = cd.return_map(v, sec, tuple(p2))
-        g1 = abs(p1[0] - p0[0])
-        g2 = abs(p2[0] - p1[0])
-        g3 = abs(p3[0] - p2[0])
-        assert g2 < 1e-2 * g1
-        assert g3 < 1e-2 * g2
-        assert t2 == pytest.approx(6.6633, abs=1e-3)
-
-
 class TestWinding:
     def test_against_quadrature_oracle(self):
         pts = circle(1.5, n=512)
@@ -153,19 +120,16 @@ class TestEnclosure:
 
 
 class TestFiberResidence:
-    def test_cubic_sits_in_one_level_set(self, corpus, corpus_cycles,
-                                         corpus_cps):
+    def test_cubic_sits_in_one_level_set(self, corpus, corpus_cycles):
         """On the unit circle the cubic field has speed exactly 1."""
         c = corpus_cycles["cubic-one-cycle"][0]
-        cp = corpus_cps["cubic-one-cycle"][0]
-        mean, spread = cd.fiber_residence(c, corpus["cubic-one-cycle"], cp)
+        mean, spread = cd.fiber_residence(c, corpus["cubic-one-cycle"])
         assert mean == pytest.approx(1.0, abs=1e-6)
         assert spread < 1e-6
 
-    def test_vdp_crosses_level_sets(self, corpus, corpus_cycles, corpus_cps):
+    def test_vdp_crosses_level_sets(self, corpus, corpus_cycles):
         c = corpus_cycles["van-der-pol"][0]
-        _, spread = cd.fiber_residence(c, corpus["van-der-pol"],
-                                       corpus_cps["van-der-pol"][0])
+        _, spread = cd.fiber_residence(c, corpus["van-der-pol"])
         assert spread > 0.1
 
 

@@ -122,7 +122,6 @@ class TestExtractFiber:
         assert len(fib.components) == 2
         for comp in fib.components:
             assert not comp.closed
-            assert comp.arc_endpoints_on_sphere
             ends = np.asarray([comp.vertices[0], comp.vertices[-1]])
             assert np.hypot(ends[:, 0], ends[:, 1]) == pytest.approx(
                 1.0, abs=1e-9)

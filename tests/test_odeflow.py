@@ -239,9 +239,10 @@ class TestSectionCrossings:
         sec = Section((2.0, 0.0), (0.0, 1.0), 1.9)
         hits = section_crossings(traj, sec, direction=-1.0)
         assert len(hits) >= 8
+        (ax, ay), (nx, ny) = sec.anchor, sec.normal
         for hit in hits:
             sx, sy = traj.state_at(hit.t)
-            assert abs(sec.signed_distance(sx, sy)) <= 1e-9
+            assert abs((sx - ax) * nx + (sy - ay) * ny) <= 1e-9
             assert math.hypot(hit.state[0] - sx, hit.state[1] - sy) <= 1e-12
         gaps = np.diff([h.t for h in hits])
         assert abs(gaps[0] - vdp_period) < 1e-3

@@ -278,8 +278,3 @@ class TestVectorFieldFormat:
         j = v.jacobian_at(0.0, 0.0)
         assert j[0][0] == 0.0 and j[0][1] == 1.0
         assert j[1][0] == -1.0 and j[1][1] == 1.0
-
-    def test_scaled_and_negated(self):
-        v = parse_vf("P = -y\nQ = x")
-        assert v.scaled(F(2)).p == parse_poly("-2*y")
-        assert v.negated().q == parse_poly("-x")

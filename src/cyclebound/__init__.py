@@ -28,6 +28,7 @@ from .cycledetect import (
     enclosure_matrix,
     fiber_residence,
     hausdorff_distance,
+    no_cycle_certificate,
     winding_number,
 )
 from .milnorfiber import (
@@ -77,6 +78,7 @@ __all__ = [
     "load_vf",
     "morsification_invariance",
     "morsify",
+    "no_cycle_certificate",
     "parse_poly",
     "parse_vf",
     "poincare_index",

@@ -6,9 +6,11 @@ side.  The verdict compares the two; a violated inequality is reported as a
 finding, never suppressed.
 
 `run` is the one place that chains critical points -> fiber sweep ->
-detection; it returns the objects as a `PipelineRun` and never raises on a
-parseable field.  `compare` (the JSON report), `morsification_invariance`
-(one table row per field) and the CLI (report plus portrait) all consume it.
+detection, skipping detection when `no_cycle_certificate` proves from the
+divergence that no limit cycle exists.  It returns the objects as a
+`PipelineRun` and never raises on a parseable field.  `compare` (the JSON
+report), `morsification_invariance` (one table row per field) and the CLI
+(report plus portrait) all consume it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .cycledetect import (
     cycle_class_map,
     detect_limit_cycles,
     fiber_residence,
+    no_cycle_certificate,
 )
 from .milnorfiber import (
     FiberConfig,
@@ -64,6 +67,7 @@ class AnalysisReport:
     diagnostics: tuple
     timestamp: str
     notes: tuple
+    no_cycle_certificate: str | None  # why detection was skipped, if it was
 
 
 def _cp_summary(cp) -> dict:
@@ -86,7 +90,10 @@ def _cycle_summary(lc) -> dict:
     return {
         "period": float(lc.period),
         "stability": str(lc.stability),
-        "return_derivative": float(lc.return_derivative),
+        # JSON has no inf: null once exp(return_exponent) leaves the float range
+        "return_derivative": (float(lc.return_derivative)
+                              if math.isfinite(lc.return_derivative) else None),
+        "return_exponent": float(lc.return_exponent),
         "enclosed_cp_ids": [int(i) for i in lc.enclosed_cp_ids],
         "closure_residual": float(lc.closure_residual),
         "mean_radius": float(lc.mean_radius()),
@@ -173,6 +180,7 @@ class PipelineRun:
     critfind_error: str | None = None  # "Type: message"; nothing else ran
     detect_error: str | None = None    # "Type: message"; cycles is empty
     had_failures: bool = False         # a sweep or the detection failed
+    no_cycle_certificate: str | None = None  # set when detection was skipped
 
     @property
     def bound(self) -> int:
@@ -181,8 +189,9 @@ class PipelineRun:
 
 def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
     """Critical points, then the fiber sweep per point (across cfg.threads),
-    then cycle detection, each once.  Failures are recorded as notes and
-    flags, never raised."""
+    then cycle detection, each once; a divergence certificate replaces the
+    detection with no cycles.  Failures are recorded as notes and flags,
+    never raised."""
     notes: list[str] = []
     try:
         cps = find_critical_points(v, cfg.solve)
@@ -213,8 +222,10 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
             milnor.append(_placeholder_milnor(pid))
 
     detect_error = None
+    certificate = None
     try:
-        cycles = detect_limit_cycles(v, cps, cfg.detect)
+        certificate = no_cycle_certificate(v)
+        cycles = [] if certificate is not None else detect_limit_cycles(v, cps, cfg.detect)
     except Exception as e:  # contract: detection must not abort the report
         had_failures = True
         detect_error = f"{type(e).__name__}: {e}"
@@ -222,7 +233,8 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
         cycles = []
 
     return PipelineRun(v, cfg, tuple(cps), tuple(milnor), tuple(cycles), tuple(notes),
-                       detect_error=detect_error, had_failures=had_failures)
+                       detect_error=detect_error, had_failures=had_failures,
+                       no_cycle_certificate=certificate)
 
 
 def compare(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> AnalysisReport:
@@ -259,6 +271,7 @@ def report_from_run(r: PipelineRun) -> AnalysisReport:
         diagnostics=tuple(diag),
         timestamp=datetime.now(timezone.utc).isoformat(),
         notes=tuple(notes),
+        no_cycle_certificate=r.no_cycle_certificate,
     )
 
 

@@ -26,7 +26,7 @@ from .analysis import (
     run,
 )
 from .critfind import CritFindError, find_critical_points
-from .cycledetect import detect_limit_cycles
+from .cycledetect import detect_limit_cycles, no_cycle_certificate
 from .milnorfiber import FiberError, extract_fiber, select_radii
 from .polyalg import PolyParseError, VectorFieldError, load_vf
 from .render import fiber_svg, phase_portrait_svg, write_svg
@@ -36,6 +36,9 @@ EXIT_VIOLATED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_BADARG = 65
+
+# largest --grid and --max-grid: each fiber grid array holds (n+1)^2 floats
+MAX_GRID = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +99,9 @@ class BadArgument(ValueError):
 def _config_from(args) -> PipelineConfig:
     cfg = PipelineConfig(threads=args.threads)
     fiber = cfg.fiber
+    for flag, value in (("--grid", args.grid), ("--max-grid", args.max_grid)):
+        if value is not None and value > MAX_GRID:
+            raise BadArgument(f"{flag} must be at most {MAX_GRID}, got {value}")
     if args.grid is not None:
         if args.grid < 64:
             raise BadArgument(f"--grid must be at least 64, got {args.grid}")
@@ -224,11 +230,14 @@ def cmd_cycles(args) -> int:
     if cps is None:
         return EXIT_INCONCLUSIVE
     try:
-        cycles = detect_limit_cycles(v, cps, cfg.detect)
+        certificate = no_cycle_certificate(v)
+        cycles = [] if certificate is not None else detect_limit_cycles(v, cps, cfg.detect)
     except Exception as e:  # same contract as analyze: report, do not crash
         print(f"cycle detection failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     print(f"{len(cycles)} limit cycle(s)")
+    if certificate is not None:
+        print(f"  certified: {certificate}")
     for i, lc in enumerate(cycles):
         print(f"  [{i}] period={lc.period:.9g} {lc.stability} "
               f"R'={lc.return_derivative:.6g} encloses={list(lc.enclosed_cp_ids)} "

@@ -6,12 +6,16 @@ stepper, and watch where they cross the horizontal line through each
 equilibrium.  A crossing sequence that converges geometrically marks a
 candidate periodic orbit; candidates are refined by Newton shooting on the
 return map (anchor offset and period as unknowns), classified by the
-finite-difference return-map derivative, deduplicated by Hausdorff distance,
-and tagged with the equilibria they enclose via winding numbers.
+return-map derivative exp(lambda), lambda the integral of div V once around
+the refined orbit, deduplicated by Hausdorff distance, and tagged with the
+equilibria they enclose via winding numbers.
 
 Repelling cycles are found by the backward pass (they attract in reversed
-time) and refined in that direction; the reported return derivative is the
-reciprocal of the backward one.
+time) and refined in that direction; lambda is the same integral either way.
+
+`no_cycle_certificate` is the certified shortcut: when div V is identically
+zero or keeps one strict sign on the region scouting explores, no limit
+cycle lies there (Bendixson-Dulac) and the sampled search can be skipped.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, integrate,
                       rk_step, section_crossings)
-from .polyalg import VectorField
+from .polyalg import Interval, Poly2, VectorField, interval_eval
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +64,8 @@ class LimitCycle:
     points: np.ndarray  # (n, 2), one traversal, first vertex not repeated
     period: float
     stability: str  # attracting | repelling | semi_stable
-    return_derivative: float
+    return_derivative: float  # exp(return_exponent); inf above float range
+    return_exponent: float    # lambda, the integral of div V over one period
     enclosed_cp_ids: tuple[int, ...]
     closure_residual: float
 
@@ -323,11 +328,11 @@ def _flow_to(v, q, T, sgn, cfg):
     return traj
 
 
-def _first_return_u(v, sec, u, t_ref, sgn, dirc, cfg):
+def _first_return_u(v, sec, u, t_ref, dirc, cfg):
     q = _section_point(sec, u)
     try:
         traj = integrate(v, q, 3.0 * t_ref, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
-                         direction=sgn, equilibrium_tol=1e-14)
+                         equilibrium_tol=1e-14)
     except Exception:
         return None
     for c in section_crossings(traj, sec, direction=dirc):
@@ -342,7 +347,7 @@ def _probe_semistable(v, sec, u_star, period, dirc_fwd, probe, cfg):
         ucur = u_star + side * probe
         dist = probe
         for _ in range(4):
-            r = _first_return_u(v, sec, ucur, period, 1.0, dirc_fwd, cfg)
+            r = _first_return_u(v, sec, ucur, period, dirc_fwd, cfg)
             if r is None:
                 dist = math.inf
                 break
@@ -364,7 +369,30 @@ def _probe_semistable(v, sec, u_star, period, dirc_fwd, probe, cfg):
     return None
 
 
-def _refine_candidate(v: VectorField, sections, cand, cfg: DetectConfig):
+# three-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
+_GL_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+
+
+def _return_exponent(div: Poly2, traj) -> float:
+    """Integral of div V along traj, by Gauss-Legendre on each Hermite segment.
+
+    Around a periodic orbit of a planar field this is lambda with return-map
+    derivative exp(lambda) (Perko, Differential Equations and Dynamical
+    Systems, 3.4).  The orbit is the same set in either time direction, so a
+    backward trajectory gives the same integral.
+    """
+    hs = np.diff(traj.times)
+    sx, sy = traj.states[:, 0], traj.states[:, 1]
+    dx, dy = hs * traj.derivs[:-1, 0], hs * traj.derivs[:-1, 1]
+    ex, ey = hs * traj.derivs[1:, 0], hs * traj.derivs[1:, 1]
+    xs = np.concatenate([hermite(sx[:-1], dx, sx[1:], ex, s) for s in _GL_NODES])
+    ys = np.concatenate([hermite(sy[:-1], dy, sy[1:], ey, s) for s in _GL_NODES])
+    weights = np.concatenate([w * hs for w in _GL_WEIGHTS])
+    return float(np.dot(weights, div.eval_grid(xs, ys)))
+
+
+def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectConfig):
     sec = sections[cand["sec"]]
     sgn = cand["sign"]
     u = float(cand["u"])
@@ -417,27 +445,19 @@ def _refine_candidate(v: VectorField, sections, cand, cfg: DetectConfig):
         return None
     dirc = 1 if wy > 0 else -1
 
-    fd = cfg.deriv_step * scale
-    up = _first_return_u(v, sec, u + fd, T, sgn, dirc, cfg)
-    um = _first_return_u(v, sec, u - fd, T, sgn, dirc, cfg)
-    if up is None or um is None:
-        log.debug("return probes at u=%.6g escaped, dropped", u)
-        return None
-    r_w = (up - um) / (2.0 * fd)
-    r_w = max(r_w, 0.0)
-    if sgn > 0:
-        r_f = r_w
-    else:
-        r_f = 1.0 / r_w if r_w > 1e-12 else 1e12
-    r_f = min(r_f, 1e12)
+    lam = _return_exponent(div, traj)
+    try:
+        r = math.exp(lam)
+    except OverflowError:  # lam above log of the largest float, about 709.78
+        r = math.inf
 
-    if r_f < 1.0 - cfg.isolation_tol:
+    if r < 1.0 - cfg.isolation_tol:
         stability = "attracting"
-    elif r_f > 1.0 + cfg.isolation_tol:
+    elif r > 1.0 + cfg.isolation_tol:
         stability = "repelling"
     else:
         dirc_fwd = dirc if sgn > 0 else -dirc
-        probe = max(100.0 * fd, 1e-2 * scale)
+        probe = max(100.0 * cfg.deriv_step * scale, 1e-2 * scale)
         stability = _probe_semistable(v, sec, u, T, dirc_fwd, probe, cfg)
         if stability is None:
             log.debug("candidate at u=%.6g not isolated, dropped", u)
@@ -454,7 +474,7 @@ def _refine_candidate(v: VectorField, sections, cand, cfg: DetectConfig):
         pts = pts[::-1]
     pts = np.roll(pts, -int(np.argmax(pts[:, 0])), axis=0)
     return {"points": pts, "period": float(T), "residual": float(res),
-            "rprime": float(r_f), "stability": stability}
+            "rprime": r, "lam": lam, "stability": stability}
 
 
 def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig()):
@@ -467,6 +487,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
     sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0), halfwidth=diag)
                 for cp in cps]
     seeds = _make_seeds(v, cps, cfg)
+    div = v.divergence()
 
     pool = []
     for time_sign in (1.0, -1.0):
@@ -484,7 +505,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
 
     raw = []
     for cand in _cluster(pool, cfg)[: cfg.max_candidates]:
-        got = _refine_candidate(v, sections, cand, cfg)
+        got = _refine_candidate(v, div, sections, cand, cfg)
         if got is not None:
             raw.append(got)
 
@@ -511,10 +532,33 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
             continue
         out.append(LimitCycle(points=c["points"], period=c["period"],
                               stability=c["stability"], return_derivative=c["rprime"],
+                              return_exponent=c["lam"],
                               enclosed_cp_ids=tuple(sorted(ids)),
                               closure_residual=c["residual"]))
     out.sort(key=lambda lc: lc.mean_radius())
     return out
+
+
+def no_cycle_certificate(v: VectorField) -> str | None:
+    """Why v can have no limit cycle where detection looks, or None.
+
+    Two cases.  div V is the zero polynomial: the flow preserves area, so no
+    periodic orbit is isolated.  Or the interval enclosure of div V over
+    box.inflate(1.5), the rectangle that scouting and refinement stay in,
+    lies strictly on one side of 0: by Bendixson-Dulac no closed orbit lies
+    in that rectangle.  An enclosure that touches 0 certifies nothing.
+    """
+    div = v.divergence()
+    x0, x1, y0, y1 = v.box.inflate(1.5)
+    where = f"[{x0:g}, {x1:g}] x [{y0:g}, {y1:g}]"
+    if div.is_zero():
+        return (f"div V is identically 0 on {where}: the flow preserves area, so no "
+                f"periodic orbit is isolated")
+    enc = interval_eval(div, (Interval(x0, x1), Interval(y0, y1)))
+    if enc.lo > 0.0 or enc.hi < 0.0:
+        return (f"div V lies in [{enc.lo:.6g}, {enc.hi:.6g}] on {where}, so no closed "
+                f"orbit lies there (Bendixson-Dulac)")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -567,5 +611,6 @@ __all__ = [
     "enclosure_matrix",
     "fiber_residence",
     "hausdorff_distance",
+    "no_cycle_certificate",
     "winding_number",
 ]

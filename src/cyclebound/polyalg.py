@@ -581,6 +581,10 @@ class VectorField:
     def eval(self, x: float, y: float) -> tuple[float, float]:
         return self.p.eval(x, y), self.q.eval(x, y)
 
+    def divergence(self) -> Poly2:
+        """div V = dp/dx + dq/dy, exactly."""
+        return self.p.partial(0) + self.q.partial(1)
+
     def jacobian_at(self, x: float, y: float) -> np.ndarray:
         return np.array(
             [

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cyclebound as cb
@@ -84,6 +85,18 @@ class TestCompareReports:
         assert set(rep.config_echo) == {"solve", "fiber", "detect", "threads"}
         assert rep.config_echo["fiber"]["grid"] == 256
 
+    def test_certificate_only_on_center(self, corpus_reports):
+        certs = {name: rep.no_cycle_certificate
+                 for name, (rep, _) in corpus_reports.items()}
+        assert [name for name, c in certs.items() if c is not None] == ["linear-center"]
+        rep, _ = corpus_reports["linear-center"]
+        assert rep.detected == () and rep.notes == ()
+
+    def test_cycles_carry_return_exponent(self, corpus_reports):
+        for rep, _ in corpus_reports.values():
+            for c in rep.detected:
+                assert c["return_derivative"] == math.exp(c["return_exponent"])
+
     def test_timestamps_present(self, corpus_reports):
         for rep, _ in corpus_reports.values():
             assert rep.timestamp
@@ -109,10 +122,12 @@ class TestReportJson:
             verdict=an.VERDICT_INCONCLUSIVE,
             equality_hypothesis={"submersion_ok_all": False, "failed_at": [0, 1]},
             diagnostics=(), timestamp="2024-01-01T00:00:00+00:00",
-            notes=("fiber sweep failed at point 1: GridTooCoarse: cap",))
+            notes=("fiber sweep failed at point 1: GridTooCoarse: cap",),
+            no_cycle_certificate=None)
         text = an.report_to_json(rep)
         assert an.report_from_json(text) == rep
         doc = json.loads(text)
+        assert doc["no_cycle_certificate"] is None
         assert set(doc["milnor"][0]) == {f.name for f in dataclasses.fields(MilnorData)}
         del doc["milnor"][0]["delta"]
         with pytest.raises(TypeError):
@@ -121,6 +136,18 @@ class TestReportJson:
         del doc["bound"]
         with pytest.raises(TypeError):
             an.report_from_dict(doc)
+
+    def test_overflowing_return_derivative_is_null(self):
+        """exp(lambda) above the float range is inf, which JSON cannot hold."""
+        t = [2.0 * math.pi * k / 64 for k in range(64)]
+        lc = cb.LimitCycle(points=np.array([[math.cos(a), math.sin(a)] for a in t]),
+                           period=2.0 * math.pi, stability="repelling",
+                           return_derivative=math.inf, return_exponent=800.0,
+                           enclosed_cp_ids=(0,), closure_residual=0.0)
+        entry = an._cycle_summary(lc)
+        assert entry["return_derivative"] is None
+        assert entry["return_exponent"] == 800.0
+        assert json.loads(json.dumps(entry, allow_nan=False)) == entry
 
     def test_json_is_plain(self, corpus_reports):
         rep, _ = corpus_reports["cubic-one-cycle"]

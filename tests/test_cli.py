@@ -108,6 +108,20 @@ class TestExitCodes:
         assert code == EXIT_BADARG
         assert "--grid" in err or "--max-grid" in err
 
+    @pytest.mark.parametrize("argv", [("--grid", "100000"), ("--max-grid", "4097")],
+                             ids=["grid-100000", "max-grid-4097"])
+    def test_grid_cap(self, capsys, argv):
+        """Above 4096 a grid is refused before anything is allocated."""
+        code, _, err = run(capsys, "critpoints",
+                           str(SYSTEMS / "linear-center.vf"), *argv)
+        assert code == EXIT_BADARG
+        assert argv[0] in err and "4096" in err
+
+    def test_grid_cap_itself_accepted(self, capsys):
+        code, _, _ = run(capsys, "critpoints", str(SYSTEMS / "linear-center.vf"),
+                         "--max-grid", "4096")
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("flag,value", [("--rays", "-1"), ("--radii", "-2"),
                                             ("--grid-seeds", "-3"),
                                             ("--t-horizon", "-0.5"),
@@ -210,6 +224,18 @@ class TestArtifacts:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "cycle,vertex,x,y"
         assert len(lines) > 500
+
+    def test_cycles_states_the_certificate(self, capsys, tmp_path):
+        out_json = tmp_path / "cycles.json"
+        out_csv = tmp_path / "cycles.csv"
+        code, out, _ = run(capsys, "cycles", str(SYSTEMS / "linear-center.vf"),
+                           "--json", str(out_json), "--csv", str(out_csv))
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "0 limit cycle(s)"
+        assert "div V is identically 0" in lines[1]
+        assert json.loads(out_json.read_text()) == []
+        assert out_csv.read_text().splitlines() == ["cycle,vertex,x,y"]
 
     def test_cycles_reports_failed_detection(self, capsys, tmp_path, pair_file,
                                              monkeypatch):

@@ -3,6 +3,8 @@
 The cubic system contracts onto the exact unit circle with period
 2 pi, giving closed forms for period, shape, and stability. Van der
 Pol's period is checked against an independent scipy reference.
+Return exponents are checked against the radial closed form 2 pi f'(r*),
+and the divergence certificate against the sampled search.
 """
 
 import math
@@ -11,10 +13,14 @@ import numpy as np
 import pytest
 
 import cyclebound as cb
+from cyclebound import analysis as an
 from cyclebound import cycledetect as cd
 from cyclebound import milnorfiber as mf
+from cyclebound.critfind import find_critical_points
+from cyclebound.polyalg import Interval, interval_eval
 
-from oracles import circle, hausdorff_resampled, winding_brute
+from oracles import circle, hausdorff_resampled, random_field, winding_brute
+from test_polyalg import rand_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +45,13 @@ class TestDetect:
 
     def test_center_has_no_isolated_orbits(self, corpus_cycles):
         assert corpus_cycles["linear-center"] == []
+
+    def test_sampled_search_on_center(self, corpus, corpus_cps):
+        """The pipeline certifies linear-center; the sampled search, run
+        anyway, agrees."""
+        assert cd.detect_limit_cycles(corpus["linear-center"],
+                                      corpus_cps["linear-center"],
+                                      cd.DetectConfig()) == []
 
     def test_vdp_period_against_reference(self, corpus_cycles, vdp_period):
         cycles = corpus_cycles["van-der-pol"]
@@ -72,6 +85,111 @@ class TestDetect:
         assert len(a) == len(b) == 1
         assert np.array_equal(a[0].points, b[0].points)
         assert a[0].period == b[0].period
+
+
+def radial_field(f: str, box: str = "[-3, 3] x [-3, 3]") -> cb.VectorField:
+    """r' = f(r), theta' = 1; the text is f(r)/r as a polynomial in x, y."""
+    return cb.parse_vf(f"P = -y + x*({f})\nQ = x + y*({f})\nbox = {box}\n")
+
+
+class TestReturnExponent:
+    """For r' = f(r), theta' = 1 the cycle at r* has lambda = 2 pi f'(r*)."""
+
+    def check(self, lc, exact):
+        assert lc.return_exponent == pytest.approx(exact, rel=1e-6)
+        assert lc.return_derivative == math.exp(lc.return_exponent)
+
+    def test_cubic(self, corpus_cycles):
+        # f = r(1 - r^2): f'(1) = -2
+        self.check(corpus_cycles["cubic-one-cycle"][0], -4.0 * math.pi)
+
+    def test_two_cycle(self, corpus_cycles):
+        # f = r(1 - r^2)(4 - r^2): f'(1) = -6, f'(2) = 24
+        inner, outer = corpus_cycles["two-cycle"]
+        self.check(inner, -12.0 * math.pi)
+        self.check(outer, 48.0 * math.pi)
+
+    def test_repelling_at_one_and_a_half(self):
+        # f = r(r^2 - 9/4): f'(3/2) = 9/2, exp(9 pi) = 1.9e12
+        v = radial_field("x^2 + y^2 - 9/4")
+        cycles = cd.detect_limit_cycles(v, find_critical_points(v))
+        assert len(cycles) == 1
+        assert cycles[0].stability == "repelling"
+        assert cycles[0].mean_radius() == pytest.approx(1.5, abs=1e-3)
+        self.check(cycles[0], 9.0 * math.pi)
+
+
+def hamiltonian_cubic() -> cb.VectorField:
+    """P = H_y, Q = -H_x: a center ringed by periodic orbits, and a saddle."""
+    h = rand_poly(np.random.default_rng(3), 3)
+    return cb.VectorField(h.partial(1), -h.partial(0), name="hamiltonian")
+
+
+def random_affine() -> cb.VectorField:
+    rng = np.random.default_rng(4)
+    p, q = rand_poly(rng, 1), rand_poly(rng, 1)
+    assert not (p.partial(0) + q.partial(1)).is_zero()
+    return cb.VectorField(p, q, name="affine")
+
+
+class TestNoCycleCertificate:
+    @pytest.mark.parametrize("make", [
+        hamiltonian_cubic,
+        lambda: cb.parse_vf("P = x - y\nQ = x + y\n"),
+        random_affine,
+    ], ids=["hamiltonian-cubic", "focus", "affine"])
+    def test_certified_and_sampled_search_agree(self, make):
+        v = make()
+        assert cd.no_cycle_certificate(v) is not None
+        cps = find_critical_points(v)
+        assert any(cp.index == 1 for cp in cps)
+        assert cd.detect_limit_cycles(v, cps) == []
+
+    def test_only_center_certified(self, corpus):
+        certified = [name for name, v in corpus.items()
+                     if cd.no_cycle_certificate(v) is not None]
+        assert certified == ["linear-center"]
+        box = cb.Box.make(-2, 2, -2, 2)
+        for degree, seed in ((2, 2), (2, 3), (3, 5), (4, 1)):
+            assert cd.no_cycle_certificate(random_field(seed, degree, box)) is None
+
+    def test_certificate_names_case_and_box(self, corpus):
+        zero = cd.no_cycle_certificate(corpus["linear-center"])
+        assert "identically 0" in zero and "[-7.5, 7.5] x [-7.5, 7.5]" in zero
+        signed = cd.no_cycle_certificate(cb.parse_vf("P = x - y\nQ = x + y\n"))
+        assert "[2, 2]" in signed and "[-7.5, 7.5] x [-7.5, 7.5]" in signed
+
+    @pytest.mark.parametrize("lo,hi,certified", [
+        (0.0, 0.0, False), (0.0, 5.0, False), (-5.0, 0.0, False),
+        (-1.0, 1.0, False), (1e-300, 5.0, True), (-5.0, -1e-300, True)])
+    def test_enclosure_must_exclude_zero(self, monkeypatch, corpus, lo, hi,
+                                         certified):
+        monkeypatch.setattr(cd, "interval_eval", lambda p, box: Interval(lo, hi))
+        got = cd.no_cycle_certificate(corpus["van-der-pol"])
+        assert (got is not None) == certified
+
+    def test_enclosure_taken_on_inflated_box(self):
+        """div = 2 - 4(x^2 + y^2) keeps its sign on [-0.4, 0.4]^2 but not
+        on the 1.5-times box that scouting explores."""
+        v = radial_field("1 - x^2 - y^2", "[-0.4, 0.4] x [-0.4, 0.4]")
+        small = interval_eval(
+            v.divergence(), (Interval(-0.4, 0.4), Interval(-0.4, 0.4)))
+        assert small.lo > 0.0
+        assert cd.no_cycle_certificate(v) is None
+
+    def test_center_morsify_rows_skip_detection(self, corpus, monkeypatch):
+        """The affine perturbations of the center have constant nonzero
+        divergence, so every row is certified and none runs the search."""
+        def never(*args):
+            raise AssertionError("sampled search ran")
+
+        monkeypatch.setattr(an, "detect_limit_cycles", never)
+        rows = an.morsification_invariance(corpus["linear-center"], [1e-3, 1e-2],
+                                           [1, 2])
+        assert len(rows) == 5
+        for row in rows:
+            assert (row["k"], row["B"], row["detected"]) == (1, 1, 0)
+            assert row["error"] is None and not row["changed"]
 
 
 class TestWinding:

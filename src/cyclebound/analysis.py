@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from .milnorfiber import (
     extract_fiber,
     vanishing_cycle_count,
 )
-from .polyalg import Poly2, VectorField
+from .polyalg import Poly2, VectorField, VectorFieldError
 
 VERDICT_HOLDS = "inequality_holds"
 VERDICT_VIOLATED = "inequality_violated"
@@ -51,7 +50,6 @@ class PipelineConfig:
     solve: SolveConfig = SolveConfig()
     fiber: FiberConfig = FiberConfig()
     detect: DetectConfig = DetectConfig()
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,12 @@ class AnalysisReport:
     no_cycle_certificate: str | None  # why detection was skipped, if it was
 
 
+def _json_float(x) -> float | None:
+    """x as a float, or None once it leaves the float range: JSON has no inf."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _cp_summary(cp) -> dict:
     a, b = cp.jacobian[0]
     c, d = cp.jacobian[1]
@@ -79,7 +83,7 @@ def _cp_summary(cp) -> dict:
         "y": float(cp.y),
         "enclosure": [float(e) for e in cp.enclosure],
         "jacobian": [[float(a), float(b)], [float(c), float(d)]],
-        "determinant": float(cp.jacobian_determinant()),
+        "determinant": _json_float(cp.jacobian_determinant()),
         "nondegenerate": bool(cp.nondegenerate),
         "index": None if cp.index is None else int(cp.index),
         "on_boundary": bool(cp.on_boundary),
@@ -90,23 +94,13 @@ def _cycle_summary(lc) -> dict:
     return {
         "period": float(lc.period),
         "stability": str(lc.stability),
-        # JSON has no inf: null once exp(return_exponent) leaves the float range
-        "return_derivative": (float(lc.return_derivative)
-                              if math.isfinite(lc.return_derivative) else None),
+        "return_derivative": _json_float(lc.return_derivative),
         "return_exponent": float(lc.return_exponent),
         "enclosed_cp_ids": [int(i) for i in lc.enclosed_cp_ids],
         "closure_residual": float(lc.closure_residual),
         "mean_radius": float(lc.mean_radius()),
         "points": [[float(x), float(y)] for x, y in lc.points],
     }
-
-
-def _map_items(fn, items, threads: int):
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def decide_verdict(milnor, n_detected: int, bound: int, had_failures: bool) -> str:
@@ -129,7 +123,6 @@ def _diagnostics(v, cycles, milnor_by_id, loc_by_id, cfg: PipelineConfig, notes)
     when the cycle sits inside the point's ball at a swept level, the closest
     closed fiber component."""
     rows = []
-    fiber_cache = {}
     for ci, lc in enumerate(cycles):
         for pid in lc.enclosed_cp_ids:
             md = milnor_by_id.get(pid)
@@ -151,12 +144,8 @@ def _diagnostics(v, cycles, milnor_by_id, loc_by_id, cfg: PipelineConfig, notes)
             pts = lc.points
             far = float(max(math.hypot(x - cp_loc[0], y - cp_loc[1]) for x, y in pts))
             if eta_lo <= mean <= eta_hi and far <= md.delta:
-                key = (md.point_id, round(mean, 12))
                 try:
-                    fiber = fiber_cache.get(key)
-                    if fiber is None:
-                        fiber = extract_fiber(v, cp_loc, md.delta, mean, cfg.fiber)
-                        fiber_cache[key] = fiber
+                    fiber = extract_fiber(v, cp_loc, md.delta, mean, cfg.fiber)
                     comp_idx, hd = cycle_class_map(lc, fiber)
                     row.update(eta_matched=float(mean), in_tube=True,
                                component_index=comp_idx,
@@ -187,11 +176,23 @@ class PipelineRun:
         return sum(m.l for m in self.milnor if m.stable)
 
 
+def _cycles_or_certificate(v: VectorField, cps, cfg: DetectConfig):
+    """(cycles, certificate, error): no cycles and the reason when
+    `no_cycle_certificate` holds, else the sampled search.  error is
+    "Type: message" when either step raised; cycles is then empty."""
+    try:
+        certificate = no_cycle_certificate(v)
+        if certificate is not None:
+            return [], certificate, None
+        return detect_limit_cycles(v, cps, cfg), None, None
+    except Exception as e:  # contract: detection must not abort the report
+        return [], None, f"{type(e).__name__}: {e}"
+
+
 def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
-    """Critical points, then the fiber sweep per point (across cfg.threads),
-    then cycle detection, each once; a divergence certificate replaces the
-    detection with no cycles.  Failures are recorded as notes and flags,
-    never raised."""
+    """Critical points, then the fiber sweep per point, then cycle detection,
+    each once; a divergence certificate replaces the detection with no
+    cycles.  Failures are recorded as notes and flags, never raised."""
     notes: list[str] = []
     try:
         cps = find_critical_points(v, cfg.solve)
@@ -201,36 +202,21 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
         return PipelineRun(v, cfg, (), (), (), tuple(notes), critfind_error=msg)
 
     locs = [(cp.x, cp.y) for cp in cps]
-
-    def one(i_cp):
-        i, cp = i_cp
-        others = locs[:i] + locs[i + 1:]
-        try:
-            return vanishing_cycle_count(v, cp.id, locs[i], others, cfg.fiber)
-        except FiberError as e:
-            return (cp.id, f"{type(e).__name__}: {e}")
-
     had_failures = False
     milnor = []
-    for got in _map_items(one, enumerate(cps), cfg.threads):
-        if isinstance(got, MilnorData):
-            milnor.append(got)
-        else:
-            pid, msg = got
+    for i, cp in enumerate(cps):
+        try:
+            milnor.append(vanishing_cycle_count(v, cp.id, locs[i], locs[:i] + locs[i + 1:],
+                                                cfg.fiber))
+        except FiberError as e:
             had_failures = True
-            notes.append(f"fiber sweep failed at point {pid}: {msg}")
-            milnor.append(_placeholder_milnor(pid))
+            notes.append(f"fiber sweep failed at point {cp.id}: {type(e).__name__}: {e}")
+            milnor.append(_placeholder_milnor(cp.id))
 
-    detect_error = None
-    certificate = None
-    try:
-        certificate = no_cycle_certificate(v)
-        cycles = [] if certificate is not None else detect_limit_cycles(v, cps, cfg.detect)
-    except Exception as e:  # contract: detection must not abort the report
+    cycles, certificate, detect_error = _cycles_or_certificate(v, cps, cfg.detect)
+    if detect_error is not None:
         had_failures = True
-        detect_error = f"{type(e).__name__}: {e}"
         notes.append(f"cycle detection failed: {detect_error}")
-        cycles = []
 
     return PipelineRun(v, cfg, tuple(cps), tuple(milnor), tuple(cycles), tuple(notes),
                        detect_error=detect_error, had_failures=had_failures,
@@ -300,10 +286,15 @@ def morsification_invariance(v: VectorField, s_values, seeds,
     """Table of (s, seed, k, B, detected, changed) rows; row 0 is the base
     field.  'changed' flags any deviation of (k, B, detected) from the base.
     A failed critical point search leaves k, B and detected None, a failed
-    detection leaves detected None; 'error' names either.  A point whose
-    fiber sweep failed counts as unstable."""
+    detection leaves detected None; 'error' names either.  A perturbed field
+    that cannot be built leaves all three None and 'error' names why.  A point
+    whose fiber sweep failed counts as unstable."""
 
-    def counts(r: PipelineRun) -> dict:
+    def counts(f) -> dict:
+        if isinstance(f, VectorFieldError):
+            return {"k": None, "B": None, "detected": None,
+                    "error": f"VectorFieldError: {f}"}
+        r = run(f, cfg)
         if r.critfind_error is not None:
             return {"k": None, "B": None, "detected": None, "error": r.critfind_error}
         detected = None if r.detect_error is not None else len(r.cycles)
@@ -313,10 +304,12 @@ def morsification_invariance(v: VectorField, s_values, seeds,
     jobs = [(0.0, None, v)]
     for s in s_values:
         for seed in seeds:
-            jobs.append((float(s), int(seed), morsify(v, s, seed)))
-    # fields run in parallel, the points of one field sequentially
-    field_cfg = replace(cfg, threads=1)
-    results = _map_items(lambda j: counts(run(j[2], field_cfg)), jobs, cfg.threads)
+            try:
+                f = morsify(v, s, seed)
+            except VectorFieldError as e:  # e.g. a coefficient beyond the float range
+                f = e
+            jobs.append((float(s), int(seed), f))
+    results = [counts(f) for _, _, f in jobs]
     base = results[0]
     rows = []
     for (s, seed, _), res in zip(jobs, results):

@@ -20,13 +20,13 @@ from .analysis import (
     VERDICT_VIOLATED,
     _cp_summary,
     _cycle_summary,
+    _cycles_or_certificate,
     morsification_invariance,
     report_from_run,
     report_to_json,
     run,
 )
 from .critfind import CritFindError, find_critical_points
-from .cycledetect import detect_limit_cycles, no_cycle_certificate
 from .milnorfiber import FiberError, extract_fiber, select_radii
 from .polyalg import PolyParseError, VectorFieldError, load_vf
 from .render import fiber_svg, phase_portrait_svg, write_svg
@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", help="write machine-readable output here")
         if svg:
             sp.add_argument("--svg", help="write an SVG figure here")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--grid", type=int, help="fiber extraction grid")
         sp.add_argument("--max-grid", type=int, help="fiber refinement cap")
         sp.add_argument("--t-horizon", type=float, help="scouting time horizon")
@@ -97,7 +96,7 @@ class BadArgument(ValueError):
 
 
 def _config_from(args) -> PipelineConfig:
-    cfg = PipelineConfig(threads=args.threads)
+    cfg = PipelineConfig()
     fiber = cfg.fiber
     for flag, value in (("--grid", args.grid), ("--max-grid", args.max_grid)):
         if value is not None and value > MAX_GRID:
@@ -229,11 +228,9 @@ def cmd_cycles(args) -> int:
     cps = _critical_points(v, cfg)
     if cps is None:
         return EXIT_INCONCLUSIVE
-    try:
-        certificate = no_cycle_certificate(v)
-        cycles = [] if certificate is not None else detect_limit_cycles(v, cps, cfg.detect)
-    except Exception as e:  # same contract as analyze: report, do not crash
-        print(f"cycle detection failed: {type(e).__name__}: {e}", file=sys.stderr)
+    cycles, certificate, error = _cycles_or_certificate(v, cps, cfg.detect)
+    if error is not None:  # same contract as analyze: report, do not crash
+        print(f"cycle detection failed: {error}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     print(f"{len(cycles)} limit cycle(s)")
     if certificate is not None:

@@ -327,7 +327,7 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
             or min(abs(y - y0), abs(y - y1)) <= cfg.boundary_tol
         )
         radius = _index_radius(v, (x, y), locs, pid)
-        idx = poincare_index(v, (x, y), radius, samples=cfg.index_samples, cfg=cfg)
+        idx = poincare_index(v, (x, y), radius, cfg)
         points.append(
             CriticalPoint(
                 id=pid,
@@ -370,18 +370,18 @@ def poincare_index(
     v: VectorField,
     center: tuple[float, float],
     radius: float,
-    samples: int = 256,
     cfg: SolveConfig = SolveConfig(),
 ) -> int:
     """Winding number of v around a circle, by accumulated angle increments.
 
-    Sampling doubles until every increment is below pi/2.  Raises
-    ZeroOnCircle if the field (numerically) vanishes on a sample and
-    StepTooCoarse if doubling hits its limit without resolving.
+    Sampling starts at cfg.index_samples and doubles until every increment
+    is below pi/2.  Raises ZeroOnCircle if the field (numerically) vanishes
+    on a sample and StepTooCoarse if doubling hits its limit without
+    resolving.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = max(int(samples), 64)
+    n = max(int(cfg.index_samples), 64)
     cx, cy = center
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import odeflow
 from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, integrate,
                       rk_step, section_crossings)
 from .polyalg import Interval, Poly2, VectorField, interval_eval
@@ -47,7 +48,6 @@ class DetectConfig:
     scout_atol: float = 1e-9
     refine_rtol: float = 1e-10
     refine_atol: float = 1e-13
-    deriv_step: float = 1e-4
     isolation_tol: float = 1e-3
     dedup_tol: float = 1e-3
     conv_tol: float = 1e-3
@@ -159,7 +159,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     def field(xx, yy):
         return time_sign * v.p.eval_grid(xx, yy), time_sign * v.q.eval_grid(xx, yy)
 
-    bx0, bx1, by0, by1 = v.box.inflate(1.5)
+    bx0, bx1, by0, by1 = v.box.inflate(odeflow.BOX_INFLATION)
     sy = [s.anchor[1] for s in sections]
     sax = [s.anchor[0] for s in sections]
 
@@ -170,7 +170,6 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     errp = np.ones(m)
     k1x, k1y = field(x, y)
     active = np.hypot(k1x, k1y) > 1e-10
-    counts: list[dict] = [dict() for _ in range(m)]
 
     with np.errstate(all="ignore"):
         for _ in range(200_000):
@@ -228,11 +227,9 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     u = -(xc - sax[si])
                     if abs(u) < 1e-12:
                         continue
-                    key = (si, dirc, u > 0)
-                    fams[g].setdefault(key, []).append((t_cross, u))
-                    cnt = counts[g].get(key, 0) + 1
-                    counts[g][key] = cnt
-                    if cnt >= cfg.max_returns:
+                    events = fams[g].setdefault((si, dirc, u > 0), [])
+                    events.append((t_cross, u))
+                    if len(events) >= cfg.max_returns:
                         active[g] = False
 
             x[gidx] = x5_a
@@ -457,8 +454,7 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
         stability = "repelling"
     else:
         dirc_fwd = dirc if sgn > 0 else -dirc
-        probe = max(100.0 * cfg.deriv_step * scale, 1e-2 * scale)
-        stability = _probe_semistable(v, sec, u, T, dirc_fwd, probe, cfg)
+        stability = _probe_semistable(v, sec, u, T, dirc_fwd, 1e-2 * scale, cfg)
         if stability is None:
             log.debug("candidate at u=%.6g not isolated, dropped", u)
             return None
@@ -544,12 +540,13 @@ def no_cycle_certificate(v: VectorField) -> str | None:
 
     Two cases.  div V is the zero polynomial: the flow preserves area, so no
     periodic orbit is isolated.  Or the interval enclosure of div V over
-    box.inflate(1.5), the rectangle that scouting and refinement stay in,
-    lies strictly on one side of 0: by Bendixson-Dulac no closed orbit lies
-    in that rectangle.  An enclosure that touches 0 certifies nothing.
+    box.inflate(odeflow.BOX_INFLATION), the rectangle that scouting and
+    refinement stay in, lies strictly on one side of 0: by Bendixson-Dulac no
+    closed orbit lies in that rectangle.  An enclosure that touches 0
+    certifies nothing.
     """
     div = v.divergence()
-    x0, x1, y0, y1 = v.box.inflate(1.5)
+    x0, x1, y0, y1 = v.box.inflate(odeflow.BOX_INFLATION)
     where = f"[{x0:g}, {x1:g}] x [{y0:g}, {y1:g}]"
     if div.is_zero():
         return (f"div V is identically 0 on {where}: the flow preserves area, so no "

@@ -162,9 +162,13 @@ class _Workspace:
         self.g0y = self.g0.partial(1)
         axm = max(abs(px - delta), abs(px + delta))
         aym = max(abs(py - delta), abs(py + delta))
-        bxx = float(_polyval2d(axm, aym, self.g0x.partial(0).abs_coeff_matrix()))
-        bxy = float(_polyval2d(axm, aym, self.g0x.partial(1).abs_coeff_matrix()))
-        byy = float(_polyval2d(axm, aym, self.g0y.partial(1).abs_coeff_matrix()))
+        try:
+            self.g0.coeff_matrix()
+            bxx = float(_polyval2d(axm, aym, self.g0x.partial(0).abs_coeff_matrix()))
+            bxy = float(_polyval2d(axm, aym, self.g0x.partial(1).abs_coeff_matrix()))
+            byy = float(_polyval2d(axm, aym, self.g0y.partial(1).abs_coeff_matrix()))
+        except OverflowError:
+            raise FiberError("|V - V(p)|^2 has coefficients beyond the float range") from None
         self._hess_bound = bxx + 2.0 * bxy + byy
         self._levels: dict[int, dict] = {}
 

@@ -43,6 +43,10 @@ BOX_EXIT = "box_exit"
 EQUILIBRIUM = "equilibrium"
 STEP_UNDERFLOW = "step_underflow"
 
+# integrate and scouting stop outside the box scaled by this factor about its
+# centre; no_cycle_certificate is sound only on that same rectangle
+BOX_INFLATION = 1.5
+
 
 def _combine(coeffs, ks):
     """Sums of c * k over the nonzero coefficients, left to right, per coordinate."""
@@ -159,9 +163,7 @@ def integrate(
     *,
     direction: float = 1.0,
     equilibrium_tol: float = 1e-12,
-    box_inflation: float = 1.5,
     h_max: float = math.inf,
-    h_min: float = 1e-12,
     max_steps: int = 1_000_000,
 ) -> Trajectory:
     """Integrate dx/dt = direction * V(x) from x0 for up to t_max time units.
@@ -178,7 +180,7 @@ def integrate(
     def f(x: float, y: float) -> tuple[float, float]:
         return direction * peval(x, y), direction * qeval(x, y)
 
-    bx0, bx1, by0, by1 = v.box.inflate(box_inflation)
+    bx0, bx1, by0, by1 = v.box.inflate(BOX_INFLATION)
     x, y = float(x0[0]), float(x0[1])
     t = 0.0
     k1 = f(x, y)
@@ -193,7 +195,7 @@ def integrate(
     safety = 0.9
     while t < t_max:
         h = min(h, t_max - t)
-        if h < h_min:
+        if h < 1e-12:
             reason = STEP_UNDERFLOW
             break
         x5, y5, ex, ey, k7 = rk_step(f, x, y, h, k1)

@@ -577,6 +577,12 @@ class VectorField:
     def __post_init__(self):
         if self.p.is_zero() and self.q.is_zero():
             raise VectorFieldError("vector field must have a nonzero component")
+        try:
+            self.p.coeff_matrix()
+            self.q.coeff_matrix()
+            self.box.floats()
+        except OverflowError:
+            raise VectorFieldError("coefficient or box corner beyond the float range") from None
 
     def eval(self, x: float, y: float) -> tuple[float, float]:
         return self.p.eval(x, y), self.q.eval(x, y)

@@ -101,20 +101,19 @@ def fiber_svg(fiber, center) -> str:
     return cv.to_string()
 
 
-def phase_portrait_svg(v: VectorField, cps=(), cycles=(), fibers=(),
-                       sample_grid: int = 9, sample_time: float = 6.0) -> str:
+def phase_portrait_svg(v: VectorField, cps=(), cycles=(), fibers=()) -> str:
     """Sampled trajectories in gray, detected cycles in color, equilibria as
     dots, optional fiber overlays."""
     x0, x1, y0, y1 = v.box.floats()
     cv = _Canvas(x0, x1, y0, y1)
-    gx = np.linspace(x0, x1, sample_grid + 2)[1:-1]
-    gy = np.linspace(y0, y1, sample_grid + 2)[1:-1]
+    gx = np.linspace(x0, x1, 11)[1:-1]  # 9 x 9 seeds inside the box
+    gy = np.linspace(y0, y1, 11)[1:-1]
     for sx in gx:
         for sy in gy:
             if any(math.hypot(sx - cp.x, sy - cp.y) < 1e-9 for cp in cps):
                 continue
             try:
-                traj = integrate(v, (sx, sy), sample_time, rtol=1e-6, atol=1e-9,
+                traj = integrate(v, (sx, sy), 6.0, rtol=1e-6, atol=1e-9,
                                  max_steps=20_000)
             except Exception:
                 continue

@@ -82,7 +82,8 @@ class TestCompareReports:
 
     def test_config_echo_shape(self, corpus_reports):
         rep, _ = corpus_reports["linear-center"]
-        assert set(rep.config_echo) == {"solve", "fiber", "detect", "threads"}
+        assert set(rep.config_echo) == {"solve", "fiber", "detect"}
+        assert "deriv_step" not in rep.config_echo["detect"]
         assert rep.config_echo["fiber"]["grid"] == 256
 
     def test_certificate_only_on_center(self, corpus_reports):
@@ -149,6 +150,17 @@ class TestReportJson:
         assert entry["return_exponent"] == 800.0
         assert json.loads(json.dumps(entry, allow_nan=False)) == entry
 
+    def test_fiber_polynomial_beyond_float_range(self):
+        """Coefficients near 1e200 are floats, but |V - V(p)|^2 has them near
+        1e400: the sweep fails with a named cause and the report is written."""
+        rep = an.compare(cb.parse_vf("P = 10^200*(x - y)\nQ = 10^200*(x + y)\n"))
+        assert rep.verdict == "inconclusive"
+        assert len(rep.notes) == 1
+        assert rep.notes[0].startswith("fiber sweep failed at point 0: FiberError:")
+        assert "float range" in rep.notes[0]
+        assert rep.critical_points[0]["determinant"] is None  # 2e400
+        assert an.report_from_json(an.report_to_json(rep)) == rep
+
     def test_json_is_plain(self, corpus_reports):
         rep, _ = corpus_reports["cubic-one-cycle"]
         doc = json.loads(an.report_to_json(rep))
@@ -212,6 +224,17 @@ class TestMorsificationInvariance:
         assert (row["k"], row["B"]) == (base["k"], base["B"])
         assert row["detected"] is None
         assert row["error"] == "RuntimeError: no return map"
+        assert row["changed"]
+
+    def test_unbuildable_perturbation_stays_in_its_row(self):
+        """Seed 2 draws 0.91 for the constant of P: 1.7e308 + 0.91e308
+        leaves the float range, so that perturbed field cannot be built."""
+        v = cb.parse_vf("P = 17*10^307 - y\nQ = x\n")
+        base, row = an.morsification_invariance(v, [1e308], [2])
+        assert (base["k"], base["B"], base["detected"], base["error"]) == (0, 0, 0, None)
+        assert (row["k"], row["B"], row["detected"]) == (None, None, None)
+        assert row["error"] == ("VectorFieldError: coefficient or box corner beyond "
+                                "the float range")
         assert row["changed"]
 
     def test_degenerate_field_flags_change(self, corpus):

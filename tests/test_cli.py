@@ -71,6 +71,24 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "line 1" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "critpoints"])
+    @pytest.mark.parametrize("text", ["P = 10^400*x\nQ = y\n",
+                                      "P = x - y\nQ = x + y\n"
+                                      "box = [-1e400, 1] x [-1, 1]\n"],
+                             ids=["coefficient", "box-corner"])
+    def test_number_beyond_float_range(self, capsys, tmp_path, command, text):
+        path = tmp_path / "huge.vf"
+        path.write_text(text)
+        code, _, err = run(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert "cannot load" in err and "beyond the float range" in err
+
+    def test_threads_flag_is_unknown(self, capsys):
+        code, _, err = run(capsys, "analyze", str(SYSTEMS / "linear-center.vf"),
+                           "--threads", "2")
+        assert code == EXIT_USAGE
+        assert "--threads" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "critpoints", "/nonexistent/x.vf")
         assert code == EXIT_USAGE
@@ -171,7 +189,8 @@ class TestShowConfig:
         code, out, _ = run(capsys, "--show-config")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert set(doc) == {"solve", "fiber", "detect", "threads"}
+        assert set(doc) == {"solve", "fiber", "detect"}
+        assert "deriv_step" not in doc["detect"]
         assert doc["fiber"]["grid"] == 256
         assert doc["detect"]["cycle_vertices"] == 512
 
@@ -242,7 +261,7 @@ class TestArtifacts:
         def fail(*args, **kwargs):
             raise RuntimeError("no return map")
 
-        monkeypatch.setattr("cyclebound.cli.detect_limit_cycles", fail)
+        monkeypatch.setattr("cyclebound.analysis.detect_limit_cycles", fail)
         out_json = tmp_path / "cycles.json"
         code, out, err = run(capsys, "cycles", pair_file, "--json", str(out_json))
         assert code == EXIT_INCONCLUSIVE
@@ -293,8 +312,8 @@ class TestArtifacts:
         for mod in (cyclebound.analysis, cyclebound.cli):
             monkeypatch.setattr(mod, "find_critical_points",
                                 counted("critfind", mod.find_critical_points))
-            monkeypatch.setattr(mod, "detect_limit_cycles",
-                                counted("detect", mod.detect_limit_cycles))
+        monkeypatch.setattr(cyclebound.analysis, "detect_limit_cycles",
+                            counted("detect", cyclebound.analysis.detect_limit_cycles))
         code, _, _ = run(capsys, "analyze", pair_file,
                          "--json", str(tmp_path / "report.json"),
                          "--svg", str(tmp_path / "portrait.svg"))

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import cyclebound as cb
+from cyclebound import odeflow
+from cyclebound.cycledetect import no_cycle_certificate
 from cyclebound.odeflow import (
     Section,
     integrate,
@@ -67,8 +69,17 @@ class TestIntegrate:
         assert traj.terminated_by == "box_exit"
         assert traj.times[-1] < 10.0
         end = traj.states[-1]
-        # inflation factor 1.5 on the [-5, 5] box
-        assert max(abs(end[0]), abs(end[1])) >= 7.5 - 1e-9
+        assert max(abs(end[0]), abs(end[1])) >= 5 * odeflow.BOX_INFLATION - 1e-9
+
+    def test_one_inflation_for_flow_and_certificate(self, corpus, monkeypatch):
+        """The certificate's rectangle and the box exit move together."""
+        monkeypatch.setattr(odeflow, "BOX_INFLATION", 2.0)
+        assert "[-10, 10] x [-10, 10]" in no_cycle_certificate(corpus["linear-center"])
+        traj = integrate(corpus["degenerate-demo"], (0.5, 0.5), 10.0)
+        assert traj.terminated_by == "box_exit"
+        before, end = traj.states[-2:]
+        assert max(abs(before[0]), abs(before[1])) <= 10.0
+        assert max(abs(end[0]), abs(end[1])) >= 10.0 - 1e-9
 
     def test_equilibrium_capture(self, sink):
         traj = integrate(sink, (1.0, 1.0), 100.0)

@@ -197,9 +197,10 @@ def _cluster_touching(boxes: list[_FBox], gap: float) -> list[list[_FBox]]:
 def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> list[CriticalPoint]:
     """All zeros of v inside its box, sorted by (x, y), ids in sorted order.
 
-    Raises DepthLimitExceeded when subdivision explodes (non-isolated zeros)
-    and AmbiguousCluster when two distinct zeros sit closer than the
-    resolution tolerance.
+    Raises DepthLimitExceeded when subdivision explodes (non-isolated zeros),
+    AmbiguousCluster when two distinct zeros sit closer than the resolution
+    tolerance, and CritFindError when Newton polishes no box of a cluster
+    that the interval tests could not exclude.
     """
     parts = {
         "px": v.p.partial(0),
@@ -281,7 +282,13 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
             if res <= cfg.residual_tol:
                 polished.append((px, py))
         if not polished:
-            continue  # interval slack with no actual zero: Newton found nothing
+            # a failed polish does not exclude a zero, so the search cannot
+            # tell whether this cluster holds one
+            raise CritFindError(
+                f"Newton polish failed on every box of the cluster "
+                f"[{bbox[0]:.6g}, {bbox[1]:.6g}] x [{bbox[2]:.6g}, {bbox[3]:.6g}], "
+                "which the interval tests could not exclude"
+            )
         ref = polished[0]
         spread = max(math.hypot(p[0] - ref[0], p[1] - ref[1]) for p in polished)
         if spread > 0.01 * cfg.resolution_tol:

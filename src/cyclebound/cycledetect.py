@@ -13,6 +13,13 @@ equilibria they enclose via winding numbers.
 Repelling cycles are found by the backward pass (they attract in reversed
 time) and refined in that direction; lambda is the same integral either way.
 
+Scouting brackets each line crossing inside one step.  Most hits have a
+direction and side that no root in the step can change (`_sure_hits`); they
+are only recorded during the integration, and one array bisection
+(`odeflow.hermite_roots`) solves all of them after it.  The other hits are
+solved at once by the scalar `hermite_root`.  Both give the same floats, so
+the crossing events do not depend on which path a hit took.
+
 `no_cycle_certificate` is the certified shortcut: when div V is identically
 zero or keeps one strict sign on the region scouting explores, no limit
 cycle lies there (Bendixson-Dulac) and the sampled search can be skipped.
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odeflow
-from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, integrate,
-                      rk_step, section_crossings)
+from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, hermite_roots,
+                      integrate, rk_step, section_crossings)
 from .polyalg import Interval, Poly2, VectorField, interval_eval
 
 log = logging.getLogger(__name__)
@@ -145,11 +152,55 @@ def _make_seeds(v: VectorField, cps, cfg: DetectConfig) -> np.ndarray:
     return seeds
 
 
+# relative margin of the sure-hit tests; one Hermite evaluation rounds by a
+# few ulps of its inputs' magnitude, far below it
+_SURE_MARGIN = 1e-9
+# columns of a stored sure hit: t0, h, y-Hermite data, x-Hermite data, level, anchor
+_ROW_WIDTH = 12
+
+
+def _sure_hits(t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, anchor_x):
+    """Which line hits have a scouting key that no root in [0, 1] can change.
+
+    Arrays per hit: the step's start time, the y-Hermite data (which crosses
+    the section line) and the x-Hermite data, slopes scaled by the step.  A
+    hit is sure when t0 > 0, the y-Hermite slope keeps one strict sign on
+    [0, 1] and the x-Hermite range stays clear of the anchor.  Both ranges
+    are bounded by Bernstein control points, with a margin of _SURE_MARGIN
+    times the inputs' magnitude; the x test also clears the 1e-12 band in
+    which a crossing is dropped.  For a sure hit the crossing is kept, its
+    direction is +1 where `rising`, and u > 0 where `left`, whatever root
+    the bisection returns.  Returns (sure, rising, left) boolean arrays.
+    A magnitude that overflows makes its margin inf, and a nan fails every
+    comparison, so neither hit is sure.
+    """
+    ys = np.abs(y0) + np.abs(dy0) + np.abs(y1) + np.abs(dy1)
+    xs = np.abs(x0) + np.abs(dx0) + np.abs(x1) + np.abs(dx1) + abs(anchor_x)
+    ym = _SURE_MARGIN * ys
+    xm = _SURE_MARGIN * xs + 1e-12
+    mid = 3.0 * (y1 - y0) - dy0 - dy1   # middle Bernstein coefficient of the slope
+    rising = (dy0 > ym) & (mid > ym) & (dy1 > ym)
+    falling = (dy0 < -ym) & (mid < -ym) & (dy1 < -ym)
+    b1 = x0 + dx0 / 3.0
+    b2 = x1 - dx1 / 3.0
+    lo = np.minimum(np.minimum(x0, x1), np.minimum(b1, b2))
+    hi = np.maximum(np.maximum(x0, x1), np.maximum(b1, b2))
+    left = hi < anchor_x - xm
+    right = lo > anchor_x + xm
+    return (t0 > 0) & (rising | falling) & (left | right), rising, left
+
+
 def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float):
     """Integrate all seeds at once, logging section-line crossings.
 
     Returns one dict per seed mapping (section_index, crossing_direction,
     positive_side) to the time-ordered list of (t, u) crossing events.
+
+    A step that crosses a section line brackets the crossing on its y
+    Hermite.  A sure hit (`_sure_hits`) has its key and its place in the
+    family without a root, so it stores its bracket and is solved with all
+    others by one `hermite_roots` call after the loop; any other hit is
+    solved at once by `hermite_root`.  Both give the same floats.
     """
     m = len(seeds)
     fams: list[dict] = [dict() for _ in range(m)]
@@ -162,6 +213,10 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     bx0, bx1, by0, by1 = v.box.inflate(odeflow.BOX_INFLATION)
     sy = [s.anchor[1] for s in sections]
     sax = [s.anchor[0] for s in sections]
+
+    # Hermite data of the sure hits, one row each, solved after the loop
+    rows = np.empty((1024, _ROW_WIDTH))
+    n_rows = 0
 
     x = seeds[:, 0].astype(float).copy()
     y = seeds[:, 1].astype(float).copy()
@@ -205,20 +260,41 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             xa_a = xa[acc]
 
             for si in range(len(sections)):
-                f0 = ya_a - sy[si]
-                f1 = y5_a - sy[si]
-                hit = (f0 < 0) != (f1 < 0)
-                for w in np.nonzero(hit)[0]:
-                    g = int(gidx[w])
-                    hh = float(ha_a[w])
-                    py0, py1 = float(ya_a[w]), float(y5_a[w])
-                    dy0, dy1 = float(k1y_a[w]) * hh, float(k7y_a[w]) * hh
+                w = np.nonzero((ya_a - sy[si] < 0) != (y5_a - sy[si] < 0))[0]
+                if not w.size:
+                    continue
+                g = gidx[w]
+                hh = ha_a[w]
+                t0 = t[g]
+                seg = (ya_a[w], k1y_a[w] * hh, y5_a[w], k7y_a[w] * hh,
+                       xa_a[w], k1x_a[w] * hh, x5_a[w], k7x_a[w] * hh)
+                sure, rising, left = _sure_hits(t0, *seg, sax[si])
+                k = int(np.count_nonzero(sure))
+                if k:
+                    if n_rows + k > len(rows):
+                        grown = np.empty((max(2 * len(rows), n_rows + k), _ROW_WIDTH))
+                        grown[:n_rows] = rows[:n_rows]
+                        rows = grown
+                    block = rows[n_rows:n_rows + k]
+                    block[:, :10] = np.column_stack((t0, hh) + seg)[sure]
+                    block[:, 10] = sy[si]
+                    block[:, 11] = sax[si]
+                    keys = zip(g[sure].tolist(), np.where(rising[sure], 1, -1).tolist(),
+                               left[sure].tolist())
+                    for row, (gi, dirc, side) in enumerate(keys, n_rows):
+                        events = fams[gi].setdefault((si, dirc, side), [])
+                        events.append(row)
+                        if len(events) >= cfg.max_returns:
+                            active[gi] = False
+                    n_rows += k
+                for j in np.nonzero(~sure)[0]:
+                    gi = int(g[j])
+                    tg = float(t0[j])
+                    py0, dy0, py1, dy1, px0, dx0, px1, dx1 = (float(c[j]) for c in seg)
                     tau = hermite_root(py0, dy0, py1, dy1, sy[si], 0.0, 1.0, py0 - sy[si], 45)
-                    t_cross = float(t[g]) + tau * hh
-                    if t_cross - float(t[g]) < 1e-12 and t[g] == 0.0:
+                    t_cross = tg + tau * float(hh[j])
+                    if t_cross - tg < 1e-12 and tg == 0.0:
                         continue
-                    px0, px1 = float(xa_a[w]), float(x5_a[w])
-                    dx0, dx1 = float(k1x_a[w]) * hh, float(k7x_a[w]) * hh
                     xc = hermite(px0, dx0, px1, dx1, tau)
                     dydt = hermite_deriv(py0, dy0, py1, dy1, tau)
                     if dydt == 0.0:
@@ -227,10 +303,10 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     u = -(xc - sax[si])
                     if abs(u) < 1e-12:
                         continue
-                    events = fams[g].setdefault((si, dirc, u > 0), [])
+                    events = fams[gi].setdefault((si, dirc, u > 0), [])
                     events.append((t_cross, u))
                     if len(events) >= cfg.max_returns:
-                        active[g] = False
+                        active[gi] = False
 
             x[gidx] = x5_a
             y[gidx] = y5_a
@@ -247,6 +323,14 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             dead = out | eqm | tend
             if dead.any():
                 active[gidx[dead]] = False
+
+    # one bisection for all sure hits; each row index becomes its (t, u)
+    t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows[:n_rows].T
+    tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
+    solved = list(zip((t0 + tau * hh).tolist(), (-(hermite(x0, dx0, x1, dx1, tau) - ax)).tolist()))
+    for per_seed in fams:
+        for key, events in per_seed.items():
+            per_seed[key] = [solved[e] if type(e) is int else e for e in events]
     return fams
 
 

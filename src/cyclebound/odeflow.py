@@ -108,6 +108,22 @@ def hermite_root(y0, d0, y1, d1, level, lo, hi, flo, steps):
     return 0.5 * (lo + hi)
 
 
+def hermite_roots(y0, d0, y1, d1, level, lo, hi, flo, steps):
+    """`hermite_root` on numpy arrays of brackets, one root per element.
+
+    Each element goes through the same float operations as the scalar
+    bisection, so each root is bit-identical to `hermite_root`'s.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = hermite(y0, d0, y1, d1, mid) - level
+        left = (flo < 0) != (fm < 0)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
+
+
 @dataclass
 class Trajectory:
     """Accepted integration nodes plus node derivatives for dense output."""

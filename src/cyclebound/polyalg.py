@@ -577,9 +577,12 @@ class VectorField:
     def __post_init__(self):
         if self.p.is_zero() and self.q.is_zero():
             raise VectorFieldError("vector field must have a nonzero component")
+        # critfind's enclosures and Newton steps read the partials and div V
+        # as floats too, so their coefficients must fit as well
         try:
-            self.p.coeff_matrix()
-            self.q.coeff_matrix()
+            for poly in (self.p, self.q, self.p.partial(0), self.p.partial(1),
+                         self.q.partial(0), self.q.partial(1), self.divergence()):
+                poly.coeff_matrix()
             self.box.floats()
         except OverflowError:
             raise VectorFieldError("coefficient or box corner beyond the float range") from None

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own counting, chaining,
 and refinement code paths: polynomial values come straight from the term
 dictionaries, fiber counts from a sign-grid flood fill, periods from scipy,
-distances from dense resampling.
+distances from dense resampling.  The one exception is `scout_reference`,
+scouting's earlier per-hit loop on the library's own stepper and scalar
+bisection: it pins the crossing events that the deferred root solve must
+reproduce bit for bit.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 import scipy.integrate
 import scipy.ndimage
 
+from cyclebound.odeflow import BOX_INFLATION, hermite, hermite_deriv, hermite_root, rk_step
 from cyclebound.polyalg import Poly2, VectorField
 
 
@@ -230,3 +234,109 @@ def fd_partial(poly: Poly2, var: int, x: float, y: float, h: float = 1e-6) -> fl
     if var == 0:
         return float(eval_terms(poly, x + h, y) - eval_terms(poly, x - h, y)) / (2 * h)
     return float(eval_terms(poly, x, y + h) - eval_terms(poly, x, y - h)) / (2 * h)
+
+
+def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign: float):
+    """`cycledetect._scout` with every line hit bisected on the spot.
+
+    The per-hit loop that scouting used before it deferred its sure hits to
+    one array bisection after the loop; the families (keys, order, floats)
+    must come out the same.
+    """
+    m = len(seeds)
+    fams: list[dict] = [dict() for _ in range(m)]
+    if m == 0:
+        return fams
+
+    def field(xx, yy):
+        return time_sign * v.p.eval_grid(xx, yy), time_sign * v.q.eval_grid(xx, yy)
+
+    bx0, bx1, by0, by1 = v.box.inflate(BOX_INFLATION)
+    sy = [s.anchor[1] for s in sections]
+    sax = [s.anchor[0] for s in sections]
+
+    x = seeds[:, 0].astype(float).copy()
+    y = seeds[:, 1].astype(float).copy()
+    t = np.zeros(m)
+    h = np.full(m, 1e-3)
+    errp = np.ones(m)
+    k1x, k1y = field(x, y)
+    active = np.hypot(k1x, k1y) > 1e-10
+
+    with np.errstate(all="ignore"):
+        for _ in range(200_000):
+            if not active.any():
+                break
+            idx = np.nonzero(active)[0]
+            xa, ya = x[idx], y[idx]
+            ha = np.minimum(h[idx], cfg.t_horizon - t[idx])
+            x5, y5, ex, ey, (k7x, k7y) = rk_step(field, xa, ya, ha, (k1x[idx], k1y[idx]))
+            scx = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(xa), np.abs(x5))
+            scy = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(ya), np.abs(y5))
+            errn = np.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
+            good = np.isfinite(errn) & np.isfinite(x5) & np.isfinite(y5)
+            errn = np.where(good, np.maximum(errn, 1e-16), 4.0)
+            acc = errn <= 1.0
+            fac = np.where(
+                acc,
+                np.clip(0.9 * errn ** -0.14 * errp[idx] ** 0.08, 0.2, 5.0),
+                np.clip(0.9 * errn ** -0.2, 0.2, 0.9),
+            )
+            h[idx] = np.minimum(ha * fac, 5.0)
+
+            if not acc.any():
+                if (h[idx] < 1e-12).any():
+                    active[idx[h[idx] < 1e-12]] = False
+                continue
+            gidx = idx[acc]
+            ha_a = ha[acc]
+            ya_a = ya[acc]
+            x5_a, y5_a = x5[acc], y5[acc]
+            k1y_a, k7y_a = k1y[gidx], k7y[acc]
+            k1x_a, k7x_a = k1x[gidx], k7x[acc]
+            xa_a = xa[acc]
+
+            for si in range(len(sections)):
+                f0 = ya_a - sy[si]
+                f1 = y5_a - sy[si]
+                hit = (f0 < 0) != (f1 < 0)
+                for w in np.nonzero(hit)[0]:
+                    g = int(gidx[w])
+                    hh = float(ha_a[w])
+                    py0, py1 = float(ya_a[w]), float(y5_a[w])
+                    dy0, dy1 = float(k1y_a[w]) * hh, float(k7y_a[w]) * hh
+                    tau = hermite_root(py0, dy0, py1, dy1, sy[si], 0.0, 1.0, py0 - sy[si], 45)
+                    t_cross = float(t[g]) + tau * hh
+                    if t_cross - float(t[g]) < 1e-12 and t[g] == 0.0:
+                        continue
+                    px0, px1 = float(xa_a[w]), float(x5_a[w])
+                    dx0, dx1 = float(k1x_a[w]) * hh, float(k7x_a[w]) * hh
+                    xc = hermite(px0, dx0, px1, dx1, tau)
+                    dydt = hermite_deriv(py0, dy0, py1, dy1, tau)
+                    if dydt == 0.0:
+                        dydt = py1 - py0
+                    dirc = 1 if dydt > 0 else -1
+                    u = -(xc - sax[si])
+                    if abs(u) < 1e-12:
+                        continue
+                    events = fams[g].setdefault((si, dirc, u > 0), [])
+                    events.append((t_cross, u))
+                    if len(events) >= cfg.max_returns:
+                        active[g] = False
+
+            x[gidx] = x5_a
+            y[gidx] = y5_a
+            t[gidx] += ha_a
+            k1x[gidx] = k7x_a
+            k1y[gidx] = k7y_a
+            errp[gidx] = np.maximum(errn[acc], 1e-10)
+            out = (
+                (x5_a < bx0) | (x5_a > bx1) | (y5_a < by0) | (y5_a > by1)
+                | ~np.isfinite(x5_a) | ~np.isfinite(y5_a)
+            )
+            eqm = np.hypot(k7x_a, k7y_a) < 1e-10
+            tend = t[gidx] >= cfg.t_horizon - 1e-12
+            dead = out | eqm | tend
+            if dead.any():
+                active[gidx[dead]] = False
+    return fams

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,14 +77,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["analyze", "critpoints"])
     @pytest.mark.parametrize("text", ["P = 10^400*x\nQ = y\n",
                                       "P = x - y\nQ = x + y\n"
-                                      "box = [-1e400, 1] x [-1, 1]\n"],
-                             ids=["coefficient", "box-corner"])
+                                      "box = [-1e400, 1] x [-1, 1]\n",
+                                      "P = 10^308*x^2 - y\nQ = x + y\n"],
+                             ids=["coefficient", "box-corner", "partial"])
     def test_number_beyond_float_range(self, capsys, tmp_path, command, text):
         path = tmp_path / "huge.vf"
         path.write_text(text)
         code, _, err = run(capsys, command, str(path))
         assert code == EXIT_USAGE
         assert "cannot load" in err and "beyond the float range" in err
+
+    def test_failed_polish_is_inconclusive(self, capsys, tmp_path):
+        """The origin is a zero, but 1e307*x^3 defeats the float Newton polish:
+        the search must not report that there is no critical point."""
+        path = tmp_path / "steep.vf"
+        path.write_text("P = 10^307*x^3 - y\nQ = x + y\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == EXIT_INCONCLUSIVE
+        assert "verdict: inconclusive" in out
+        assert "CritFindError: Newton polish failed on every box of the cluster [" in out
 
     def test_threads_flag_is_unknown(self, capsys):
         code, _, err = run(capsys, "analyze", str(SYSTEMS / "linear-center.vf"),
@@ -185,6 +199,16 @@ class TestOverrides:
 
 
 class TestShowConfig:
+    def test_runs_as_module(self, capsys):
+        """`python -m cyclebound` runs the CLI from a source checkout."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "cyclebound", "--show-config"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert run(capsys, "--show-config")[1] == proc.stdout
+
     def test_prints_defaults(self, capsys):
         code, out, _ = run(capsys, "--show-config")
         assert code == EXIT_OK

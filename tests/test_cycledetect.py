@@ -8,6 +8,7 @@ and the divergence certificate against the sampled search.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from cyclebound import analysis as an
 from cyclebound import cycledetect as cd
 from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
+from cyclebound.odeflow import Section, hermite, hermite_deriv, hermite_root
 from cyclebound.polyalg import Interval, interval_eval
 
-from oracles import circle, hausdorff_resampled, random_field, winding_brute
+from oracles import circle, hausdorff_resampled, random_field, scout_reference, winding_brute
 from test_polyalg import rand_poly
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +87,93 @@ class TestDetect:
         assert len(a) == len(b) == 1
         assert np.array_equal(a[0].points, b[0].points)
         assert a[0].period == b[0].period
+
+
+def fuzz_hits(rng, n):
+    """Random line hits as _scout sees them: t0, y-Hermite, x-Hermite (slopes
+    scaled by the step), level, anchor.  The first third is generic, at
+    scales from 1e-8 to 1e3; in the second, y moves by one ulp of 1500 with
+    slopes below an ulp; in the third, x stays within an ulp or two of the
+    1e-12 band around an anchor at 1500.  A tenth start at t0 = 0."""
+    k = n // 3
+    scale = 10.0 ** rng.uniform(-8, 3, n)
+    level = rng.choice([0.0, 1.0, -1e3, 1e3], n)
+    anchor = rng.choice([0.0, 1.0, -1e3, 1e3], n)
+    sgn = rng.choice([-1.0, 1.0], n)
+    y0 = level - sgn * scale * rng.uniform(0, 1, n)
+    y1 = level + sgn * scale * rng.uniform(0, 1, n)
+    dy0 = sgn * scale * rng.uniform(0.2, 2, n)
+    dy1 = sgn * scale * rng.uniform(0.2, 2, n)
+    x0 = anchor + scale * rng.normal(0, 1, n)
+    x1 = x0 + scale * rng.normal(0, 1, n)
+    dx0 = scale * rng.normal(0, 1, n)
+    dx1 = scale * rng.normal(0, 1, n)
+    ulp = np.spacing(1500.0)
+    s = slice(k, 2 * k)
+    level[s] = 1500.0
+    y0[s] = 1500.0 - ulp * (sgn[s] > 0)
+    y1[s] = 1500.0 - ulp * (sgn[s] < 0)
+    dy0[s] = sgn[s] * ulp * rng.uniform(0, 1, k)
+    dy1[s] = sgn[s] * ulp * rng.uniform(0, 1, k)
+    s = slice(2 * k, n)
+    anchor[s] = 1500.0
+    x0[s] = 1500.0 + sgn[s] * (1e-12 + ulp * rng.integers(0, 2, n - 2 * k))
+    x1[s] = 1500.0 + sgn[s] * (1e-12 + ulp * rng.integers(0, 2, n - 2 * k))
+    dx0[s] = sgn[s] * ulp * rng.uniform(0, 1, n - 2 * k)
+    dx1[s] = -sgn[s] * ulp * rng.uniform(0, 1, n - 2 * k)
+    t0 = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-3, 2, n))
+    return t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor
+
+
+def scalar_key(y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor):
+    """(direction, u > 0) of one hit after its step's start by the per-hit
+    rule, None if dropped."""
+    tau = hermite_root(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
+    dydt = hermite_deriv(y0, dy0, y1, dy1, tau)
+    if dydt == 0.0:
+        dydt = y1 - y0
+    u = -(hermite(x0, dx0, x1, dx1, tau) - anchor)
+    if abs(u) < 1e-12:
+        return None
+    return (1 if dydt > 0 else -1), u > 0
+
+
+class TestScoutDeferredRoots:
+    """Scouting solves its sure hits in one array bisection after the loop;
+    its families must equal the per-hit reference loop's bit for bit."""
+
+    @pytest.mark.parametrize("time_sign", [1.0, -1.0], ids=["forward", "backward"])
+    @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
+    def test_families_match_reference(self, corpus, monkeypatch, name, time_sign):
+        v = (random_field(5, 3, cb.Box.make(-2, 2, -2, 2)) if name == "random-3-5"
+             else corpus[name])
+        cps = find_critical_points(v)
+        x0, x1, y0, y1 = v.box.floats()
+        sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
+                            halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
+        seeds = cd._make_seeds(v, cps, cd.DetectConfig())
+        scalar_hits = []
+
+        def counted(*args):
+            scalar_hits.append(args)
+            return hermite_root(*args)
+
+        monkeypatch.setattr(cd, "hermite_root", counted)
+        got = cd._scout(v, seeds, sections, cd.DetectConfig(), time_sign)
+        want = scout_reference(v, seeds, sections, cd.DetectConfig(), time_sign)
+        events = sum(len(evs) for fam in want for evs in fam.values())
+        assert 0 < len(scalar_hits) < events  # both paths ran
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sure_hits_keep_the_scalar_key(self, seed):
+        hits = fuzz_hits(np.random.default_rng(seed), 6000)
+        sure, rising, left = cd._sure_hits(*hits[:9], hits[10])
+        assert sure.sum() > 500
+        assert np.all(hits[0][sure] > 0)  # a hit at t = 0 may be dropped
+        for j in np.nonzero(sure)[0]:
+            want = scalar_key(*(float(c[j]) for c in hits[1:]))
+            assert want == (1 if rising[j] else -1, bool(left[j])), j
 
 
 def radial_field(f: str, box: str = "[-3, 3] x [-3, 3]") -> cb.VectorField:

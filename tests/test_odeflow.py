@@ -16,6 +16,9 @@ from cyclebound import odeflow
 from cyclebound.cycledetect import no_cycle_certificate
 from cyclebound.odeflow import (
     Section,
+    hermite,
+    hermite_root,
+    hermite_roots,
     integrate,
     rk_step,
     section_crossings,
@@ -167,6 +170,66 @@ class TestFixedStepOrder:
         out = rk_step(self._circle_rhs, 1.0, 0.0, 0.1)
         est = math.hypot(out[2], out[3])
         assert 0.0 < est < 1e-6
+
+
+class TestHermiteRoots:
+    """The array bisection returns the scalar bisection's roots bit for bit."""
+
+    @staticmethod
+    def brackets(rng, n):
+        """Hermite data and level with y0 - level and y1 - level of opposite
+        signs (zero counts as positive), at scales from 1e-8 to 1e3."""
+        scale = 10.0 ** rng.uniform(-8, 3, n)
+        level = scale * rng.normal(0, 1, n)
+        sgn = rng.choice([-1.0, 1.0], n)
+        y0 = level - sgn * scale * rng.uniform(0, 1, n)
+        y1 = level + sgn * scale * rng.uniform(0, 1, n)
+        d0 = scale * rng.normal(0, 3, n)
+        d1 = scale * rng.normal(0, 3, n)
+        return y0, d0, y1, d1, level
+
+    @staticmethod
+    def adversarial(rng, n):
+        """A root exactly at either end, and three roots in (0, 1): the data
+        of c (s - r1)(s - r2)(s - r3), which the cubic Hermite reproduces."""
+        scale = 10.0 ** rng.uniform(-8, 3, n)
+        at_end = [np.zeros(n), scale, -scale, scale, np.zeros(n)]   # y0 = level
+        y_end = at_end.copy()
+        y_end[0], y_end[2] = -scale, np.zeros(n)                    # y1 = level
+        r = np.sort(rng.uniform(0.05, 0.95, (3, n)), axis=0)
+        c = scale * rng.choice([-1.0, 1.0], n)
+        y0 = -c * r[0] * r[1] * r[2]
+        y1 = c * (1 - r[0]) * (1 - r[1]) * (1 - r[2])
+        d0 = c * (r[0] * r[1] + r[0] * r[2] + r[1] * r[2])
+        d1 = c * ((1 - r[1]) * (1 - r[2]) + (1 - r[0]) * (1 - r[2])
+                  + (1 - r[0]) * (1 - r[1]))
+        three = [y0, d0, y1, d1, np.zeros(n)]
+        return tuple(np.concatenate(cols) for cols in zip(at_end, y_end, three))
+
+    @pytest.mark.parametrize("kind", ["random", "adversarial"])
+    def test_matches_scalar_bisection(self, kind):
+        rng = np.random.default_rng(11)
+        y0, d0, y1, d1, level = getattr(self, "brackets" if kind == "random"
+                                        else "adversarial")(rng, 600)
+        lo = rng.choice([0.0, 0.25, 0.5], len(y0))
+        hi = lo + rng.choice([0.25, 0.5], len(y0))
+        lo[::2], hi[::2] = 0.0, 1.0
+        flo = hermite(y0, d0, y1, d1, lo) - level
+        got = hermite_roots(y0, d0, y1, d1, level, lo, hi, flo, 45)
+        want = np.array([
+            hermite_root(*(float(c[j]) for c in (y0, d0, y1, d1, level, lo, hi, flo)), 45)
+            for j in range(len(y0))])
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_bracket_ends(self):
+        """Scalar lo and hi broadcast over the brackets, as scouting calls it."""
+        rng = np.random.default_rng(12)
+        y0, d0, y1, d1, level = self.brackets(rng, 200)
+        got = hermite_roots(y0, d0, y1, d1, level, 0.0, 1.0, y0 - level, 45)
+        want = [hermite_root(float(y0[j]), float(d0[j]), float(y1[j]), float(d1[j]),
+                             float(level[j]), 0.0, 1.0, float(y0[j] - level[j]), 45)
+                for j in range(200)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestDenseOutput:

@@ -27,7 +27,7 @@ from .analysis import (
     run,
 )
 from .critfind import CritFindError, find_critical_points
-from .milnorfiber import FiberError, extract_fiber, select_radii
+from .milnorfiber import ETA_MIN, FiberError, extract_fiber, select_radii
 from .polyalg import PolyParseError, VectorFieldError, load_vf
 from .render import fiber_svg, phase_portrait_svg, write_svg
 
@@ -186,9 +186,11 @@ def cmd_fiber(args) -> int:
         print(f"cyclebound: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     eta_max = sweep[0]
-    if not (0.0 < args.eta <= eta_max):
-        print(f"cyclebound: eta {args.eta:g} out of range; "
-              f"eta_max = {eta_max:.9g} for point {cp.id}", file=sys.stderr)
+    if not (ETA_MIN <= args.eta <= eta_max):
+        # below ETA_MIN, eta^2 underflows and the fiber test reads nothing
+        print(f"cyclebound: eta {args.eta:g} out of range; eta_min = {ETA_MIN:.9g} "
+              f"(smallest eta with a normal square), eta_max = {eta_max:.9g} "
+              f"for point {cp.id}", file=sys.stderr)
         return EXIT_BADARG
     try:
         fiber = extract_fiber(v, (cp.x, cp.y), delta, args.eta, cfg.fiber)

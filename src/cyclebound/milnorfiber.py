@@ -12,11 +12,18 @@ center.  Cells whose corner signs hide a possible component (uniform sign,
 not next to any crossed cell, but with a Taylor enclosure of g straddling 0)
 trigger grid doubling; topology is accepted once two successive grids agree
 or nothing is left unresolved.
+
+The enclosure is a third-order Taylor form per cell (see `_Workspace`): the
+gradient and Hessian at the cell centre, plus one bound on the third
+derivatives over the ball for the Lagrange remainder.  A cell is unresolved
+only where g itself may vanish inside it, not wherever a ball-wide second
+derivative bound says it might.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +31,10 @@ import numpy as np
 
 from .polyalg import Poly2, VectorField
 
-_polyval2d = np.polynomial.polynomial.polyval2d
+
+# the smallest eta whose square is a normal float: for smaller eta,
+# eta * eta < sys.float_info.min
+ETA_MIN = math.sqrt(sys.float_info.min)
 
 
 class FiberError(RuntimeError):
@@ -135,13 +145,55 @@ def select_radii(
     eta_max = 0.5 * float(norms.min())
     if eta_max <= 0.0:
         raise DeltaCollapse("field distance vanishes on the sphere; another zero nearby?")
+    if eta_max / 100.0 < ETA_MIN:
+        raise FiberError(f"sweep bottom eta {eta_max / 100.0:.3e} is below {ETA_MIN:.9g}: "
+                         "its square underflows")
     sweep = list(np.geomspace(eta_max, eta_max / 100.0, cfg.sweep_len))
     return delta, sweep
+
+
+def _third_order_bound(g0: Poly2, px: float, py: float, delta: float) -> float:
+    """Bound on |g_xxx| + 3|g_xxy| + 3|g_xyy| + |g_yyy| over the square
+    [p - delta, p + delta]^2, as a float (inf if it exceeds the float range).
+
+    g0 is recentred at p exactly, so each third partial is a polynomial in
+    (u, v) with |u|, |v| <= delta, bounded by its absolute coefficients at
+    (delta, delta).  The sum is exact in Fractions; only the result is
+    rounded, so a coefficient with no float value cannot make it fail.
+    """
+    c = g0.compose_affine(1, 0, 0, 1, Fraction(px), Fraction(py))
+    d = Fraction(delta)
+    cx, cy = c.partial(0), c.partial(1)
+    total = Fraction(0)
+    for part, w in ((cx.partial(0).partial(0), 1), (cx.partial(0).partial(1), 3),
+                    (cx.partial(1).partial(1), 3), (cy.partial(1).partial(1), 1)):
+        total += w * sum(abs(a) * d ** (i + j) for (i, j), a in part.terms.items())
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+# cells per row block of a level's centre arrays: 1 MiB of floats
+_BLOCK = 1 << 17
 
 
 class _Workspace:
     """Per-(field, point, delta) caches: the distance-squared polynomial and
     per-grid node/center evaluations reused across the eta sweep.
+
+    Each cell of half-width r = h/2 around its centre c gets a radius that
+    encloses |g0 - g0(c)| on the cell.  Taylor's theorem with the Lagrange
+    remainder, for |dx|, |dy| <= r, gives
+
+        rad = (|g_x| + |g_y|)(c) r + 1/2 (|g_xx| + 2|g_xy| + |g_yy|)(c) r^2
+              + T3 r^3 / 6,
+
+    where T3 bounds |g_xxx| + 3|g_xxy| + 3|g_xyy| + |g_yyy| on the whole ball
+    square (`_third_order_bound`).  The first two terms are per cell, so a
+    cell far from the curve is resolved as soon as its own derivatives allow;
+    only the cubic term is global, and it shrinks as h^3.  1e-12 of the
+    largest |g0| at the nodes absorbs the rounding of the float evaluation.
 
     Grid evaluation is separable (`Poly2.eval_outer`): Horner runs on the
     1-D x axis, then the y pass multiplies and adds into one preallocated
@@ -160,16 +212,15 @@ class _Workspace:
         self.g0 = dp * dp + dq * dq
         self.g0x = self.g0.partial(0)
         self.g0y = self.g0.partial(1)
-        axm = max(abs(px - delta), abs(px + delta))
-        aym = max(abs(py - delta), abs(py + delta))
+        # (polynomial, weight) pairs of the second-order term, 1/2 a^T H a
+        self._hess = ((self.g0x.partial(0), 0.5), (self.g0x.partial(1), 1.0),
+                      (self.g0y.partial(1), 0.5))
         try:
-            self.g0.coeff_matrix()
-            bxx = float(_polyval2d(axm, aym, self.g0x.partial(0).abs_coeff_matrix()))
-            bxy = float(_polyval2d(axm, aym, self.g0x.partial(1).abs_coeff_matrix()))
-            byy = float(_polyval2d(axm, aym, self.g0y.partial(1).abs_coeff_matrix()))
+            for p in (self.g0, *(hp for hp, _ in self._hess)):
+                p.coeff_matrix()
         except OverflowError:
             raise FiberError("|V - V(p)|^2 has coefficients beyond the float range") from None
-        self._hess_bound = bxx + 2.0 * bxy + byy
+        self._t3 = _third_order_bound(self.g0, px, py, self.delta)
         self._levels: dict[int, dict] = {}
 
     def level(self, n: int) -> dict:
@@ -182,19 +233,30 @@ class _Workspace:
         ys = np.linspace(py - d, py + d, n + 1)
         g0n = self.g0.eval_outer(xs, ys)
         h = 2.0 * d / n
+        r = 0.5 * h
         cx = 0.5 * (xs[:-1] + xs[1:])
         cy = 0.5 * (ys[:-1] + ys[1:])
-        g0c = self.g0.eval_outer(cx, cy)
-        rad = self.g0x.eval_outer(cx, cy)
-        np.abs(rad, out=rad)
-        gy = self.g0y.eval_outer(cx, cy)
-        rad += np.abs(gy, out=gy)
-        rad *= 0.5 * h
-        rad += 0.5 * self._hess_bound * (0.5 * h) ** 2
-        rad += 1e-12 * float(np.abs(g0n).max()) + 1e-300
+        g0c = np.empty((n, n))
+        rad = np.empty((n, n))
+        # row blocks of about _BLOCK cells keep each pass in cache; within a
+        # block one temporary is alive at a time: evaluate, abs, scale, add
+        step = max(1, _BLOCK // n)
+        for s in range(0, n, step):
+            bx, blk = cx[s:s + step], rad[s:s + step]
+            g0c[s:s + step] = self.g0.eval_outer(bx, cy)
+            np.abs(self.g0x.eval_outer(bx, cy), out=blk)
+            t = self.g0y.eval_outer(bx, cy)
+            blk += np.abs(t, out=t)
+            blk *= r
+            for hp, w in self._hess:
+                t = hp.eval_outer(bx, cy)
+                np.abs(t, out=t)
+                t *= w * r * r
+                blk += t
+        rad += self._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(g0n).max()) + 1e-300
         # cells fully outside the closed ball get discarded
-        ndx = np.maximum(np.abs(cx - px) - 0.5 * h, 0.0)[:, None]
-        ndy = np.maximum(np.abs(cy - py) - 0.5 * h, 0.0)[None, :]
+        ndx = np.maximum(np.abs(cx - px) - r, 0.0)[:, None]
+        ndy = np.maximum(np.abs(cy - py) - r, 0.0)[None, :]
         keep = ndx * ndx + ndy * ndy <= d * d
         lv = {"xs": xs, "ys": ys, "g0n": g0n, "g0c": g0c, "rad": rad, "keep": keep, "h": h}
         self._levels[n] = lv
@@ -438,6 +500,9 @@ def extract_fiber(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if eta < ETA_MIN:
+        # marching compares g0 with eta^2, which would lose its bits or flush to 0
+        raise ValueError(f"eta {eta:g} is below {ETA_MIN:.9g}: its square underflows")
     ws = _ws if _ws is not None else _Workspace(v, location, delta)
     n = int(grid) if grid is not None else cfg.grid
     if n < 64:

@@ -121,6 +121,16 @@ class TestExitCodes:
         assert code == EXIT_BADARG
         assert "eta_max" in err
 
+    @pytest.mark.parametrize("eta", ["1e-170", "1.4e-154"])
+    def test_eta_with_underflowing_square_names_the_floor(self, capsys, eta):
+        """eta^2 below the smallest normal float used to flush the fiber test
+        to 0 and print closed=0 with exit 0."""
+        code, out, err = run(capsys, "fiber", str(SYSTEMS / "van-der-pol.vf"),
+                             "--point-id", "0", "--eta", eta)
+        assert code == EXIT_BADARG
+        assert out == ""
+        assert "eta_min = 1.49166815e-154" in err
+
     def test_grid_floor(self, capsys):
         code, _, err = run(capsys, "fiber",
                            str(SYSTEMS / "linear-center.vf"),

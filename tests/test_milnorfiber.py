@@ -10,6 +10,7 @@ random fields.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -171,9 +172,12 @@ class TestWorkspaceLevel:
         cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]),
                              indexing="ij")
         g0n = ws.g0.eval_grid(xn, yn)
-        rad = (np.abs(ws.g0x.eval_grid(cx, cy)) + np.abs(ws.g0y.eval_grid(cx, cy))) \
-            * (0.5 * h) + 0.5 * ws._hess_bound * (0.5 * h) ** 2
-        rad += 1e-12 * float(np.abs(g0n).max()) + 1e-300
+        r = 0.5 * h
+        rad = (np.abs(ws.g0x.eval_grid(cx, cy)) + np.abs(ws.g0y.eval_grid(cx, cy))) * r
+        for hp, w in ((ws.g0x.partial(0), 0.5), (ws.g0x.partial(1), 1.0),
+                      (ws.g0y.partial(1), 0.5)):
+            rad += np.abs(hp.eval_grid(cx, cy)) * (w * r * r)
+        rad += ws._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(g0n).max()) + 1e-300
         ndx = np.maximum(np.abs(cx - self.LOC[0]) - 0.5 * h, 0.0)
         ndy = np.maximum(np.abs(cy - self.LOC[1]) - 0.5 * h, 0.0)
         assert np.array_equal(lv["g0n"], g0n)
@@ -193,6 +197,106 @@ class TestWorkspaceLevel:
             tracemalloc.stop()
         kept = sum(a.nbytes for a in lv.values() if isinstance(a, np.ndarray))
         assert peak <= 3 * kept
+
+
+class TestCellEnclosure:
+    """Each cell's radius encloses |g0 - g0(centre)| on the whole cell: the
+    per-cell gradient and Hessian terms plus the ball-wide third-order
+    remainder form a Taylor enclosure, not an estimate."""
+
+    @pytest.mark.parametrize("loc,delta", [((0.25, -0.5), 0.75), ((1.5, 1.2), 0.4),
+                                           ((0.0, 0.0), 2.0)])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_radius_encloses_cell_values(self, degree, loc, delta):
+        worst = 0.0
+        for seed in range(8):
+            ws = mf._Workspace(random_field(seed, degree=degree), loc, delta)
+            rng = np.random.default_rng(seed)
+            for n in (64, 128):
+                lv = ws.level(n)
+                xs, ys = lv["xs"], lv["ys"]
+                # 2000 interior points and 2000 cell corners
+                i = rng.integers(0, n, 4000)
+                j = rng.integers(0, n, 4000)
+                u, w = rng.uniform(0.0, 1.0, (2, 4000))
+                u[2000:] = rng.integers(0, 2, 2000)
+                w[2000:] = rng.integers(0, 2, 2000)
+                x = xs[i] + u * (xs[i + 1] - xs[i])
+                y = ys[j] + w * (ys[j + 1] - ys[j])
+                dev = np.abs(ws.g0.eval_grid(x, y) - lv["g0c"][i, j])
+                worst = max(worst, float((dev / lv["rad"][i, j]).max()))
+        assert worst <= 1.0
+
+    def test_third_order_bound_exact_value(self, pair_field):
+        """g0 = (x^2 - 1)^2 + y^2 at p = (1, 0) is u^4 + 4u^3 + 4u^2 + v^2 in
+        u = x - 1, v = y, so g_xxx = 24u + 24 and the other third partials
+        vanish: the bound at delta is 24 delta + 24."""
+        ws = mf._Workspace(pair_field, (1.0, 0.0), 0.75)
+        assert ws._t3 == 24 * 0.75 + 24
+
+    def test_third_partial_beyond_float_range(self):
+        """g0 = 4e306 x^6 + 4e153 x^4 + x^2 + y^2: g_xxx = 4.8e308 x^3 + ...,
+        whose coefficient has no float value.  The bound is exact, so the
+        workspace still builds and the steep field keeps its loop."""
+        v = cb.parse_vf("P = 2*10^153*x^3 + x\nQ = y\nbox = [-5, 5] x [-5, 5]\n")
+        ws = mf._Workspace(v, (0.0, 0.0), 0.5)
+        assert ws._t3 == float(F(48, 10) * 10 ** 308 / 8 + F(96, 10) * 10 ** 154 / 2)
+        fib = mf.extract_fiber(v, (0.0, 0.0), 0.5, 0.1, _ws=ws)
+        assert (fib.closed_count, fib.arc_count, fib.grid_resolution) == (1, 0, 2048)
+
+    def test_overflowing_bound_refines_to_the_cap(self):
+        """At delta 2 the third-order bound itself passes the float range:
+        it reads inf, and every level refines to the grid cap."""
+        v = cb.parse_vf("P = 2*10^153*x^3 + x\nQ = y\nbox = [-5, 5] x [-5, 5]\n")
+        ws = mf._Workspace(v, (0.0, 0.0), 2.0)
+        assert ws._t3 == math.inf
+        with np.errstate(over="ignore"):
+            fib = mf.extract_fiber(v, (0.0, 0.0), 2.0, 0.1, _ws=ws)
+        assert (fib.closed_count, fib.arc_count, fib.grid_resolution) == (1, 0, 2048)
+
+
+class TestCorpusGridLevels:
+    """Work guard: the grid each corpus sweep level settles on, with the
+    sweep's own workspace.  A ball-wide Hessian bound drove van der Pol and
+    two-cycle to the 2048 cap on 7 and 8 of their 8 levels."""
+
+    GRIDS = {
+        "cubic-one-cycle": [[256] * 8],
+        "van-der-pol": [[256] * 5 + [512, 1024, 2048]],
+        "linear-center": [[256] * 8],
+        "two-cycle": [[256] * 4 + [512, 512, 1024, 1024]],
+        "degenerate-demo": [[256] * 7 + [512]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_grid_per_eta(self, corpus, name):
+        v = corpus[name]
+        locs = [cp.location for cp in find_critical_points(v)]
+        got = []
+        for k, loc in enumerate(locs):
+            delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+            ws = mf._Workspace(v, loc, delta)
+            got.append([mf.extract_fiber(v, loc, delta, eta, _ws=ws).grid_resolution
+                        for eta in sweep])
+        assert got == self.GRIDS[name]
+
+
+class TestEtaFloor:
+    """eta^2 must be a normal float: marching compares g0 with it."""
+
+    def test_underflowing_square_rejected(self, radial):
+        with pytest.raises(ValueError, match="square underflows"):
+            mf.extract_fiber(radial, (0.0, 0.0), 2.0, 1e-170)
+        with pytest.raises(ValueError, match="square underflows"):
+            mf.extract_fiber(radial, (0.0, 0.0), 2.0, np.nextafter(mf.ETA_MIN, 0.0))
+        assert mf.ETA_MIN * mf.ETA_MIN == sys.float_info.min
+
+    def test_sweep_below_the_floor_fails_the_point(self):
+        """A sweep whose bottom eta squares below the float range fails as a
+        FiberError, which the pipeline records per point."""
+        v = cb.parse_vf("P = x/10^160\nQ = y/10^160\nbox = [-5, 5] x [-5, 5]\n")
+        with pytest.raises(mf.FiberError, match="square underflows"):
+            mf.select_radii(v, (0.0, 0.0))
 
 
 class TestMarchChains:

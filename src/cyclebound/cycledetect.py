@@ -15,10 +15,17 @@ time) and refined in that direction; lambda is the same integral either way.
 
 Scouting brackets each line crossing inside one step.  Most hits have a
 direction and side that no root in the step can change (`_sure_hits`); they
-are only recorded during the integration, and one array bisection
-(`odeflow.hermite_roots`) solves all of them after it.  The other hits are
-solved at once by the scalar `hermite_root`.  Both give the same floats, so
-the crossing events do not depend on which path a hit took.
+are recorded as pending rows, and one array bisection
+(`odeflow.hermite_roots`) solves all pending rows once there are at least as
+many new crossings as live seeds.  The other hits are solved at once by the
+scalar `hermite_root`.  Both give the same floats, so the crossing events do
+not depend on which path a hit took.  After each solve, a seed stops at the
+first crossing at which one of its families has settled: four crossings or
+more, the last two within the floor of `_settled`.  Its families are cut at
+that crossing, so the result does not depend on when a solve ran, and
+`_analyze_family` judges each settled family as a candidate (floor branch)
+or a closed-orbit band (stall test).  Seeds that never settle run to
+t_horizon or max_returns.
 
 `no_cycle_certificate` is the certified shortcut: when div V is identically
 zero or keeps one strict sign on the region scouting explores, no limit
@@ -198,9 +205,17 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
 
     A step that crosses a section line brackets the crossing on its y
     Hermite.  A sure hit (`_sure_hits`) has its key and its place in the
-    family without a root, so it stores its bracket and is solved with all
-    others by one `hermite_roots` call after the loop; any other hit is
-    solved at once by `hermite_root`.  Both give the same floats.
+    family without a root, so it stores its bracket as a pending row; any
+    other hit is solved at once by `hermite_root`.  Once the crossings
+    gained since the last check are at least as many as the live seeds, one
+    `hermite_roots` call solves every pending row (both give the same
+    floats) and `_stop_settled` checks the families that gained a crossing.
+    A seed stops at the first crossing at which one of its families settles
+    (`_settled`), and each of its families keeps only the crossings up to
+    that time: after it the seed only repeats an orbit that `_analyze_family`
+    has already judged.  Since every family is cut at that crossing, the
+    result does not depend on when a check ran.  t_horizon and max_returns
+    still stop the seeds that never settle.
     """
     m = len(seeds)
     fams: list[dict] = [dict() for _ in range(m)]
@@ -214,9 +229,13 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     sy = [s.anchor[1] for s in sections]
     sax = [s.anchor[0] for s in sections]
 
-    # Hermite data of the sure hits, one row each, solved after the loop
+    # Hermite data of the pending sure hits, one row each
     rows = np.empty((1024, _ROW_WIDTH))
     n_rows = 0
+    # (seed, key) of each family that gained a crossing since the last
+    # check, mapped to its length before it; and the count of those crossings
+    fresh: dict = {}
+    n_fresh = 0
 
     x = seeds[:, 0].astype(float).copy()
     y = seeds[:, 1].astype(float).copy()
@@ -225,6 +244,13 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     errp = np.ones(m)
     k1x, k1y = field(x, y)
     active = np.hypot(k1x, k1y) > 1e-10
+
+    def check():
+        nonlocal n_rows, n_fresh
+        for gi in _stop_settled(fams, fresh, _solve_rows(rows[:n_rows]), cfg):
+            active[gi] = False
+        fresh.clear()
+        n_rows = n_fresh = 0
 
     with np.errstate(all="ignore"):
         for _ in range(200_000):
@@ -283,10 +309,12 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                                left[sure].tolist())
                     for row, (gi, dirc, side) in enumerate(keys, n_rows):
                         events = fams[gi].setdefault((si, dirc, side), [])
+                        fresh.setdefault((gi, (si, dirc, side)), len(events))
                         events.append(row)
                         if len(events) >= cfg.max_returns:
                             active[gi] = False
                     n_rows += k
+                    n_fresh += k
                 for j in np.nonzero(~sure)[0]:
                     gi = int(g[j])
                     tg = float(t0[j])
@@ -304,7 +332,9 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     if abs(u) < 1e-12:
                         continue
                     events = fams[gi].setdefault((si, dirc, u > 0), [])
+                    fresh.setdefault((gi, (si, dirc, u > 0)), len(events))
                     events.append((t_cross, u))
+                    n_fresh += 1
                     if len(events) >= cfg.max_returns:
                         active[gi] = False
 
@@ -323,15 +353,56 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             dead = out | eqm | tend
             if dead.any():
                 active[gidx[dead]] = False
+            if n_fresh >= len(idx):
+                check()
 
-    # one bisection for all sure hits; each row index becomes its (t, u)
-    t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows[:n_rows].T
-    tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
-    solved = list(zip((t0 + tau * hh).tolist(), (-(hermite(x0, dx0, x1, dx1, tau) - ax)).tolist()))
-    for per_seed in fams:
-        for key, events in per_seed.items():
-            per_seed[key] = [solved[e] if type(e) is int else e for e in events]
+    check()
     return fams
+
+
+def _solve_rows(rows: np.ndarray) -> list:
+    """(t, u) of each pending sure hit, by one `hermite_roots` bisection."""
+    t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows.T
+    tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
+    return list(zip((t0 + tau * hh).tolist(), (-(hermite(x0, dx0, x1, dx1, tau) - ax)).tolist()))
+
+
+def _stop_settled(fams, fresh, solved, cfg: DetectConfig) -> list:
+    """Fill in the solved rows of the fresh families and cut each settled seed.
+
+    `fresh` maps (seed, key) to the family's length at the last check; row
+    indices past it become their (t, u) from `solved`.  Every pending row is
+    solved, so a seed's events are complete up to its current time, and the
+    earliest crossing at which one of its fresh families settles is the
+    seed's first.  That seed's families keep the crossings up to it, and
+    empty ones are dropped.  Returns the seeds that settled.
+    """
+    stop: dict = {}
+    for (gi, key), start in fresh.items():
+        events = fams[gi][key]
+        events[start:] = [solved[e] if type(e) is int else e for e in events[start:]]
+        for k in range(max(start, 3), len(events)):
+            if _settled(events[:k + 1], cfg):
+                stop[gi] = min(stop.get(gi, math.inf), events[k][0])
+                break
+    for gi, t_stop in stop.items():
+        kept = ((key, [e for e in evs if e[0] <= t_stop]) for key, evs in fams[gi].items())
+        fams[gi] = {key: evs for key, evs in kept if evs}
+    return list(stop)
+
+
+def _settled(events, cfg: DetectConfig) -> bool:
+    """Whether a crossing sequence has reached the scout measurement floor.
+
+    At least four crossings, and the last two u differ by less than
+    max(1e-9, 0.1 scout_rtol) times max(1, max |u|).  This is the floor
+    branch of `_analyze_family` and, at the default stall_tol, its stall
+    test too; scouting stops a seed at the first crossing where it holds.
+    """
+    if len(events) < 4:
+        return False
+    scale = max(1.0, max(abs(u) for _, u in events))
+    return abs(events[-1][1] - events[-2][1]) < max(1e-9, 0.1 * cfg.scout_rtol) * scale
 
 
 def _analyze_family(events, cfg: DetectConfig):
@@ -339,11 +410,14 @@ def _analyze_family(events, cfg: DetectConfig):
 
     Sequences that sit still from the start are closed-orbit bands (centers)
     and yield nothing; genuine convergence either collapses to the scout
-    measurement floor after a real approach or shows a geometric difference
-    ratio below 1 - conv_tol, in which case the limit is Aitken-extrapolated.
-    The floor sits below the scouting tolerance rather than at machine
-    epsilon: adaptive steps phase-lock onto the orbit, so the recorded
-    crossings repeat with a coherent interpolation bias of that size.
+    measurement floor (`_settled`) after a real approach or shows a
+    geometric difference ratio below 1 - conv_tol, in which case the limit
+    is Aitken-extrapolated.  The floor sits below the scouting tolerance
+    rather than at machine epsilon: adaptive steps phase-lock onto the
+    orbit, so the recorded crossings repeat with a coherent interpolation
+    bias of that size.  Scouting cuts each seed's families at its first
+    settled crossing, so a settled family ends there and is judged here by
+    the floor branch or, if it never moved, by the stall test.
     Anything nominated here still has to survive Newton shooting and the
     isolation probe, which keep closed-orbit bands out of the results.
     """
@@ -357,7 +431,7 @@ def _analyze_family(events, cfg: DetectConfig):
     if ad.max() < cfg.stall_tol * scale:
         return None
     t_est = float(ts[-1] - ts[-2])
-    if ad[-1] < max(1e-9, 0.1 * cfg.scout_rtol) * scale:
+    if _settled(events, cfg):
         return float(us[-1]), t_est
     ratios = ad[1:] / np.maximum(ad[:-1], 1e-300)
     tail = ratios[-3:]

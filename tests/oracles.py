@@ -5,8 +5,9 @@ and refinement code paths: polynomial values come straight from the term
 dictionaries, fiber counts from a sign-grid flood fill, periods from scipy,
 distances from dense resampling.  The one exception is `scout_reference`,
 scouting's earlier per-hit loop on the library's own stepper and scalar
-bisection: it pins the crossing events that the deferred root solve must
-reproduce bit for bit.
+bisection, which runs every seed to its end.  With `truncate_at_settle`
+applied after it, it pins the crossing events that the deferred root solve
+and the early stop must reproduce bit for bit.
 """
 
 import math
@@ -340,3 +341,28 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
             if dead.any():
                 active[gidx[dead]] = False
     return fams
+
+
+def truncate_at_settle(fams, cfg):
+    """Scouting's stop rule, applied after a run that went on to the end.
+
+    A family settles at its first crossing k >= 3 (0-based) whose u differs
+    from the one before by less than max(1e-9, 0.1 scout_rtol) times
+    max(1, max |u|) over crossings 0..k.  Each seed is cut at the earliest
+    time at which any of its families settles: every family keeps its
+    crossings up to that time, and families left empty are dropped.
+    """
+    floor = max(1e-9, 0.1 * cfg.scout_rtol)
+    out = []
+    for per_seed in fams:
+        t_stop = math.inf
+        for events in per_seed.values():
+            umax = 1.0
+            for k, (t, u) in enumerate(events):
+                umax = max(umax, abs(u))
+                if k >= 3 and abs(u - events[k - 1][1]) < floor * umax:
+                    t_stop = min(t_stop, t)
+                    break
+        kept = {key: [e for e in evs if e[0] <= t_stop] for key, evs in per_seed.items()}
+        out.append({key: evs for key, evs in kept.items() if evs})
+    return out

@@ -21,7 +21,8 @@ from cyclebound.critfind import find_critical_points
 from cyclebound.odeflow import Section, hermite, hermite_deriv, hermite_root
 from cyclebound.polyalg import Interval, interval_eval
 
-from oracles import circle, hausdorff_resampled, random_field, scout_reference, winding_brute
+from oracles import (circle, hausdorff_resampled, random_field, scout_reference,
+                     truncate_at_settle, winding_brute)
 from test_polyalg import rand_poly
 
 TWO_PI = 2.0 * math.pi
@@ -139,8 +140,18 @@ def scalar_key(y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor):
 
 
 class TestScoutDeferredRoots:
-    """Scouting solves its sure hits in one array bisection after the loop;
-    its families must equal the per-hit reference loop's bit for bit."""
+    """Scouting solves its sure hits in batched array bisections and stops
+    each seed once one of its families settles; its families must equal the
+    per-hit reference loop's, cut by the stop rule, bit for bit."""
+
+    # seeds whose families the stop rule cuts, (forward, backward).  Forward,
+    # every seed of van der Pol and of the cubic settles on the attracting
+    # cycle.  Backward, van der Pol's seeds inside the cycle spiral into the
+    # origin and are cut once their crossings settle; the cubic's contract by
+    # e^(-2 pi) a turn and stop at the origin before they cross again, and
+    # the outer seeds leave the box.
+    STOPPED = {"van-der-pol": ("all", "some"), "cubic-one-cycle": ("all", "none"),
+               "random-3-5": ("none", "none")}
 
     @pytest.mark.parametrize("time_sign", [1.0, -1.0], ids=["forward", "backward"])
     @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
@@ -151,7 +162,8 @@ class TestScoutDeferredRoots:
         x0, x1, y0, y1 = v.box.floats()
         sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
                             halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
-        seeds = cd._make_seeds(v, cps, cd.DetectConfig())
+        cfg = cd.DetectConfig()
+        seeds = cd._make_seeds(v, cps, cfg)
         scalar_hits = []
 
         def counted(*args):
@@ -159,10 +171,14 @@ class TestScoutDeferredRoots:
             return hermite_root(*args)
 
         monkeypatch.setattr(cd, "hermite_root", counted)
-        got = cd._scout(v, seeds, sections, cd.DetectConfig(), time_sign)
-        want = scout_reference(v, seeds, sections, cd.DetectConfig(), time_sign)
+        got = cd._scout(v, seeds, sections, cfg, time_sign)
+        full = scout_reference(v, seeds, sections, cfg, time_sign)
+        want = truncate_at_settle(full, cfg)
         events = sum(len(evs) for fam in want for evs in fam.values())
         assert 0 < len(scalar_hits) < events  # both paths ran
+        stopped = sum(a != b for a, b in zip(want, full))
+        kind = "none" if stopped == 0 else "all" if stopped == len(seeds) else "some"
+        assert kind == self.STOPPED[name][time_sign < 0]
         assert pickle.dumps(got) == pickle.dumps(want)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -174,6 +190,50 @@ class TestScoutDeferredRoots:
         for j in np.nonzero(sure)[0]:
             want = scalar_key(*(float(c[j]) for c in hits[1:]))
             assert want == (1 if rising[j] else -1, bool(left[j])), j
+
+
+def crossings(us):
+    return [(float(i), u) for i, u in enumerate(us)]
+
+
+class TestSettled:
+    """The floor at which scouting stops a seed and `_analyze_family`
+    nominates the family's last crossing."""
+
+    cfg = cd.DetectConfig()
+    floor = max(1e-9, 0.1 * cfg.scout_rtol)
+
+    def test_needs_four_crossings(self):
+        assert not cd._settled(crossings([0.9, 0.6, 0.6]), self.cfg)
+        assert cd._settled(crossings([0.9, 0.7, 0.6, 0.6]), self.cfg)
+
+    @pytest.mark.parametrize("factor,settled", [(0.99, True), (1.01, False)])
+    def test_last_difference_against_floor(self, factor, settled):
+        us = [0.9, 0.7, 0.6, 0.6 + factor * self.floor]
+        assert cd._settled(crossings(us), self.cfg) is settled
+
+    @pytest.mark.parametrize("first,settled", [(0.9, False), (5.0, True), (-5.0, True)])
+    def test_scale_follows_largest_u(self, first, settled):
+        us = [first, 0.7, 0.6, 0.6 + 2.0 * self.floor]
+        assert cd._settled(crossings(us), self.cfg) is settled
+
+    def test_stalled_family_nominates_nothing(self):
+        us = [0.6, 0.6 + 0.5 * self.floor, 0.6, 0.6 + 0.5 * self.floor]
+        assert cd._settled(crossings(us), self.cfg)
+        assert cd._analyze_family(crossings(us), self.cfg) is None
+
+    def test_closed_orbits_stop_before_the_horizon(self, corpus, corpus_cps):
+        """linear-center's orbits are closed: every crossing family stalls,
+        so every seed stops long before t_horizon, and nothing is found."""
+        v, cps, cfg = corpus["linear-center"], corpus_cps["linear-center"], self.cfg
+        assert cd.detect_limit_cycles(v, cps, cfg) == []
+        x0, x1, y0, y1 = v.box.floats()
+        sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
+                            halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
+        fams = cd._scout(v, cd._make_seeds(v, cps, cfg), sections, cfg, 1.0)
+        last = [max(t for evs in fam.values() for t, _ in evs) for fam in fams if fam]
+        assert len(last) > len(fams) // 2
+        assert max(last) < cfg.t_horizon
 
 
 def radial_field(f: str, box: str = "[-3, 3] x [-3, 3]") -> cb.VectorField:

@@ -10,8 +10,11 @@ Extraction is marching squares on g = ||V - V(p)||^2 - eta^2 with linear edge
 interpolation.  Saddle cells are resolved by the sign of g at the cell
 center.  Cells whose corner signs hide a possible component (uniform sign,
 not next to any crossed cell, but with a Taylor enclosure of g straddling 0)
-trigger grid doubling; topology is accepted once two successive grids agree
-or nothing is left unresolved.
+are unresolved.  Below the grid cap a topology is accepted only when nothing
+is left unresolved and it agrees with the previous grid's (the first grid
+has no previous one, so the count alone decides); otherwise the grid
+doubles.  At the cap agreement alone decides, so the cap grid never builds
+the enclosure.
 
 The enclosure is a third-order Taylor form per cell (see `_Workspace`): the
 gradient and Hessian at the cell centre, plus one bound on the third
@@ -179,8 +182,11 @@ _BLOCK = 1 << 17
 
 
 class _Workspace:
-    """Per-(field, point, delta) caches: the distance-squared polynomial and
-    per-grid node/center evaluations reused across the eta sweep.
+    """Per-(field, point, delta) caches: the distance-squared polynomial, and
+    per grid the node values (`level`) and the cell enclosures
+    (`enclosure`), reused across the eta sweep.  `extract_fiber` asks for
+    the enclosure only at grids below its cap: at the cap topology agreement
+    alone decides, so nothing would read it there.
 
     Each cell of half-width r = h/2 around its centre c gets a radius that
     encloses |g0 - g0(c)| on the cell.  Taylor's theorem with the Lagrange
@@ -222,8 +228,11 @@ class _Workspace:
             raise FiberError("|V - V(p)|^2 has coefficients beyond the float range") from None
         self._t3 = _third_order_bound(self.g0, px, py, self.delta)
         self._levels: dict[int, dict] = {}
+        self._enclosures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def level(self, n: int) -> dict:
+        """The grid of n cells: axes "xs" and "ys", node values "g0n", the
+        cells "keep" that meet the closed ball, and the cell width "h"."""
         lv = self._levels.get(n)
         if lv is not None:
             return lv
@@ -231,9 +240,29 @@ class _Workspace:
         d = self.delta
         xs = np.linspace(px - d, px + d, n + 1)
         ys = np.linspace(py - d, py + d, n + 1)
-        g0n = self.g0.eval_outer(xs, ys)
         h = 2.0 * d / n
         r = 0.5 * h
+        cx = 0.5 * (xs[:-1] + xs[1:])
+        cy = 0.5 * (ys[:-1] + ys[1:])
+        # cells fully outside the closed ball get discarded; keep is built
+        # before g0n, so that its float temporary is gone when g0n is made
+        ndx = np.maximum(np.abs(cx - px) - r, 0.0)[:, None]
+        ndy = np.maximum(np.abs(cy - py) - r, 0.0)[None, :]
+        keep = ndx * ndx + ndy * ndy <= d * d
+        lv = {"xs": xs, "ys": ys, "g0n": self.g0.eval_outer(xs, ys), "keep": keep, "h": h}
+        self._levels[n] = lv
+        return lv
+
+    def enclosure(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(g0c, rad) on the grid of n cells: g0 at each cell centre and the
+        cell's Taylor radius.  Built on first request, because only a grid
+        that can still refine reads it."""
+        enc = self._enclosures.get(n)
+        if enc is not None:
+            return enc
+        lv = self.level(n)
+        xs, ys = lv["xs"], lv["ys"]
+        r = 0.5 * lv["h"]
         cx = 0.5 * (xs[:-1] + xs[1:])
         cy = 0.5 * (ys[:-1] + ys[1:])
         g0c = np.empty((n, n))
@@ -253,14 +282,9 @@ class _Workspace:
                 np.abs(t, out=t)
                 t *= w * r * r
                 blk += t
-        rad += self._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(g0n).max()) + 1e-300
-        # cells fully outside the closed ball get discarded
-        ndx = np.maximum(np.abs(cx - px) - r, 0.0)[:, None]
-        ndy = np.maximum(np.abs(cy - py) - r, 0.0)[None, :]
-        keep = ndx * ndx + ndy * ndy <= d * d
-        lv = {"xs": xs, "ys": ys, "g0n": g0n, "g0c": g0c, "rad": rad, "keep": keep, "h": h}
-        self._levels[n] = lv
-        return lv
+        rad += self._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(lv["g0n"]).max()) + 1e-300
+        enc = self._enclosures[n] = (g0c, rad)
+        return enc
 
 
 # case -> segments, each a pair of cell edges; an edge is the offset of its
@@ -289,39 +313,52 @@ _SADDLE = {
 }
 
 
-def _march(ws: _Workspace, eta: float, n: int):
+def _march(ws: _Workspace, eta: float, n: int, count: bool = True):
     """One marching-squares pass; returns (chains, unresolved_count).
 
     chains: list of (vertex array, closed flag), unclipped.  A closed chain
-    repeats its first vertex at its end.
+    repeats its first vertex at its end.  The unresolved count only decides
+    whether to refine, so with count=False, as at the grid cap, it is None
+    and the cell enclosure is not built.
     """
     lv = ws.level(n)
     lvl = eta * eta
-    g0n, g0c, keep = lv["g0n"], lv["g0c"], lv["keep"]
+    g0n, keep = lv["g0n"], lv["keep"]
     neg = g0n < lvl  # g = g0n - lvl < 0, tested without forming g
     c00, c10, c11, c01 = neg[:-1, :-1], neg[1:, :-1], neg[1:, 1:], neg[:-1, 1:]
     crossing = (c00 | c10 | c11 | c01) & ~(c00 & c10 & c11 & c01) & keep
 
-    # a kept cell not next to any crossed cell, whose Taylor enclosure of g
-    # straddles zero, may hide a component below grid resolution.  The 3x3
-    # dilation runs along each axis in two in-place steps: the second reads
-    # the first's result, so each cell ORs itself and both neighbours.
-    adj = crossing.copy()
-    adj[1:] |= adj[:-1]
-    adj[:-1] |= adj[1:]
-    adj[:, 1:] |= adj[:, :-1]
-    adj[:, :-1] |= adj[:, 1:]
-    gc = g0c - lvl
-    unresolved = np.count_nonzero(keep & ~adj & (np.abs(gc, out=gc) <= lv["rad"]))
+    unresolved = None
+    if count:
+        # a kept cell not next to any crossed cell, whose Taylor enclosure of
+        # g straddles zero, may hide a component below grid resolution.  The
+        # 3x3 dilation runs along each axis in two in-place steps: the second
+        # reads the first's result, so each cell ORs itself and both
+        # neighbours.
+        adj = crossing.copy()
+        adj[1:] |= adj[:-1]
+        adj[:-1] |= adj[1:]
+        adj[:, 1:] |= adj[:, :-1]
+        adj[:, :-1] |= adj[:, 1:]
+        g0c, rad = ws.enclosure(n)
+        gc = g0c - lvl
+        unresolved = np.count_nonzero(keep & ~adj & (np.abs(gc, out=gc) <= rad))
 
     # an edge borders two cells and a cell's segments use each of its edges
     # at most once, so every edge key has at most two neighbours: the
     # segments form simple paths and loops
     ii, jj = np.divmod(np.flatnonzero(crossing), n)
     case = c00[ii, jj] + 2 * c10[ii, jj] + 4 * c11[ii, jj] + 8 * c01[ii, jj]
+    # a saddle cell takes the sign of g at its centre, evaluated at those
+    # cells alone: bit-identical to the enclosure's g0c there
+    sad = (case == 5) | (case == 10)
+    si, sj = ii[sad], jj[sad]
+    below = np.zeros(len(ii), bool)
+    below[sad] = ws.g0.eval_grid(0.5 * (lv["xs"][si] + lv["xs"][si + 1]),
+                                 0.5 * (lv["ys"][sj] + lv["ys"][sj + 1])) - lvl < 0.0
     nbrs: dict[tuple, list[tuple]] = {}
-    for i, j, c in zip(ii.tolist(), jj.tolist(), case.tolist()):
-        segs = _SADDLE[c][0 if g0c[i, j] - lvl < 0.0 else 1] if c in _SADDLE else _SEGMENTS[c]
+    for i, j, c, b in zip(ii.tolist(), jj.tolist(), case.tolist(), below.tolist()):
+        segs = _SADDLE[c][0 if b else 1] if c in _SADDLE else _SEGMENTS[c]
         for (kind1, di1, dj1), (kind2, di2, dj2) in segs:
             k1, k2 = (kind1, i + di1, j + dj1), (kind2, i + di2, j + dj2)
             nbrs.setdefault(k1, []).append(k2)
@@ -446,8 +483,8 @@ def _clip_chain(pts: np.ndarray, closed: bool, center, delta):
     return [(np.array(p), False) for p in pieces if len(p) >= 3]
 
 
-def _extract_once(ws: _Workspace, eta: float, n: int):
-    chains, unresolved = _march(ws, eta, n)
+def _extract_once(ws: _Workspace, eta: float, n: int, count: bool):
+    chains, unresolved = _march(ws, eta, n, count)
     h = ws.level(n)["h"]
     comps = []
     for pts, closed in chains:
@@ -494,9 +531,12 @@ def extract_fiber(
 ) -> FiberCurve:
     """Marching-squares extraction of the fiber curve at one eta level.
 
-    Doubles the grid while unresolved cells remain or the topology keeps
-    changing, up to cfg.max_grid; raises GridTooCoarse when the cap is hit
-    with the topology still moving.
+    A grid that can still double within cfg.max_grid is accepted when it
+    leaves no cell unresolved and its topology agrees with the previous
+    grid's (the first grid has no previous one, so the count alone decides);
+    otherwise the grid doubles.  At the cap, the last grid, agreement alone
+    decides: the topology is accepted, or GridTooCoarse is raised.  The cap
+    grid neither counts unresolved cells nor builds their enclosure.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -509,18 +549,18 @@ def extract_fiber(
         raise ValueError("grid must be at least 64")
     prev_topo = None
     while True:
-        comps, unresolved = _extract_once(ws, eta, n)
-        topo = (sum(c.closed for c in comps), sum(not c.closed for c in comps))
         can_refine = 2 * n <= cfg.max_grid
+        comps, unresolved = _extract_once(ws, eta, n, can_refine)
+        topo = (sum(c.closed for c in comps), sum(not c.closed for c in comps))
         settled = prev_topo is None or topo == prev_topo
-        if unresolved == 0 and settled:
-            break
         if not can_refine:
             if settled:
                 break
             raise GridTooCoarse(
                 f"topology changed from {prev_topo} to {topo} at the {cfg.max_grid} grid cap"
             )
+        if unresolved == 0 and settled:
+            break
         prev_topo = topo
         n *= 2
     _check_tangency(comps, ws, n, cfg)

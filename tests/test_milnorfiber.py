@@ -180,23 +180,49 @@ class TestWorkspaceLevel:
         rad += ws._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(g0n).max()) + 1e-300
         ndx = np.maximum(np.abs(cx - self.LOC[0]) - 0.5 * h, 0.0)
         ndy = np.maximum(np.abs(cy - self.LOC[1]) - 0.5 * h, 0.0)
+        g0c, enc_rad = ws.enclosure(n)
         assert np.array_equal(lv["g0n"], g0n)
-        assert np.array_equal(lv["g0c"], ws.g0.eval_grid(cx, cy))
-        assert np.array_equal(lv["rad"], rad)
+        assert np.array_equal(g0c, ws.g0.eval_grid(cx, cy))
+        assert np.array_equal(enc_rad, rad)
         assert np.array_equal(lv["keep"], ndx * ndx + ndy * ndy <= self.DELTA * self.DELTA)
 
     def test_peak_memory_near_kept_arrays(self):
-        """A cold level allocates little beyond the arrays it keeps; a
-        meshgrid with polyval2d peaked at about 8x those bytes here."""
+        """A cold level, and then its enclosure, each allocate little beyond
+        the arrays they keep; a meshgrid with polyval2d peaked at about 8x
+        those bytes here."""
         v = random_field(5, degree=3)
         tracemalloc.start()
         try:
-            lv = mf._Workspace(v, self.LOC, self.DELTA).level(1024)
-            _, peak = tracemalloc.get_traced_memory()
+            ws = mf._Workspace(v, self.LOC, self.DELTA)
+            lv = ws.level(1024)
+            before, level_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            enc = ws.enclosure(1024)
+            _, enc_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         kept = sum(a.nbytes for a in lv.values() if isinstance(a, np.ndarray))
-        assert peak <= 3 * kept
+        assert level_peak <= 3 * kept
+        assert enc_peak - before <= 3 * sum(a.nbytes for a in enc)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.2, 0.5])
+    def test_cap_grid_builds_no_enclosure(self, eta):
+        """At the grid cap agreement alone decides, so a cold extraction
+        that starts there never builds the enclosure.  Its peak stays near
+        the node values; building the enclosure too peaked at about 4.7x
+        their bytes here."""
+        v = random_field(5, degree=3)
+        cfg = mf.FiberConfig(grid=1024, max_grid=1024)
+        tracemalloc.start()
+        try:
+            ws = mf._Workspace(v, self.LOC, self.DELTA)
+            fib = mf.extract_fiber(v, self.LOC, self.DELTA, eta, cfg, _ws=ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fib.grid_resolution == 1024 and fib.components
+        assert not ws._enclosures
+        assert peak <= 2 * ws.level(1024)["g0n"].nbytes
 
 
 class TestCellEnclosure:
@@ -215,6 +241,7 @@ class TestCellEnclosure:
             for n in (64, 128):
                 lv = ws.level(n)
                 xs, ys = lv["xs"], lv["ys"]
+                g0c, rad = ws.enclosure(n)
                 # 2000 interior points and 2000 cell corners
                 i = rng.integers(0, n, 4000)
                 j = rng.integers(0, n, 4000)
@@ -223,8 +250,8 @@ class TestCellEnclosure:
                 w[2000:] = rng.integers(0, 2, 2000)
                 x = xs[i] + u * (xs[i + 1] - xs[i])
                 y = ys[j] + w * (ys[j + 1] - ys[j])
-                dev = np.abs(ws.g0.eval_grid(x, y) - lv["g0c"][i, j])
-                worst = max(worst, float((dev / lv["rad"][i, j]).max()))
+                dev = np.abs(ws.g0.eval_grid(x, y) - g0c[i, j])
+                worst = max(worst, float((dev / rad[i, j]).max()))
         assert worst <= 1.0
 
     def test_third_order_bound_exact_value(self, pair_field):
@@ -279,6 +306,38 @@ class TestCorpusGridLevels:
             got.append([mf.extract_fiber(v, loc, delta, eta, _ws=ws).grid_resolution
                         for eta in sweep])
         assert got == self.GRIDS[name]
+
+
+class TestRandomGridLevels:
+    """Work guard: the grid each sweep level of the random panel settles on,
+    or the failure it raises, per equilibrium, on [-2, 2]^2.  Here loops a
+    few cells wide around p drive 17 of the 40 levels to the 2048 cap."""
+
+    GTC = "GridTooCoarse"
+    GRIDS = {
+        (2, 3): [[256] * 7 + [512]],
+        (3, 5): [[256, 256, 512, 512] + [2048] * 4,
+                 [256, 256, 512, 1024, 1024, 2048, 2048, 2048],
+                 [1024, 1024, 2048, 2048, GTC, GTC, 2048, 2048]],
+        (4, 1): [[1024, 1024] + [2048] * 6],
+    }
+
+    @pytest.mark.parametrize("degree,seed", sorted(GRIDS))
+    def test_grid_per_eta(self, degree, seed):
+        v = random_field(seed, degree=degree, box=cb.Box.make(-2, 2, -2, 2))
+        locs = [cp.location for cp in find_critical_points(v)]
+        got = []
+        for k, loc in enumerate(locs):
+            delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+            ws = mf._Workspace(v, loc, delta)
+            row = []
+            for eta in sweep:
+                try:
+                    row.append(mf.extract_fiber(v, loc, delta, eta, _ws=ws).grid_resolution)
+                except mf.FiberError as e:
+                    row.append(type(e).__name__)
+            got.append(row)
+        assert got == self.GRIDS[degree, seed]
 
 
 class TestEtaFloor:
@@ -352,6 +411,57 @@ class TestMarchChains:
                     assert len(got) == len(set(got))
                     assert set(got) == want
         assert saddles > 0 and opened > 0
+
+    @pytest.mark.parametrize("degree,seed", [(2, 4), (3, 5), (4, 1)])
+    def test_cap_pass_matches_counting_pass(self, degree, seed):
+        """Without the count, as at the grid cap, a pass builds no enclosure
+        and takes each saddle cell's centre value from g0 at that cell.  Its
+        chains are those of the counting pass, bit for bit, and each saddle
+        cell's two segments follow the sign of the enclosure's g0c there."""
+        v = random_field(seed, degree=degree)
+        locs = [c.location for c in find_critical_points(v)]
+        saddles = 0
+        for k, loc in enumerate(locs):
+            delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+            counting = mf._Workspace(v, loc, delta)
+            capped = mf._Workspace(v, loc, delta)
+            for n in (256, 512):
+                lv = capped.level(n)
+                xs, ys = lv["xs"], lv["ys"]
+                for eta in sweep + [4.0 * sweep[0]]:
+                    want, unresolved = mf._march(counting, eta, n)
+                    got, none = mf._march(capped, eta, n, count=False)
+                    assert unresolved is not None and none is None
+                    assert [c for _, c in got] == [c for _, c in want]
+                    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
+
+                    g = lv["g0n"] - eta * eta
+                    neg = g < 0.0
+                    case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
+                    pairs = {frozenset(map(tuple, ab)) for pts, _ in got
+                             for ab in zip(pts[:-1].tolist(), pts[1:].tolist())}
+
+                    # the crossing on edge (i, j) -> (i + 1, j) and (i, j) -> (i, j + 1)
+                    def along_x(i, j):
+                        t = g[i, j] / (g[i, j] - g[i + 1, j])
+                        return float(xs[i] + t * (xs[i + 1] - xs[i])), float(ys[j])
+
+                    def along_y(i, j):
+                        t = g[i, j] / (g[i, j] - g[i, j + 1])
+                        return float(xs[i]), float(ys[j] + t * (ys[j + 1] - ys[j]))
+
+                    g0c = counting.enclosure(n)[0]
+                    for i, j in zip(*np.nonzero(lv["keep"] & ((case == 5) | (case == 10)))):
+                        bottom, right = along_x(i, j), along_y(i + 1, j)
+                        top, left = along_x(i, j + 1), along_y(i, j)
+                        if (case[i, j] == 5) == (g0c[i, j] - eta * eta < 0.0):
+                            segs = ((bottom, right), (top, left))
+                        else:
+                            segs = ((left, bottom), (right, top))
+                        assert all(frozenset(s) in pairs for s in segs)
+                        saddles += 1
+            assert not capped._enclosures
+        assert saddles > 0
 
 
 class TestSubmersion:

@@ -4,6 +4,12 @@ Breadth-first box subdivision with interval exclusion, an interval-Newton
 contraction test for existence/uniqueness, and a float Newton polish.
 Degenerate zeros (singular Jacobian) cannot be certified; boxes around them
 shrink to the resolution tolerance, get clustered, and are kept with a flag.
+
+The subdivision is level-synchronous: each level's boxes form one
+`IntervalBoxes` array, and every test runs as outward-rounded interval
+operations on the arrays of the boxes still alive, so a level costs a fixed
+number of numpy calls however many boxes it holds.  An enclosure with a NaN
+endpoint (the arithmetic left the float range) raises CritFindError.
 """
 
 from __future__ import annotations
@@ -13,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import Interval, Poly2, VectorField, interval_eval
+from .polyalg import (
+    IntervalBoxes,
+    Poly2,
+    VectorField,
+    ia_add,
+    ia_contains_zero,
+    ia_div,
+    ia_mul,
+    ia_sub,
+    interval_eval,
+)
 
 
 class CritFindError(RuntimeError):
@@ -82,64 +98,171 @@ class CriticalPoint:
 
 
 _FBox = tuple[float, float, float, float]
+_PARTIALS = {"px": "dP/dx", "py": "dP/dy", "qx": "dQ/dx", "qy": "dQ/dy"}
 
 
-def _ibox(b: _FBox) -> tuple[Interval, Interval]:
-    return Interval(b[0], b[1]), Interval(b[2], b[3])
+def _partials(v: VectorField) -> dict:
+    return {"px": v.p.partial(0), "py": v.p.partial(1),
+            "qx": v.q.partial(0), "qy": v.q.partial(1)}
 
 
-def _width(b: _FBox) -> float:
-    return max(b[1] - b[0], b[3] - b[2])
+def _checked(iv, boxes: IntervalBoxes, what: str):
+    """iv, once no element has a NaN endpoint (lo <= hi fails only there);
+    such an element encloses nothing, so the search cannot go on."""
+    ok = iv[0] <= iv[1]
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise CritFindError(
+            f"the interval enclosure of {what} on the box "
+            f"[{boxes.x[0][k]:.6g}, {boxes.x[1][k]:.6g}] x "
+            f"[{boxes.y[0][k]:.6g}, {boxes.y[1][k]:.6g}] is "
+            f"[{iv[0][k]}, {iv[1][k]}]: the arithmetic leaves the float range")
+    return iv
 
 
-def _mv_contains_zero(poly: Poly2, gx: Poly2, gy: Poly2, b: _FBox) -> bool:
+def _enclose(poly: Poly2, boxes: IntervalBoxes, what: str):
+    return _checked(interval_eval(poly, boxes), boxes, what)
+
+
+def _take(iv, keep):
+    return iv[0][keep], iv[1][keep]
+
+
+def _mv_contains_zero(poly: Poly2, grad, boxes: IntervalBoxes, what: str) -> np.ndarray:
     """Mean-value-form range test: f(box) within f(mid) + grad(box)*(box-mid).
 
     Far tighter than the plain monomial sum on boxes away from the zero set,
-    which keeps the subdivision from drowning in fat enclosure bands.
+    which keeps the subdivision from drowning in fat enclosure bands.  grad
+    holds the enclosures of the two partials over the boxes.
     """
-    ix, iy = _ibox(b)
-    mx, my = ix.mid, iy.mid
+    mx = 0.5 * (boxes.x[0] + boxes.x[1])
+    my = 0.5 * (boxes.y[0] + boxes.y[1])
     val = poly.eval(mx, my)
-    mag = float(np.polynomial.polynomial.polyval2d(abs(mx), abs(my),
-                                                   poly.abs_coeff_matrix()))
+    mag = np.polynomial.polynomial.polyval2d(np.abs(mx), np.abs(my),
+                                             poly.abs_coeff_matrix())
     err = 1e-13 * mag + 1e-300
-    fm = Interval(val - err, val + err)
-    dx = ix - Interval.point(mx)
-    dy = iy - Interval.point(my)
-    mv = fm + interval_eval(gx, (ix, iy)) * dx + interval_eval(gy, (ix, iy)) * dy
-    return mv.contains_zero()
+    dx = ia_sub(boxes.x, (mx, mx))
+    dy = ia_sub(boxes.y, (my, my))
+    mv = ia_add(ia_add((val - err, val + err), ia_mul(grad[0], dx)), ia_mul(grad[1], dy))
+    return ia_contains_zero(_checked(mv, boxes, f"the mean-value form of {what}"))
 
 
-def _interval_newton(parts: dict, pv: Poly2, qv: Poly2, b: _FBox):
-    """One interval-Newton step on box b.
+def _interval_newton(v: VectorField, jac, boxes: IntervalBoxes):
+    """One interval-Newton step on each box; jac holds the enclosures of
+    dP/dx, dP/dy, dQ/dx and dQ/dy over the boxes.
 
-    Returns ('empty', None), ('certified', contracted), or ('unknown', contracted-or-b).
+    Returns (empty, certified, contracted): two bool arrays and the arrays
+    xlo, xhi, ylo, yhi of the contracted boxes.  A box whose determinant
+    enclosure contains 0 is neither empty nor certified, and stays as it is.
     """
-    ix, iy = _ibox(b)
-    mx, my = ix.mid, iy.mid
-    fm1 = interval_eval(pv, (Interval.point(mx), Interval.point(my)))
-    fm2 = interval_eval(qv, (Interval.point(mx), Interval.point(my)))
-    j11 = interval_eval(parts["px"], (ix, iy))
-    j12 = interval_eval(parts["py"], (ix, iy))
-    j21 = interval_eval(parts["qx"], (ix, iy))
-    j22 = interval_eval(parts["qy"], (ix, iy))
-    det = j11 * j22 - j12 * j21
-    if det.contains_zero():
-        return "unknown", b
+    (xl, xh), (yl, yh) = boxes.x, boxes.y
+    mx, my = 0.5 * (xl + xh), 0.5 * (yl + yh)
+    mid = IntervalBoxes(mx, mx, my, my)
+    fm1 = _checked(interval_eval(v.p, mid), boxes, "P at the box midpoint")
+    fm2 = _checked(interval_eval(v.q, mid), boxes, "Q at the box midpoint")
+    j11, j12, j21, j22 = jac
+    det = _checked(ia_sub(ia_mul(j11, j22), ia_mul(j12, j21)), boxes,
+                   "the Jacobian determinant")
+    solve = ~ia_contains_zero(det)
+    empty = np.zeros(len(boxes), dtype=bool)
+    certified = empty.copy()
+    contracted = [xl.copy(), xh.copy(), yl.copy(), yh.copy()]
+    if not solve.any():
+        return empty, certified, contracted
+    sub = boxes.take(solve)
+    fm1, fm2, det = _take(fm1, solve), _take(fm2, solve), _take(det, solve)
+    j11, j12, j21, j22 = (_take(j, solve) for j in jac)
     # Cramer solve of J s = f(m)
-    s1 = (j22 * fm1 - j12 * fm2) / det
-    s2 = (j11 * fm2 - j21 * fm1) / det
-    nx = Interval.point(mx) - s1
-    ny = Interval.point(my) - s2
-    bx, by = _ibox(b)
-    if not (nx.intersects(bx) and ny.intersects(by)):
-        return "empty", None
-    certified = nx.strictly_inside(bx) and ny.strictly_inside(by)
-    cx = nx.intersect(bx)
-    cy = ny.intersect(by)
-    contracted = (cx.lo, cx.hi, cy.lo, cy.hi)
-    return ("certified" if certified else "unknown"), contracted
+    s1 = _checked(ia_sub(ia_mul(j22, fm1), ia_mul(j12, fm2)), sub, "the Newton step")
+    s2 = _checked(ia_sub(ia_mul(j11, fm2), ia_mul(j21, fm1)), sub, "the Newton step")
+    mx, my = mx[solve], my[solve]
+    nx = _checked(ia_sub((mx, mx), ia_div(s1, det)), sub, "the Newton image")
+    ny = _checked(ia_sub((my, my), ia_div(s2, det)), sub, "the Newton image")
+    (bx0, bx1), (by0, by1) = sub.x, sub.y
+    hit = (nx[0] <= bx1) & (bx0 <= nx[1]) & (ny[0] <= by1) & (by0 <= ny[1])
+    inside = (bx0 < nx[0]) & (nx[1] < bx1) & (by0 < ny[0]) & (ny[1] < by1)
+    empty[solve] = ~hit
+    certified[solve] = hit & inside
+    # the intersection with the box; on a tie the image's endpoint, as max() and min() take it
+    for arr, new in zip(contracted, (np.where(bx0 > nx[0], bx0, nx[0]),
+                                     np.where(bx1 < nx[1], bx1, nx[1]),
+                                     np.where(by0 > ny[0], by0, ny[0]),
+                                     np.where(by1 < ny[1], by1, ny[1]))):
+        arr[solve] = new
+    return empty, certified, contracted
+
+
+def _rows(cols, keep) -> list[_FBox]:
+    return list(zip(*(c[keep].tolist() for c in cols)))
+
+
+def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes, cfg: SolveConfig,
+                 certified: list, unresolved: list) -> np.ndarray:
+    """Test one level's boxes, record the certified and unresolved ones, and
+    return the next level as a (4, n) array of xlo, xhi, ylo, yhi.
+
+    Each test runs on the boxes that survive the one before, in their order:
+    P's range, Q's range, the mean-value forms of P and Q, interval Newton.
+    A box left undecided is contracted, kept as unresolved below the
+    resolution width, and split otherwise, into four children in the order
+    lower-left, lower-right, upper-left, upper-right.
+    """
+    for poly, name in ((v.p, "P"), (v.q, "Q")):
+        if len(boxes):
+            boxes = boxes.take(ia_contains_zero(_enclose(poly, boxes, name)))
+    jac: list = []
+    for poly, name, keys in ((v.p, "P", ("px", "py")), (v.q, "Q", ("qx", "qy"))):
+        if len(boxes):
+            grad = [_enclose(parts[k], boxes, _PARTIALS[k]) for k in keys]
+            keep = _mv_contains_zero(poly, grad, boxes, name)
+            boxes = boxes.take(keep)
+            jac = [_take(j, keep) for j in jac + grad]
+    if not len(boxes):
+        return np.empty((4, 0))
+    empty, cert, contracted = _interval_newton(v, jac, boxes)
+    certified.extend(zip(_rows(boxes.x + boxes.y, cert), _rows(contracted, cert)))
+    cx0, cx1, cy0, cy1 = contracted
+    undecided = ~(empty | cert)
+    small = undecided & (cx1 - cx0 < cfg.resolution_tol) & (cy1 - cy0 < cfg.resolution_tol)
+    unresolved.extend(_rows(contracted, small))
+    cx0, cx1, cy0, cy1 = (c[undecided & ~small] for c in contracted)
+    mx = 0.5 * (cx0 + cx1)
+    my = 0.5 * (cy0 + cy1)
+    kids = np.array([[cx0, mx, cx0, mx], [mx, cx1, mx, cx1],
+                     [cy0, cy0, my, my], [my, my, cy1, cy1]])
+    return kids.transpose(0, 2, 1).reshape(4, 4 * len(mx))
+
+
+def _subdivide(v: VectorField, parts: dict, cfg: SolveConfig):
+    """Breadth-first subdivision of v.box, one level at a time.
+
+    Returns (certified, unresolved): the boxes interval Newton certified,
+    each with its contracted box, and the contracted boxes that fell below
+    the resolution width, each in level order and in box order within a
+    level.
+    """
+    x0, x1, y0, y1 = v.box.floats()
+    level = np.array([[x0], [x1], [y0], [y1]])
+    certified: list[tuple[_FBox, _FBox]] = []
+    unresolved: list[_FBox] = []
+    depth = 0
+    while level.shape[1]:
+        if depth > cfg.max_depth:
+            raise DepthLimitExceeded(
+                f"subdivision did not terminate at depth {cfg.max_depth}; "
+                "the zero set may be a curve",
+                box=tuple(level[:, 0].tolist()),
+            )
+        if level.shape[1] > cfg.box_budget:
+            raise DepthLimitExceeded(
+                f"{level.shape[1]} live boxes at depth {depth}; "
+                "the zero set may be a curve",
+                box=tuple(level[:, 0].tolist()),
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = _split_level(v, parts, IntervalBoxes(*level), cfg, certified, unresolved)
+        depth += 1
+    return certified, unresolved
 
 
 def _newton_polish(v: VectorField, x0: float, y0: float, tol: float, max_iter: int = 200):
@@ -202,63 +325,9 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
     tolerance, and CritFindError when Newton polishes no box of a cluster
     that the interval tests could not exclude.
     """
-    parts = {
-        "px": v.p.partial(0),
-        "py": v.p.partial(1),
-        "qx": v.q.partial(0),
-        "qy": v.q.partial(1),
-    }
+    parts = _partials(v)
+    certified, unresolved = _subdivide(v, parts, cfg)
     x0, x1, y0, y1 = v.box.floats()
-    level: list[_FBox] = [(x0, x1, y0, y1)]
-    certified: list[tuple[_FBox, _FBox]] = []   # (certifying box, contracted)
-    unresolved: list[_FBox] = []
-    depth = 0
-    while level:
-        if depth > cfg.max_depth:
-            raise DepthLimitExceeded(
-                f"subdivision did not terminate at depth {cfg.max_depth}; "
-                "the zero set may be a curve",
-                box=level[0],
-            )
-        if len(level) > cfg.box_budget:
-            raise DepthLimitExceeded(
-                f"{len(level)} live boxes at depth {depth}; "
-                "the zero set may be a curve",
-                box=level[0],
-            )
-        nxt: list[_FBox] = []
-        for b in level:
-            ix, iy = _ibox(b)
-            if not interval_eval(v.p, (ix, iy)).contains_zero():
-                continue
-            if not interval_eval(v.q, (ix, iy)).contains_zero():
-                continue
-            if not _mv_contains_zero(v.p, parts["px"], parts["py"], b):
-                continue
-            if not _mv_contains_zero(v.q, parts["qx"], parts["qy"], b):
-                continue
-            status, contracted = _interval_newton(parts, v.p, v.q, b)
-            if status == "empty":
-                continue
-            if status == "certified":
-                certified.append((b, contracted))
-                continue
-            b = contracted
-            if _width(b) < cfg.resolution_tol:
-                unresolved.append(b)
-                continue
-            mx = 0.5 * (b[0] + b[1])
-            my = 0.5 * (b[2] + b[3])
-            nxt.extend(
-                [
-                    (b[0], mx, b[2], my),
-                    (mx, b[1], b[2], my),
-                    (b[0], mx, my, b[3]),
-                    (mx, b[1], my, b[3]),
-                ]
-            )
-        level = nxt
-        depth += 1
 
     candidates: list[tuple[float, float, _FBox, bool]] = []  # x, y, enclosure, certified
 
@@ -326,7 +395,8 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
         x += 0.0  # normalize -0.0
         y += 0.0
         j = v.jacobian_at(x, y)
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        (a, b), (c, d) = j.tolist()
+        det = a * d - b * c   # Python floats: overflow gives inf without a warning
         nondeg = bool(abs(det) > cfg.degeneracy_tol)
         enc = _tight_enclosure(parts, v, (x, y), enc, cfg) if was_certified else enc
         on_boundary = (
@@ -356,8 +426,11 @@ def _tight_enclosure(parts, v, loc, fallback: _FBox, cfg: SolveConfig) -> _FBox:
     scale = max(1.0, abs(x), abs(y))
     for w in (1e-9 * scale, 1e-7 * scale, 1e-5 * scale):
         b = (x - w, x + w, y - w, y + w)
-        status, contracted = _interval_newton(parts, v.p, v.q, b)
-        if status == "certified":
+        boxes = IntervalBoxes(*([e] for e in b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = [_enclose(parts[k], boxes, _PARTIALS[k]) for k in _PARTIALS]
+            _, certified, _ = _interval_newton(v, jac, boxes)
+        if certified[0]:
             return b
     return fallback
 

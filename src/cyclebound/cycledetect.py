@@ -43,7 +43,7 @@ import numpy as np
 from . import odeflow
 from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, hermite_roots,
                       integrate, rk_step, section_crossings)
-from .polyalg import Interval, Poly2, VectorField, interval_eval
+from .polyalg import IntervalBoxes, Poly2, VectorField, interval_eval
 
 log = logging.getLogger(__name__)
 
@@ -701,7 +701,7 @@ def no_cycle_certificate(v: VectorField) -> str | None:
     box.inflate(odeflow.BOX_INFLATION), the rectangle that scouting and
     refinement stay in, lies strictly on one side of 0: by Bendixson-Dulac no
     closed orbit lies in that rectangle.  An enclosure that touches 0
-    certifies nothing.
+    certifies nothing, nor does one with a NaN endpoint (overflow).
     """
     div = v.divergence()
     x0, x1, y0, y1 = v.box.inflate(odeflow.BOX_INFLATION)
@@ -709,9 +709,9 @@ def no_cycle_certificate(v: VectorField) -> str | None:
     if div.is_zero():
         return (f"div V is identically 0 on {where}: the flow preserves area, so no "
                 f"periodic orbit is isolated")
-    enc = interval_eval(div, (Interval(x0, x1), Interval(y0, y1)))
-    if enc.lo > 0.0 or enc.hi < 0.0:
-        return (f"div V lies in [{enc.lo:.6g}, {enc.hi:.6g}] on {where}, so no closed "
+    (lo,), (hi,) = interval_eval(div, IntervalBoxes([x0], [x1], [y0], [y1]))
+    if lo > 0.0 or hi < 0.0:
+        return (f"div V lies in [{lo:.6g}, {hi:.6g}] on {where}, so no closed "
                 f"orbit lies there (Bendixson-Dulac)")
     return None
 

@@ -2,13 +2,14 @@
 
 Coefficients are `fractions.Fraction`, so all algebra (sums, products,
 derivatives, affine substitution) is exact.  Floats only appear at the
-evaluation boundary: `Poly2.eval`, `interval_eval`, and the cached
-coefficient matrices used for vectorized evaluation on grids.
+evaluation boundary: `Poly2.eval` (Horner, on floats or on arrays),
+`interval_eval` (outward-rounded enclosures over an `IntervalBoxes` array of
+boxes, on the `ia_*` interval-array operations), and the cached coefficient
+matrices used for vectorized evaluation on grids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,100 +36,129 @@ class VectorFieldError(ValueError):
     pass
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+def _down(x):
+    return np.nextafter(x, -_INF)
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+def _up(x):
+    return np.nextafter(x, _INF)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed float interval with outward-rounded arithmetic.
+# ---------------------------------------------------------------------------
+# interval arrays
+#
+# An interval array is a pair (lo, hi) of float arrays of one shape; element
+# k is the closed interval [lo[k], hi[k]].  Every operation rounds outward by
+# one ulp per rounding site, so each element encloses the exact real result.
+# Overflow gives infinite endpoints.  A result that is undefined (inf - inf,
+# or 0 * inf as the product of the two lower endpoints) has NaN endpoints,
+# and the caller must check for them (`lo <= hi` fails there).  Callers also
+# silence numpy's float warnings: overflow is part of the arithmetic here.
+# ---------------------------------------------------------------------------
 
-    Every operation widens its result by one ulp per rounding site, so the
-    returned interval always encloses the exact real result.
+
+def ia_const(cs) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosures of exact rationals: [f, f] where f = float(c) is c exactly,
+    else f widened by one ulp each way."""
+    f = np.array([float(c) for c in cs])
+    exact = np.array([Fraction(x) == c for x, c in zip(f.tolist(), cs)], dtype=bool)
+    with np.errstate(over="ignore"):
+        return np.where(exact, f, _down(f)), np.where(exact, f, _up(f))
+
+
+def ia_contains_zero(a) -> np.ndarray:
+    return (a[0] <= 0.0) & (0.0 <= a[1])
+
+
+def ia_add(a, b):
+    return _down(a[0] + b[0]), _up(a[1] + b[1])
+
+
+def ia_sub(a, b):
+    return _down(a[0] - b[1]), _up(a[1] - b[0])
+
+
+def _hull(ll, lh, hl, hh):
+    # min and max of the four endpoint products as Python's min() and max()
+    # take them: a NaN in ll (0 * inf) propagates, NaNs in the others are
+    # skipped
+    lo = np.minimum(ll, np.fmin(np.fmin(lh, hl), hh))
+    hi = np.maximum(ll, np.fmax(np.fmax(lh, hl), hh))
+    return _down(lo), _up(hi)
+
+
+def ia_mul(a, b):
+    return _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def ia_div(a, b):
+    """a / b, for divisors b that exclude 0."""
+    return _hull(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+
+
+def _power_table(a, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^0 .. a^n as two arrays of shape (n + 1,) + a's shape.
+
+    An odd power is the repeated product a * a * ... * a.  An even power of
+    an interval that contains 0 is [0, m^k], where m^k is the repeated product
+    of [m, m] and m = max(|lo|, |hi|); of any other interval it is the
+    repeated product with its lower end clamped at 0.  Both branches run on
+    every element and each element takes its own.
+    """
+    lo, hi = a
+    los, his = [np.ones_like(lo)], [np.ones_like(hi)]
+    if n >= 1:
+        los.append(lo)
+        his.append(hi)
+    if n >= 2:
+        through = ia_contains_zero((lo, hi))
+        m = np.maximum(np.abs(lo), np.abs(hi))
+        rep, top = (lo, hi), (m, m)
+        for k in range(2, n + 1):
+            rep = ia_mul(rep, (lo, hi))
+            top = ia_mul(top, (m, m))
+            if k % 2:
+                los.append(rep[0])
+                his.append(rep[1])
+            else:
+                clamped = np.where(0.0 > rep[0], 0.0, rep[0])
+                los.append(np.where(through, 0.0, clamped))
+                his.append(np.where(through, top[1], rep[1]))
+    return np.array(los), np.array(his)
+
+
+class IntervalBoxes:
+    """Boxes [xlo, xhi] x [ylo, yhi] held as 1-D float arrays.
+
+    The interval powers of each axis are built on first use and shared by
+    every polynomial evaluated on the boxes; `take` keeps a subset, in order,
+    powers included.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ("x", "y", "_pow")
 
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, xlo, xhi, ylo, yhi):
+        self.x = (np.asarray(xlo, dtype=float), np.asarray(xhi, dtype=float))
+        self.y = (np.asarray(ylo, dtype=float), np.asarray(yhi, dtype=float))
+        self._pow = [None, None]
 
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
+    def __len__(self) -> int:
+        return len(self.x[0])
 
-    @staticmethod
-    def from_fraction(c: Fraction) -> "Interval":
-        f = float(c)
-        if Fraction(f) == c:
-            return Interval(f, f)
-        return Interval(_down(f), _up(f))
+    def powers(self, axis: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Powers 0 .. (at least) n of the x (axis 0) or y (axis 1) intervals."""
+        tab = self._pow[axis]
+        if tab is None or len(tab[0]) <= n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                tab = self._pow[axis] = _power_table(self.y if axis else self.x, n)
+        return tab
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def strictly_inside(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        ll = self.lo * other.lo
-        lh = self.lo * other.hi
-        hl = self.hi * other.lo
-        hh = self.hi * other.hi
-        return Interval(_down(min(ll, lh, hl, hh)), _up(max(ll, lh, hl, hh)))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        if other.contains_zero():
-            raise ZeroDivisionError("interval division by an interval containing 0")
-        ll = self.lo / other.lo
-        lh = self.lo / other.hi
-        hl = self.hi / other.lo
-        hh = self.hi / other.hi
-        return Interval(_down(min(ll, lh, hl, hh)), _up(max(ll, lh, hl, hh)))
-
-    def pow_int(self, n: int) -> "Interval":
-        if n < 0:
-            raise ValueError("negative exponent")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n % 2 == 0 and self.contains_zero():
-            m = max(abs(self.lo), abs(self.hi))
-            top = Interval(m, m)
-            acc = top
-            for _ in range(n - 1):
-                acc = acc * top
-            return Interval(0.0, acc.hi)
-        # monotone on a sign-definite interval (or odd power): repeated product
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        if n % 2 == 1:
-            return acc
-        return Interval(max(acc.lo, 0.0), acc.hi)
+    def take(self, keep) -> "IntervalBoxes":
+        out = IntervalBoxes(self.x[0][keep], self.x[1][keep],
+                            self.y[0][keep], self.y[1][keep])
+        out._pow = [None if t is None else (t[0][:, keep], t[1][:, keep])
+                    for t in self._pow]
+        return out
 
 
 def _as_fraction(c) -> Fraction:
@@ -291,6 +321,16 @@ class Poly2:
             self._amat = np.abs(self.coeff_matrix())
         return self._amat
 
+    def _interval_terms(self):
+        """Exponent arrays and coefficient enclosures, in `_key` order, for
+        `interval_eval`; the enclosures are (T, 1) columns."""
+        if self._ivals is None:
+            lo, hi = ia_const([c for _, c in self._key])
+            self._ivals = (np.array([i for (i, _), _ in self._key]),
+                           np.array([j for (_, j), _ in self._key]),
+                           (lo[:, None], hi[:, None]))
+        return self._ivals
+
     def eval_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval2d(x, y, self.coeff_matrix())
 
@@ -351,29 +391,27 @@ def _render_monomial(k: tuple[int, int]) -> str:
     return "*".join(pieces)
 
 
-def interval_eval(p: Poly2, box: tuple[Interval, Interval]) -> Interval:
-    """Interval enclosure of the range of p over box = (Ix, Iy).
+def interval_eval(p: Poly2, boxes: IntervalBoxes) -> tuple[np.ndarray, np.ndarray]:
+    """Interval enclosures of the range of p over each box, as (lo, hi).
 
-    Sum of exact monomial ranges; encloses the true range but may
-    overestimate its width.
+    The sum of the terms (c * x^i) * y^j, left to right in exponent order,
+    with c's enclosure from `ia_const`.  It encloses the true range but may
+    overestimate its width.  NaN endpoints mean the arithmetic left the float
+    range on that box.
     """
-    ix, iy = box
+    n = len(boxes)
     if not p._terms:
-        return Interval(0.0, 0.0)
-    if p._ivals is None:
-        p._ivals = tuple((i, j, Interval.from_fraction(c)) for (i, j), c in p._key)
-    mi = max(i for i, _ in p._terms)
-    mj = max(j for _, j in p._terms)
-    xp = [Interval(1.0, 1.0)]
-    for n in range(1, mi + 1):
-        xp.append(ix.pow_int(n))
-    yp = [Interval(1.0, 1.0)]
-    for n in range(1, mj + 1):
-        yp.append(iy.pow_int(n))
-    acc = Interval(0.0, 0.0)
-    for i, j, c in p._ivals:
-        acc = acc + c * xp[i] * yp[j]
-    return acc
+        return np.zeros(n), np.zeros(n)
+    i, j, c = p._interval_terms()
+    xl, xh = boxes.powers(0, int(i.max()))
+    yl, yh = boxes.powers(1, int(j.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tl, th = ia_mul(ia_mul(c, (xl[i], xh[i])), (yl[j], yh[j]))
+        lo = hi = np.zeros(n)
+        for k in range(len(tl)):
+            lo = _down(lo + tl[k])
+            hi = _up(hi + th[k])
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

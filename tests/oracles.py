@@ -3,20 +3,25 @@
 Everything here deliberately avoids the library's own counting, chaining,
 and refinement code paths: polynomial values come straight from the term
 dictionaries, fiber counts from a sign-grid flood fill, periods from scipy,
-distances from dense resampling.  The one exception is `scout_reference`,
-scouting's earlier per-hit loop on the library's own stepper and scalar
-bisection, which runs every seed to its end.  With `truncate_at_settle`
-applied after it, it pins the crossing events that the deferred root solve
-and the early stop must reproduce bit for bit.
+distances from dense resampling.  Two exceptions pin optimised library
+paths bit for bit.  `scout_reference` is scouting's earlier per-hit loop on
+the library's own stepper and scalar bisection, which runs every seed to its
+end; with `truncate_at_settle` applied after it, it pins the crossing events
+that the deferred root solve and the early stop must reproduce.
+`subdivide_reference` is critfind's earlier box-by-box subdivision on the
+scalar `Interval` arithmetic below; it pins the certified and unresolved
+boxes of the level-at-a-time array path.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
 import scipy.ndimage
 
+from cyclebound.critfind import DepthLimitExceeded
 from cyclebound.odeflow import BOX_INFLATION, hermite, hermite_deriv, hermite_root, rk_step
 from cyclebound.polyalg import Poly2, VectorField
 
@@ -366,3 +371,228 @@ def truncate_at_settle(fams, cfg):
         kept = {key: [e for e in evs if e[0] <= t_stop] for key, evs in per_seed.items()}
         out.append({key: evs for key, evs in kept.items() if evs})
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar interval arithmetic and critfind's box-by-box subdivision
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed float interval with outward-rounded arithmetic.
+
+    Every operation widens its result by one ulp per rounding site, so the
+    returned interval always encloses the exact real result.  An interval
+    with a NaN endpoint cannot be built.
+    """
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not (self.lo <= self.hi):
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @staticmethod
+    def point(x: float) -> "Interval":
+        return Interval(x, x)
+
+    @staticmethod
+    def from_fraction(c: Fraction) -> "Interval":
+        f = float(c)
+        if Fraction(f) == c:
+            return Interval(f, f)
+        return Interval(_down(f), _up(f))
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0.0 <= self.hi
+
+    def strictly_inside(self, other: "Interval") -> bool:
+        return other.lo < self.lo and self.hi < other.hi
+
+    def intersects(self, other: "Interval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def intersect(self, other: "Interval") -> "Interval":
+        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        ll = self.lo * other.lo
+        lh = self.lo * other.hi
+        hl = self.hi * other.lo
+        hh = self.hi * other.hi
+        return Interval(_down(min(ll, lh, hl, hh)), _up(max(ll, lh, hl, hh)))
+
+    def __truediv__(self, other: "Interval") -> "Interval":
+        if other.contains_zero():
+            raise ZeroDivisionError("interval division by an interval containing 0")
+        ll = self.lo / other.lo
+        lh = self.lo / other.hi
+        hl = self.hi / other.lo
+        hh = self.hi / other.hi
+        return Interval(_down(min(ll, lh, hl, hh)), _up(max(ll, lh, hl, hh)))
+
+    def pow_int(self, n: int) -> "Interval":
+        if n < 0:
+            raise ValueError("negative exponent")
+        if n == 0:
+            return Interval(1.0, 1.0)
+        if n % 2 == 0 and self.contains_zero():
+            m = max(abs(self.lo), abs(self.hi))
+            top = Interval(m, m)
+            acc = top
+            for _ in range(n - 1):
+                acc = acc * top
+            return Interval(0.0, acc.hi)
+        # monotone on a sign-definite interval (or odd power): repeated product
+        acc = self
+        for _ in range(n - 1):
+            acc = acc * self
+        if n % 2 == 1:
+            return acc
+        return Interval(max(acc.lo, 0.0), acc.hi)
+
+
+def interval_eval_scalar(p: Poly2, box: tuple[Interval, Interval]) -> Interval:
+    """Sum of the monomial enclosures c * x^i * y^j, in sorted term order."""
+    ix, iy = box
+    if p.is_zero():
+        return Interval(0.0, 0.0)
+    terms = sorted(p.terms.items())
+    mi = max(i for (i, _), _ in terms)
+    mj = max(j for (_, j), _ in terms)
+    xp = [Interval(1.0, 1.0)]
+    for n in range(1, mi + 1):
+        xp.append(ix.pow_int(n))
+    yp = [Interval(1.0, 1.0)]
+    for n in range(1, mj + 1):
+        yp.append(iy.pow_int(n))
+    acc = Interval(0.0, 0.0)
+    for (i, j), c in terms:
+        acc = acc + Interval.from_fraction(c) * xp[i] * yp[j]
+    return acc
+
+
+def _ibox(b):
+    return Interval(b[0], b[1]), Interval(b[2], b[3])
+
+
+def _mv_contains_zero(poly: Poly2, gx: Poly2, gy: Poly2, b) -> bool:
+    ix, iy = _ibox(b)
+    mx, my = ix.mid, iy.mid
+    val = poly.eval(mx, my)
+    mag = float(np.polynomial.polynomial.polyval2d(abs(mx), abs(my),
+                                                   poly.abs_coeff_matrix()))
+    err = 1e-13 * mag + 1e-300
+    fm = Interval(val - err, val + err)
+    dx = ix - Interval.point(mx)
+    dy = iy - Interval.point(my)
+    mv = fm + interval_eval_scalar(gx, (ix, iy)) * dx + interval_eval_scalar(gy, (ix, iy)) * dy
+    return mv.contains_zero()
+
+
+def _interval_newton(parts: dict, pv: Poly2, qv: Poly2, b):
+    ix, iy = _ibox(b)
+    mx, my = ix.mid, iy.mid
+    fm1 = interval_eval_scalar(pv, (Interval.point(mx), Interval.point(my)))
+    fm2 = interval_eval_scalar(qv, (Interval.point(mx), Interval.point(my)))
+    j11 = interval_eval_scalar(parts["px"], (ix, iy))
+    j12 = interval_eval_scalar(parts["py"], (ix, iy))
+    j21 = interval_eval_scalar(parts["qx"], (ix, iy))
+    j22 = interval_eval_scalar(parts["qy"], (ix, iy))
+    det = j11 * j22 - j12 * j21
+    if det.contains_zero():
+        return "unknown", b
+    s1 = (j22 * fm1 - j12 * fm2) / det
+    s2 = (j11 * fm2 - j21 * fm1) / det
+    nx = Interval.point(mx) - s1
+    ny = Interval.point(my) - s2
+    bx, by = _ibox(b)
+    if not (nx.intersects(bx) and ny.intersects(by)):
+        return "empty", None
+    certified = nx.strictly_inside(bx) and ny.strictly_inside(by)
+    cx = nx.intersect(bx)
+    cy = ny.intersect(by)
+    contracted = (cx.lo, cx.hi, cy.lo, cy.hi)
+    return ("certified" if certified else "unknown"), contracted
+
+
+def subdivide_reference(v: VectorField, cfg):
+    """critfind's breadth-first subdivision, one box at a time on `Interval`:
+    (certified, unresolved), the first as (box, contracted box) pairs."""
+    parts = {
+        "px": v.p.partial(0),
+        "py": v.p.partial(1),
+        "qx": v.q.partial(0),
+        "qy": v.q.partial(1),
+    }
+    x0, x1, y0, y1 = v.box.floats()
+    level = [(x0, x1, y0, y1)]
+    certified = []
+    unresolved = []
+    depth = 0
+    while level:
+        if depth > cfg.max_depth:
+            raise DepthLimitExceeded(
+                f"subdivision did not terminate at depth {cfg.max_depth}; "
+                "the zero set may be a curve",
+                box=level[0],
+            )
+        if len(level) > cfg.box_budget:
+            raise DepthLimitExceeded(
+                f"{len(level)} live boxes at depth {depth}; "
+                "the zero set may be a curve",
+                box=level[0],
+            )
+        nxt = []
+        for b in level:
+            ix, iy = _ibox(b)
+            if not interval_eval_scalar(v.p, (ix, iy)).contains_zero():
+                continue
+            if not interval_eval_scalar(v.q, (ix, iy)).contains_zero():
+                continue
+            if not _mv_contains_zero(v.p, parts["px"], parts["py"], b):
+                continue
+            if not _mv_contains_zero(v.q, parts["qx"], parts["qy"], b):
+                continue
+            status, contracted = _interval_newton(parts, v.p, v.q, b)
+            if status == "empty":
+                continue
+            if status == "certified":
+                certified.append((b, contracted))
+                continue
+            b = contracted
+            if max(b[1] - b[0], b[3] - b[2]) < cfg.resolution_tol:
+                unresolved.append(b)
+                continue
+            mx = 0.5 * (b[0] + b[1])
+            my = 0.5 * (b[2] + b[3])
+            nxt.extend(
+                [
+                    (b[0], mx, b[2], my),
+                    (mx, b[1], b[2], my),
+                    (b[0], mx, my, b[3]),
+                    (mx, b[1], my, b[3]),
+                ]
+            )
+        level = nxt
+        depth += 1
+    return certified, unresolved

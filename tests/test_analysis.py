@@ -161,6 +161,18 @@ class TestReportJson:
         assert rep.critical_points[0]["determinant"] is None  # 2e400
         assert an.report_from_json(an.report_to_json(rep)) == rep
 
+    def test_enclosure_beyond_float_range(self):
+        """The field loads, but x^2 overflows on the box: the failed search
+        names the box and the enclosure, and the report is written."""
+        rep = an.compare(cb.parse_vf(
+            "P = x^2 - 1\nQ = y\nbox = [-1e200, 1e200] x [-1e200, 1e200]\n"))
+        assert rep.verdict == "inconclusive"
+        assert len(rep.notes) == 1
+        note = rep.notes[0]
+        assert note.startswith("critical point search failed: CritFindError: ")
+        assert "[-1e+200, 0] x [-1e+200, 0] is [nan, inf]" in note
+        assert an.report_from_json(an.report_to_json(rep)) == rep
+
     def test_json_is_plain(self, corpus_reports):
         rep, _ = corpus_reports["cubic-one-cycle"]
         doc = json.loads(an.report_to_json(rep))

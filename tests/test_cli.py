@@ -67,6 +67,18 @@ class TestExitCodes:
         assert code == EXIT_INCONCLUSIVE
         assert "critical point search failed: DepthLimitExceeded:" in err
 
+    @pytest.mark.parametrize("command", ["critpoints", "analyze"])
+    def test_enclosure_beyond_float_range(self, capsys, tmp_path, command):
+        """The field loads, but x^2 overflows on the box: the search fails
+        with a named cause instead of raising."""
+        path = tmp_path / "wide.vf"
+        path.write_text("P = x^2 - 1\nQ = y\nbox = [-1e200, 1e200] x [-1e200, 1e200]\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INCONCLUSIVE
+        said = err if command == "critpoints" else out
+        assert "critical point search failed: CritFindError:" in said
+        assert "leaves the float range" in said
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.vf"
         path.write_text("P = x +\nQ = y\nbox = [-5, 5] x [-5, 5]\n")

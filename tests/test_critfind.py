@@ -1,18 +1,23 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from cyclebound import critfind as cf
 from cyclebound.critfind import (
     AmbiguousCluster,
+    CritFindError,
     DepthLimitExceeded,
     SolveConfig,
     ZeroOnCircle,
     find_critical_points,
     poincare_index,
 )
-from cyclebound.polyalg import Poly2, VectorField, parse_poly, parse_vf
+from cyclebound.polyalg import Box, Poly2, VectorField, parse_poly, parse_vf
+
+from oracles import random_field, subdivide_reference
 
 
 def brute_index(v, cx, cy, radius, n=10_000):
@@ -28,6 +33,33 @@ def brute_index(v, cx, cy, radius, n=10_000):
 def linfac(var, root):
     mono = {(1, 0): F(1)} if var == 0 else {(0, 1): F(1)}
     return Poly2(mono) + Poly2({(0, 0): -root})
+
+
+def factored_fields():
+    """Twenty fields with known zeros: (field, sorted zero locations)."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for trial in range(20):
+        if trial % 2 == 0:
+            vals = rng.integers(-40, 41, size=4)
+            while abs(vals[0] - vals[1]) < 5 or abs(vals[2] - vals[3]) < 5:
+                vals = rng.integers(-40, 41, size=4)
+            a1, a2, b1, b2 = (F(int(z), 10) for z in vals)
+            p = linfac(0, a1) * linfac(0, a2)
+            q = linfac(1, b1) * linfac(1, b2)
+            expected = sorted(
+                (float(a), float(b)) for a in (a1, a2) for b in (b1, b2)
+            )
+        else:
+            vals = rng.integers(-40, 41, size=4)
+            a, b, c, d = (F(int(z), 10) for z in vals)
+            bump = (linfac(0, c) * linfac(0, c) + linfac(1, d) * linfac(1, d)
+                    + Poly2({(0, 0): F(1)}))
+            p = linfac(0, a) * bump
+            q = linfac(1, b)
+            expected = [(float(a), float(b))]
+        out.append((VectorField(p, q, name=f"fac{trial}"), expected))
+    return out
 
 
 class TestFindCriticalPoints:
@@ -70,27 +102,8 @@ class TestFindCriticalPoints:
                 assert not (overlap_x and overlap_y)
 
     def test_factored_corpus_completeness(self):
-        rng = np.random.default_rng(2026)
-        for trial in range(20):
-            if trial % 2 == 0:
-                vals = rng.integers(-40, 41, size=4)
-                while abs(vals[0] - vals[1]) < 5 or abs(vals[2] - vals[3]) < 5:
-                    vals = rng.integers(-40, 41, size=4)
-                a1, a2, b1, b2 = (F(int(z), 10) for z in vals)
-                p = linfac(0, a1) * linfac(0, a2)
-                q = linfac(1, b1) * linfac(1, b2)
-                expected = sorted(
-                    (float(a), float(b)) for a in (a1, a2) for b in (b1, b2)
-                )
-            else:
-                vals = rng.integers(-40, 41, size=4)
-                a, b, c, d = (F(int(z), 10) for z in vals)
-                bump = (linfac(0, c) * linfac(0, c) + linfac(1, d) * linfac(1, d)
-                        + Poly2({(0, 0): F(1)}))
-                p = linfac(0, a) * bump
-                q = linfac(1, b)
-                expected = [(float(a), float(b))]
-            cps = find_critical_points(VectorField(p, q, name=f"fac{trial}"))
+        for v, expected in factored_fields():
+            cps = find_critical_points(v)
             got = [cp.location for cp in cps]
             assert len(got) == len(expected)
             unmatched = list(got)
@@ -177,3 +190,67 @@ class TestPoincareIndex:
                     expect = 1 if cp.jacobian_determinant() > 0 else -1
                     assert cp.index == expect
 
+
+
+class TestSubdivisionMatchesReference:
+    """The level-at-a-time array subdivision against the box-by-box scalar
+    loop of `oracles.subdivide_reference`: the same certified and unresolved
+    boxes, bit for bit, in the same order."""
+
+    @staticmethod
+    def check(v, cfg=SolveConfig()):
+        ref = subdivide_reference(v, cfg)
+        got = cf._subdivide(v, cf._partials(v), cfg)
+        assert got == ref
+        assert repr(got) == repr(ref)   # signed zeros too
+        return got
+
+    @pytest.mark.parametrize("name", ["cubic-one-cycle", "van-der-pol", "linear-center",
+                                      "two-cycle", "degenerate-demo"])
+    def test_corpus(self, corpus, name):
+        self.check(corpus[name])
+
+    @pytest.mark.parametrize("degree,seed", [(2, 2), (2, 3), (3, 5), (4, 1), (3, 8), (4, 2)])
+    def test_random_fields(self, degree, seed):
+        certified, _ = self.check(random_field(seed, degree, Box.make(-2, 2, -2, 2)))
+        if (degree, seed) != (2, 2):   # (2, 2) has no zero in the box
+            assert certified
+
+    def test_factored_fields(self):
+        for v, _ in factored_fields():
+            self.check(v)
+
+    @pytest.mark.parametrize("text,cfg", [
+        ("P = x\nQ = 0", SolveConfig()),
+        ("P = x^2 - 1\nQ = y^2 - 1/4", SolveConfig(box_budget=8)),
+        ("P = x^2 - 1\nQ = y^2 - 1/4", SolveConfig(max_depth=3)),
+    ], ids=["zero-curve", "box-budget", "max-depth"])
+    def test_depth_limit_same_message_and_box(self, text, cfg):
+        v = parse_vf(text)
+        with pytest.raises(DepthLimitExceeded) as ref:
+            subdivide_reference(v, cfg)
+        with pytest.raises(DepthLimitExceeded) as got:
+            cf._subdivide(v, cf._partials(v), cfg)
+        assert str(got.value) == str(ref.value)
+        assert got.value.box == ref.value.box
+        assert repr(got.value.box) == repr(ref.value.box)
+
+
+class TestFloatRange:
+    def test_overflowing_enclosure_names_box(self):
+        """The field loads, but x^2 overflows at the midpoints of the first
+        children: a CritFindError, not a ValueError from an empty interval."""
+        v = parse_vf("P = x^2 - 1\nQ = y\nbox = [-1e200, 1e200] x [-1e200, 1e200]")
+        with pytest.raises(CritFindError, match=r"\[-1e\+200, 0\] x \[-1e\+200, 0\] "
+                                                r"is \[nan, inf\]"):
+            find_critical_points(v)
+
+    def test_huge_jacobian_warns_nothing(self):
+        """det = 2e400 overflows to inf in Python floats, silently; the
+        interval arithmetic overflows too, with numpy's warnings off."""
+        v = parse_vf("P = 10^200*(x - y)\nQ = 10^200*(x + y)\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [cp] = find_critical_points(v)
+        assert cp.jacobian_determinant() == math.inf
+        assert cp.nondegenerate

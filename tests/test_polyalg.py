@@ -7,16 +7,21 @@ import pytest
 
 from cyclebound.polyalg import (
     Box,
-    Interval,
+    IntervalBoxes,
     Poly2,
     PolyParseError,
     VectorFieldError,
+    ia_add,
+    ia_const,
+    ia_div,
+    ia_mul,
+    ia_sub,
     interval_eval,
     parse_poly,
     parse_vf,
 )
 
-from oracles import eval_terms, fd_partial
+from oracles import Interval, eval_terms, fd_partial, interval_eval_scalar
 
 
 def rand_poly(rng, degree, lo=-1.0, hi=1.0):
@@ -159,57 +164,170 @@ class TestPartial:
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def boxes(x0, x1, y0, y1):
+    return IntervalBoxes([x0], [x1], [y0], [y1])
+
+
+def same(a: float, b: float) -> bool:
+    """Equal floats with equal signs, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_interval(lo, hi, ref) -> bool:
+    return same(float(lo), ref.lo) and same(float(hi), ref.hi)
+
+
+_MAX = float(np.finfo(float).max)
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, _MAX, -_MAX, math.inf, -math.inf]
+
+
+def random_intervals(rng, n):
+    """Endpoint pairs mixing ordinary floats with zeros of both signs, the
+    smallest subnormal, +-max float and +-inf; a quarter are points."""
+    def endpoint():
+        if rng.random() < 0.4:
+            return _SPECIAL[int(rng.integers(len(_SPECIAL)))]
+        return float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+
+    out = []
+    for _ in range(n):
+        a = endpoint()
+        b = a if rng.random() < 0.25 else endpoint()
+        out.append((a, b) if a <= b else (b, a))
+    return out
+
+
+def arrays(ivs):
+    return (np.array([a for a, _ in ivs]), np.array([b for _, b in ivs]))
+
+
 class TestInterval:
     def test_spec_enclosures(self):
-        iv = interval_eval(parse_poly("x"), (Interval(0, 1), Interval(0, 1)))
-        assert iv.lo <= 0.0 and iv.hi >= 1.0
-        iv = interval_eval(parse_poly("x^2 - 1"), (Interval(2, 3), Interval(-9, 9)))
-        assert iv.lo > 0.0
-        iv = interval_eval(parse_poly("x*y"), (Interval(-1, 1), Interval(-1, 1)))
-        assert iv.lo <= -1.0 and iv.hi >= 1.0
+        (lo,), (hi,) = interval_eval(parse_poly("x"), boxes(0, 1, 0, 1))
+        assert lo <= 0.0 and hi >= 1.0
+        (lo,), _ = interval_eval(parse_poly("x^2 - 1"), boxes(2, 3, -9, 9))
+        assert lo > 0.0
+        (lo,), (hi,) = interval_eval(parse_poly("x*y"), boxes(-1, 1, -1, 1))
+        assert lo <= -1.0 and hi >= 1.0
 
     def test_enclosure_property_random(self):
         rng = np.random.default_rng(29)
-        for _ in range(1000):
+        for _ in range(200):
             p = rand_poly(rng, 4, -3, 3)
-            x0, x1 = sorted(rng.uniform(-3, 3, size=2))
-            y0, y1 = sorted(rng.uniform(-3, 3, size=2))
+            x0, x1 = np.sort(rng.uniform(-3, 3, size=(2, 5)), axis=0)
+            y0, y1 = np.sort(rng.uniform(-3, 3, size=(2, 5)), axis=0)
             sx = rng.uniform(x0, x1)
             sy = rng.uniform(y0, y1)
-            iv = interval_eval(p, (Interval(x0, x1), Interval(y0, y1)))
+            lo, hi = interval_eval(p, IntervalBoxes(x0, x1, y0, y1))
             val = p.eval(sx, sy)
-            assert iv.lo <= val <= iv.hi
+            assert np.all(lo <= val) and np.all(val <= hi)
 
     def test_cached_coefficients_match_term_formula(self):
         rng = np.random.default_rng(47)
-        one = Interval(1.0, 1.0)
         for _ in range(200):
             p = rand_poly(rng, int(rng.integers(0, 6)), -3, 3)
-            p = p.scale(F(1, 3))  # c/3 is rarely a float, so from_fraction widens it
-            x0, x1 = sorted(rng.uniform(-3, 3, size=2))
-            y0, y1 = sorted(rng.uniform(-3, 3, size=2))
-            ix, iy = Interval(x0, x1), Interval(y0, y1)
-            ref = Interval(0.0, 0.0)
+            p = p.scale(F(1, 3))  # c/3 is rarely a float, so ia_const widens it
+            x0, x1 = np.sort(rng.uniform(-3, 3, size=(2, 4)), axis=0)
+            y0, y1 = np.sort(rng.uniform(-3, 3, size=(2, 4)), axis=0)
+            b = IntervalBoxes(x0, x1, y0, y1)
+            xl, xh = b.powers(0, 6)
+            yl, yh = b.powers(1, 6)
+            ref = (np.zeros(4), np.zeros(4))
             for (i, j), c in sorted(p.terms.items()):
-                ref = ref + Interval.from_fraction(c) * (ix.pow_int(i) if i else one) \
-                    * (iy.pow_int(j) if j else one)
-            assert interval_eval(p, (ix, iy)) == ref
-            assert interval_eval(p, (ix, iy)) == ref  # second call reads the cache
+                term = ia_mul(ia_mul(ia_const([c]), (xl[i], xh[i])), (yl[j], yh[j]))
+                ref = ia_add(ref, term)
+            for _ in range(2):  # the second call reads the cache
+                lo, hi = interval_eval(p, b)
+                assert np.array_equal(lo, ref[0]) and np.array_equal(hi, ref[1])
 
     def test_pow_through_zero(self):
-        iv = Interval(-2.0, 1.0).pow_int(2)
-        assert iv.lo == 0.0 and iv.hi >= 4.0
+        lo, hi = IntervalBoxes([-2.0, 0.0, -2.0], [1.0, 0.0, 1.0], [0.0] * 3,
+                               [0.0] * 3).powers(0, 4)
+        assert lo[2][0] == 0.0 and hi[2][0] >= 4.0
         # outward rounding may leave a denormal-width sliver above zero
-        assert Interval.point(0.0).pow_int(4).hi <= 1e-300
-        iv = Interval(-2.0, 1.0).pow_int(3)
-        assert iv.lo <= -8.0 and iv.hi >= 1.0
+        assert hi[4][1] <= 1e-300
+        assert lo[3][2] <= -8.0 and hi[3][2] >= 1.0
 
     def test_arithmetic_outward(self):
-        a = Interval(0.1, 0.2)
-        b = a + Interval(0.3, 0.3)
-        assert b.lo <= 0.4 <= b.hi
-        c = a * Interval(-3.0, 2.0)
-        assert c.lo <= -0.6 and c.hi >= 0.4
+        a = (np.array([0.1]), np.array([0.2]))
+        lo, hi = ia_add(a, (np.array([0.3]), np.array([0.3])))
+        assert lo[0] <= 0.4 <= hi[0]
+        lo, hi = ia_mul(a, (np.array([-3.0]), np.array([2.0])))
+        assert lo[0] <= -0.6 and hi[0] >= 0.4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_ops_match_scalar(self, seed):
+        """Each array operation equals the scalar Interval elementwise, signed
+        zeros included; where the scalar one cannot build its result (a NaN
+        endpoint), the array result fails lo <= hi."""
+        rng = np.random.default_rng(seed)
+        ivs_a = random_intervals(rng, 400)
+        ivs_b = random_intervals(rng, 400)
+        a, b = arrays(ivs_a), arrays(ivs_b)
+        ops = {"+": (ia_add, Interval.__add__), "-": (ia_sub, Interval.__sub__),
+               "*": (ia_mul, Interval.__mul__), "/": (ia_div, Interval.__truediv__)}
+        with np.errstate(all="ignore"):
+            for name, (batch, scalar) in ops.items():
+                lo, hi = batch(a, b)
+                for k, (ia, ib) in enumerate(zip(ivs_a, ivs_b)):
+                    if name == "/" and ib[0] <= 0.0 <= ib[1]:
+                        continue   # the divisor must exclude 0
+                    try:
+                        ref = scalar(Interval(*ia), Interval(*ib))
+                    except ValueError:
+                        assert not lo[k] <= hi[k], (name, ia, ib)
+                        continue
+                    assert same_interval(lo[k], hi[k], ref), (name, ia, ib, lo[k], hi[k], ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_powers_match_scalar(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        ivs = random_intervals(rng, 400) + [(-2.0, 3.0), (-3.0, 0.0), (-0.0, 0.0),
+                                            (0.0, -0.0), (-5e-324, 5e-324)]
+        lo, hi = IntervalBoxes(*arrays(ivs), *arrays(ivs)).powers(1, 8)
+        for n in range(9):
+            for k, iv in enumerate(ivs):
+                try:
+                    ref = Interval(*iv).pow_int(n)
+                except ValueError:
+                    assert not lo[n][k] <= hi[n][k], (n, iv)
+                    continue
+                assert same_interval(lo[n][k], hi[n][k], ref), (n, iv)
+
+    def test_constants_match_scalar(self):
+        rng = np.random.default_rng(61)
+        cs = [F(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**6)))
+              for _ in range(300)]
+        cs += [F(1, 3), F(-1, 10), F(5), F(0), F(1, 2**1074), F(int(_MAX))]
+        lo, hi = ia_const(cs)
+        for k, c in enumerate(cs):
+            assert same_interval(lo[k], hi[k], Interval.from_fraction(c))
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 6])
+    def test_evaluator_matches_scalar(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(20):
+            p = rand_poly(rng, degree, -3, 3).scale(F(1, 3))
+            x0, x1 = np.sort(rng.uniform(-3, 3, size=(2, 8)), axis=0)
+            y0, y1 = np.sort(rng.uniform(-3, 3, size=(2, 8)), axis=0)
+            x1[:2] = x0[:2]   # point boxes, as at the Newton midpoint
+            y1[:2] = y0[:2]
+            lo, hi = interval_eval(p, IntervalBoxes(x0, x1, y0, y1))
+            for k in range(8):
+                ref = interval_eval_scalar(p, (Interval(x0[k], x1[k]), Interval(y0[k], y1[k])))
+                assert same_interval(lo[k], hi[k], ref)
+
+    def test_take_keeps_powers(self):
+        b = IntervalBoxes([-1.0, 0.5, 2.0], [1.0, 1.5, 3.0], [0.0, -2.0, 1.0], [1.0, 2.0, 4.0])
+        p = parse_poly("x^3*y^2 - 2*x*y + 1/3")
+        full = interval_eval(p, b)
+        keep = np.array([True, False, True])
+        part = interval_eval(p, b.take(keep))
+        fresh = interval_eval(p, IntervalBoxes([-1.0, 2.0], [1.0, 3.0], [0.0, 1.0], [1.0, 4.0]))
+        for got in (part, fresh):
+            assert np.array_equal(got[0], full[0][keep]) and np.array_equal(got[1], full[1][keep])
 
 
 class TestComposeAffine:

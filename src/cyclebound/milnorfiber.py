@@ -14,7 +14,11 @@ are unresolved.  Below the grid cap a topology is accepted only when nothing
 is left unresolved and it agrees with the previous grid's (the first grid
 has no previous one, so the count alone decides); otherwise the grid
 doubles.  At the cap agreement alone decides, so the cap grid never builds
-the enclosure.
+the enclosure.  A cap grid refined into from the grid of half its cells
+builds no level either: it evaluates g0 only at the nodes of the band, the
+children of the parent cells whose enclosure does not exclude the curve
+(Plantinga & Vegter, SGP 2004), and its chains are the dense grid's, bit for
+bit.
 
 The enclosure is a third-order Taylor form per cell (see `_Workspace`): the
 gradient and Hessian at the cell centre, plus one bound on the third
@@ -184,9 +188,13 @@ _BLOCK = 1 << 17
 class _Workspace:
     """Per-(field, point, delta) caches: the distance-squared polynomial, and
     per grid the node values (`level`) and the cell enclosures
-    (`enclosure`), reused across the eta sweep.  `extract_fiber` asks for
-    the enclosure only at grids below its cap: at the cap topology agreement
-    alone decides, so nothing would read it there.
+    (`enclosure`), reused across the eta sweep, plus the band's rounding
+    margin (`margin`).  `extract_fiber` asks for the enclosure only at grids
+    below its cap: at the cap topology agreement alone decides, so nothing
+    would read it there.  It asks for the cap's dense level only on a cold
+    start at the cap (grid == max_grid), or when the band is wider than
+    _BLOCK cells; a cap it refined into reads g0 only in the band of the
+    previous grid's enclosure.
 
     Each cell of half-width r = h/2 around its centre c gets a radius that
     encloses |g0 - g0(c)| on the cell.  Taylor's theorem with the Lagrange
@@ -229,27 +237,37 @@ class _Workspace:
         self._t3 = _third_order_bound(self.g0, px, py, self.delta)
         self._levels: dict[int, dict] = {}
         self._enclosures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._margin: float | None = None
+        self._point_err: float | None = None
 
-    def level(self, n: int) -> dict:
-        """The grid of n cells: axes "xs" and "ys", node values "g0n", the
-        cells "keep" that meet the closed ball, and the cell width "h"."""
-        lv = self._levels.get(n)
-        if lv is not None:
-            return lv
+    def axes(self, n: int):
+        """The grid of n cells, without its node values: the node axes xs and
+        ys, and per cell column and row how far the cell lies from p beyond
+        its half-width (ndx, ndy).  A cell meets the closed ball when
+        ndx^2 + ndy^2 <= delta^2."""
         px, py = self.location
         d = self.delta
         xs = np.linspace(px - d, px + d, n + 1)
         ys = np.linspace(py - d, py + d, n + 1)
-        h = 2.0 * d / n
-        r = 0.5 * h
-        cx = 0.5 * (xs[:-1] + xs[1:])
-        cy = 0.5 * (ys[:-1] + ys[1:])
+        r = 0.5 * (2.0 * d / n)
+        ndx = np.maximum(np.abs(0.5 * (xs[:-1] + xs[1:]) - px) - r, 0.0)
+        ndy = np.maximum(np.abs(0.5 * (ys[:-1] + ys[1:]) - py) - r, 0.0)
+        return xs, ys, ndx, ndy
+
+    def level(self, n: int) -> dict:
+        """The grid of n cells: axes "xs" and "ys", node values "g0n", the
+        cells "keep" that meet the closed ball, and the cell width "h".
+        `extract_fiber` builds no such level at a cap grid that it refined
+        into: that march reads g0 only in the band (`_band_crossings`)."""
+        lv = self._levels.get(n)
+        if lv is not None:
+            return lv
+        xs, ys, ndx, ndy = self.axes(n)
         # cells fully outside the closed ball get discarded; keep is built
         # before g0n, so that its float temporary is gone when g0n is made
-        ndx = np.maximum(np.abs(cx - px) - r, 0.0)[:, None]
-        ndy = np.maximum(np.abs(cy - py) - r, 0.0)[None, :]
-        keep = ndx * ndx + ndy * ndy <= d * d
-        lv = {"xs": xs, "ys": ys, "g0n": self.g0.eval_outer(xs, ys), "keep": keep, "h": h}
+        keep = (ndx * ndx)[:, None] + (ndy * ndy)[None, :] <= self.delta * self.delta
+        lv = {"xs": xs, "ys": ys, "g0n": self.g0.eval_outer(xs, ys), "keep": keep,
+              "h": 2.0 * self.delta / n}
         self._levels[n] = lv
         return lv
 
@@ -286,6 +304,73 @@ class _Workspace:
         enc = self._enclosures[n] = (g0c, rad)
         return enc
 
+    def margin(self) -> float:
+        """The float-rounding margin M of the band rule (`_band_crossings`),
+        computed on first use.  It also sets `_point_err`, the bound on
+        |float g0 - exact g0| at any node or centre of any grid of this ball.
+
+        The rule: for a cap node z of a parent cell with float centre c,
+        |g0(z) - g0c| <= |g0(z) - G(z)| + |G(z) - G(c)| + |G(c) - g0c|, with
+        G exact g0 and g0, g0c as floats.  The outer terms are at most
+        `_point_err` each, and the middle one at most rad plus the radius and
+        geometry shares below.  So |g0c - eta^2| - rad > M puts every g0(z)
+        - eta^2 on the side of g0c - eta^2.
+
+        Each share is bounded through A(q) = sum |q_ij| X^i Y^j, with q_ij the
+        float coefficients of q and X = |px| + delta, Y = |py| + delta, each
+        widened by 2^-20, so that every node and centre lies in
+        [-X, X] x [-Y, Y].  Let u = 2^-53, g0 have x-degree a and y-degree b,
+        and Gam = m u / (1 - m u) with m = 2 (a + b) + 20.
+
+        - Evaluation: Horner in x, then in y, with rounded coefficients,
+          puts float q within gamma_(2(a+b)+1) A(q) of exact q at a float
+          point, for g0 and for each of its derivatives.
+          `_point_err` = Gam A(g0).
+        - Radius: the float rad may fall short of the exact Taylor bound at
+          c through its derivative values, T3's rounding, its own dozen
+          float operations and the rounding of the test itself.  rad is at
+          most 2 T + 2e-12 A(g0), with T = (A(gx) + A(gy)) delta
+          + (A(gxx)/2 + A(gxy) + A(gyy)/2) delta^2 + T3 delta^3 / 6 (a cell's
+          half-width is below delta), so 4 Gam T covers the shortfall; the
+          20 spare roundings of Gam in `_point_err` cover the rest.
+        - Geometry: `np.linspace` puts each node within 10 u X of its exact
+          place and a float centre within 11 u X of the exact one, so a cap
+          node of a parent cell lies within eps = 32 u max(X, Y) of the box
+          c +- r that rad covers.  Moving that far changes G by at most
+          (A(gx) + A(gy)) eps, and widens the square on which T3 bounds the
+          third derivatives by eps, which scales T3 by at most
+          (1 + eps / delta)^deg g0.
+
+        M = 2 `_point_err` + 4 Gam T + (A(gx) + A(gy)) eps
+        + T3 delta^3 / 6 ((1 + eps / delta)^deg g0 - 1), with every A and the
+        sum rounded up by a factor 1 + 2^-20.  M is inf where any part leaves
+        the float range, and then nothing is excluded.
+        """
+        if self._margin is None:
+            u = 2.0 ** -53
+            px, py = self.location
+            d = self.delta
+            up = 1.0 + 2.0 ** -20
+            big_x, big_y = (abs(px) + d) * up, (abs(py) + d) * up
+            with np.errstate(over="ignore", invalid="ignore"):
+                def a(q):
+                    return float(np.polynomial.polynomial.polyval2d(
+                        big_x, big_y, q.abs_coeff_matrix())) * up
+
+                mi, mj = self.g0.coeff_matrix().shape
+                m = 2 * (mi + mj - 2) + 20
+                gam = m * u / (1.0 - m * u)
+                (hxx, _), (hxy, _), (hyy, _) = self._hess
+                a1 = a(self.g0x) + a(self.g0y)
+                t = a1 * d + (0.5 * a(hxx) + a(hxy) + 0.5 * a(hyy)) * d * d \
+                    + self._t3 * d ** 3 / 6.0
+                eps = 32.0 * u * max(big_x, big_y)
+                widen = math.expm1(self.g0.degree * math.log1p(eps / d))
+                self._point_err = gam * a(self.g0)
+                self._margin = (2.0 * self._point_err + 4.0 * gam * t + a1 * eps
+                                + self._t3 * d ** 3 / 6.0 * widen) * up
+        return self._margin
+
 
 # case -> segments, each a pair of cell edges; an edge is the offset of its
 # key (kind, i, j) from the cell (i, j): "h" keys the edge from node (i, j)
@@ -313,49 +398,107 @@ _SADDLE = {
 }
 
 
-def _march(ws: _Workspace, eta: float, n: int, count: bool = True):
+def _band_crossings(ws: _Workspace, lvl: float, n: int):
+    """The crossed cells of the grid of n cells, found from g0 at the nodes
+    of the band alone, or None when the band is too wide to pay.
+
+    The band is the children of the cells of grid n/2 that its enclosure
+    cannot exclude.  A parent cell with |g0c - eta^2| - rad > M, for the
+    rounding margin M (`_Workspace.margin`), has g0 - eta^2 of one sign, as
+    floats, at every cap node it contains, so none of its four children is
+    crossed.  The even nodes of grid n are grid n/2's nodes (`np.linspace`
+    steps by exactly twice as much there), and a band node's value comes
+    from `Poly2.eval_grid`, pointwise bit-identical to `eval_outer`: the
+    cells, cases and node values are those of the dense level.
+
+    Returns the node axes, the crossed cells (i, j) in row-major order,
+    their corner cases and a lookup of node values by (i, j) arrays.
+    """
+    g0c, rad = ws.enclosure(n // 2)
+    slack = g0c - lvl
+    np.abs(slack, out=slack)
+    # inf - inf where the radius overflows: a NaN stays in the band
+    with np.errstate(invalid="ignore"):
+        slack -= rad
+    pi, pj = np.nonzero(~(slack > ws.margin()))
+    if 4 * len(pi) > _BLOCK:
+        return None
+    xs, ys, ndx, ndy = ws.axes(n)
+    # each parent's first cap row and column
+    i0, j0 = 2 * pi[:, None], 2 * pj[:, None]
+    cells = np.sort(((i0 + [0, 0, 1, 1]) * n + j0 + [0, 1, 0, 1]).ravel())
+    nodes = np.unique((i0 + [0, 0, 0, 1, 1, 1, 2, 2, 2]) * (n + 1)
+                      + j0 + [0, 1, 2, 0, 1, 2, 0, 1, 2])
+    ni, nj = np.divmod(nodes, n + 1)
+    vals = ws.g0.eval_grid(xs[ni], ys[nj])
+
+    def at(i, j):
+        return vals[np.searchsorted(nodes, i * (n + 1) + j)]
+
+    ii, jj = np.divmod(cells, n)
+    c00, c10 = at(ii, jj) < lvl, at(ii + 1, jj) < lvl
+    c11, c01 = at(ii + 1, jj + 1) < lvl, at(ii, jj + 1) < lvl
+    keep = ndx[ii] * ndx[ii] + ndy[jj] * ndy[jj] <= ws.delta * ws.delta
+    crossing = (c00 | c10 | c11 | c01) & ~(c00 & c10 & c11 & c01) & keep
+    case = c00 + 2 * c10 + 4 * c11 + 8 * c01
+    return xs, ys, ii[crossing], jj[crossing], case[crossing], at
+
+
+def _march(ws: _Workspace, eta: float, n: int, count: bool = True, band: bool = False):
     """One marching-squares pass; returns (chains, unresolved_count).
 
     chains: list of (vertex array, closed flag), unclipped.  A closed chain
     repeats its first vertex at its end.  The unresolved count only decides
     whether to refine, so with count=False, as at the grid cap, it is None
-    and the cell enclosure is not built.
+    and the cell enclosure is not built.  With band=True (so count=False),
+    the crossed cells come from the band of grid n/2's enclosure
+    (`_band_crossings`) and no level is built at n, unless the band holds
+    more than _BLOCK cells; the dense level is used then.  Either way the
+    chains are the same, bit for bit.
     """
-    lv = ws.level(n)
     lvl = eta * eta
-    g0n, keep = lv["g0n"], lv["keep"]
-    neg = g0n < lvl  # g = g0n - lvl < 0, tested without forming g
-    c00, c10, c11, c01 = neg[:-1, :-1], neg[1:, :-1], neg[1:, 1:], neg[:-1, 1:]
-    crossing = (c00 | c10 | c11 | c01) & ~(c00 & c10 & c11 & c01) & keep
-
     unresolved = None
-    if count:
-        # a kept cell not next to any crossed cell, whose Taylor enclosure of
-        # g straddles zero, may hide a component below grid resolution.  The
-        # 3x3 dilation runs along each axis in two in-place steps: the second
-        # reads the first's result, so each cell ORs itself and both
-        # neighbours.
-        adj = crossing.copy()
-        adj[1:] |= adj[:-1]
-        adj[:-1] |= adj[1:]
-        adj[:, 1:] |= adj[:, :-1]
-        adj[:, :-1] |= adj[:, 1:]
-        g0c, rad = ws.enclosure(n)
-        gc = g0c - lvl
-        unresolved = np.count_nonzero(keep & ~adj & (np.abs(gc, out=gc) <= rad))
+    found = _band_crossings(ws, lvl, n) if band else None
+    if found is not None:
+        xs, ys, ii, jj, case, at = found
+    else:
+        lv = ws.level(n)
+        xs, ys, g0n, keep = lv["xs"], lv["ys"], lv["g0n"], lv["keep"]
+        neg = g0n < lvl  # g = g0n - lvl < 0, tested without forming g
+        c00, c10, c11, c01 = neg[:-1, :-1], neg[1:, :-1], neg[1:, 1:], neg[:-1, 1:]
+        crossing = (c00 | c10 | c11 | c01) & ~(c00 & c10 & c11 & c01) & keep
 
-    # an edge borders two cells and a cell's segments use each of its edges
-    # at most once, so every edge key has at most two neighbours: the
-    # segments form simple paths and loops
-    ii, jj = np.divmod(np.flatnonzero(crossing), n)
-    case = c00[ii, jj] + 2 * c10[ii, jj] + 4 * c11[ii, jj] + 8 * c01[ii, jj]
+        if count:
+            # a kept cell not next to any crossed cell, whose Taylor enclosure
+            # of g straddles zero, may hide a component below grid
+            # resolution.  The 3x3 dilation runs along each axis in two
+            # in-place steps: the second reads the first's result, so each
+            # cell ORs itself and both neighbours.
+            adj = crossing.copy()
+            adj[1:] |= adj[:-1]
+            adj[:-1] |= adj[1:]
+            adj[:, 1:] |= adj[:, :-1]
+            adj[:, :-1] |= adj[:, 1:]
+            g0c, rad = ws.enclosure(n)
+            gc = g0c - lvl
+            unresolved = np.count_nonzero(keep & ~adj & (np.abs(gc, out=gc) <= rad))
+
+        ii, jj = np.divmod(np.flatnonzero(crossing), n)
+        case = c00[ii, jj] + 2 * c10[ii, jj] + 4 * c11[ii, jj] + 8 * c01[ii, jj]
+
+        def at(i, j):
+            return g0n[i, j]
+
     # a saddle cell takes the sign of g at its centre, evaluated at those
     # cells alone: bit-identical to the enclosure's g0c there
     sad = (case == 5) | (case == 10)
     si, sj = ii[sad], jj[sad]
     below = np.zeros(len(ii), bool)
-    below[sad] = ws.g0.eval_grid(0.5 * (lv["xs"][si] + lv["xs"][si + 1]),
-                                 0.5 * (lv["ys"][sj] + lv["ys"][sj + 1])) - lvl < 0.0
+    below[sad] = ws.g0.eval_grid(0.5 * (xs[si] + xs[si + 1]),
+                                 0.5 * (ys[sj] + ys[sj + 1])) - lvl < 0.0
+    # an edge borders two cells and a cell's segments use each of its edges
+    # at most once, so every edge key has at most two neighbours: the
+    # segments form simple paths and loops
     nbrs: dict[tuple, list[tuple]] = {}
     for i, j, c, b in zip(ii.tolist(), jj.tolist(), case.tolist(), below.tolist()):
         segs = _SADDLE[c][0 if b else 1] if c in _SADDLE else _SEGMENTS[c]
@@ -391,11 +534,11 @@ def _march(ws: _Workspace, eta: float, n: int, count: bool = True):
     hor = np.array(kinds) == "h"
     i, j = np.array(ki), np.array(kj)
     i1, j1 = i + hor, j + ~hor
-    ga, gb = g0n[i, j] - lvl, g0n[i1, j1] - lvl
+    ga, gb = at(i, j) - lvl, at(i1, j1) - lvl
     t = ga / (ga - gb)
-    xs, ys = lv["xs"][i], lv["ys"][j]
-    x = np.where(hor, xs + t * (lv["xs"][i1] - xs), xs)
-    y = np.where(hor, ys, ys + t * (lv["ys"][j1] - ys))
+    x0, y0 = xs[i], ys[j]
+    x = np.where(hor, x0 + t * (xs[i1] - x0), x0)
+    y = np.where(hor, y0, y0 + t * (ys[j1] - y0))
     pts = np.split(np.column_stack([x, y]), np.cumsum([len(k) for k, _ in chains[:-1]]))
     return [(p, closed) for p, (_, closed) in zip(pts, chains)], unresolved
 
@@ -483,9 +626,9 @@ def _clip_chain(pts: np.ndarray, closed: bool, center, delta):
     return [(np.array(p), False) for p in pieces if len(p) >= 3]
 
 
-def _extract_once(ws: _Workspace, eta: float, n: int, count: bool):
-    chains, unresolved = _march(ws, eta, n, count)
-    h = ws.level(n)["h"]
+def _extract_once(ws: _Workspace, eta: float, n: int, count: bool, band: bool):
+    chains, unresolved = _march(ws, eta, n, count, band)
+    h = 2.0 * ws.delta / n
     comps = []
     for pts, closed in chains:
         pts = _snap_chain(ws, eta, pts, h)
@@ -536,7 +679,11 @@ def extract_fiber(
     grid's (the first grid has no previous one, so the count alone decides);
     otherwise the grid doubles.  At the cap, the last grid, agreement alone
     decides: the topology is accepted, or GridTooCoarse is raised.  The cap
-    grid neither counts unresolved cells nor builds their enclosure.
+    grid neither counts unresolved cells nor builds their enclosure.  When
+    this call refined into the cap from the grid of half its cells, the cap
+    pass evaluates g0 only in the band that grid's enclosure leaves open
+    (`_band_crossings`) and builds no cap level; a cold start at the cap
+    marches the dense level, whatever enclosures the workspace holds.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -550,7 +697,10 @@ def extract_fiber(
     prev_topo = None
     while True:
         can_refine = 2 * n <= cfg.max_grid
-        comps, unresolved = _extract_once(ws, eta, n, can_refine)
+        # a cap grid refined into from n // 2 in this call marches the band
+        # of that grid's enclosure; a cold start at the cap has none
+        comps, unresolved = _extract_once(ws, eta, n, can_refine,
+                                          not can_refine and prev_topo is not None)
         topo = (sum(c.closed for c in comps), sum(not c.closed for c in comps))
         settled = prev_topo is None or topo == prev_topo
         if not can_refine:

@@ -224,6 +224,48 @@ class TestWorkspaceLevel:
         assert not ws._enclosures
         assert peak <= 2 * ws.level(1024)["g0n"].nbytes
 
+    def test_refined_cap_builds_no_level(self):
+        """A cold extraction that refines from 256 into the 2048 cap marches
+        the cap only in the band of the 1024 enclosure: no 2048 level is
+        built, and from the moment that enclosure exists the call peaks
+        under 2x its bytes.  The dense cap level alone is 2x them."""
+        v = random_field(5, degree=3, box=cb.Box.make(-2, 2, -2, 2))
+        locs = [cp.location for cp in find_critical_points(v)]
+        delta, sweep = mf.select_radii(v, locs[0], locs[1:])
+        ws = mf._Workspace(v, locs[0], delta)
+        build = ws.enclosure
+        marks = []
+
+        def enclosure(n):
+            enc = build(n)
+            if n == 1024 and not marks:
+                marks.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return enc
+
+        ws.enclosure = enclosure
+        tracemalloc.start()
+        try:
+            fib = mf.extract_fiber(v, locs[0], delta, sweep[4], _ws=ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fib.grid_resolution == 2048 and fib.closed_count == 1
+        assert sorted(ws._levels) == [256, 512, 1024]
+        assert peak - marks[0] <= 2 * sum(a.nbytes for a in build(1024))
+
+    def test_stale_enclosure_unused_at_cold_cap(self):
+        """A cold start at the cap marches the dense level, even where the
+        workspace holds an enclosure at n // 2 of an odd n."""
+        v = random_field(5, degree=3)
+        cfg = mf.FiberConfig(grid=129, max_grid=129)
+        ws = mf._Workspace(v, self.LOC, self.DELTA)
+        ws.enclosure(64)
+        fib = mf.extract_fiber(v, self.LOC, self.DELTA, 0.2, cfg, _ws=ws)
+        want = mf.extract_fiber(v, self.LOC, self.DELTA, 0.2, cfg)
+        assert 129 in ws._levels
+        assert fib == want and fib.components
+
 
 class TestCellEnclosure:
     """Each cell's radius encloses |g0 - g0(centre)| on the whole cell: the
@@ -462,6 +504,90 @@ class TestMarchChains:
                         saddles += 1
             assert not capped._enclosures
         assert saddles > 0
+
+    @pytest.mark.parametrize("name", ["random-2-4", "random-3-5", "random-4-1", "van-der-pol"])
+    def test_band_cap_pass_matches_dense(self, corpus, name):
+        """With n taken as the cap and grid n/2's enclosure built, a pass
+        that reads g0 only in the band that enclosure leaves open returns
+        the dense pass's chains, bit for bit, and builds no level at n.
+        The etas are the sweep, 4x its top (open chains) and one level
+        through a cell that is a saddle at n."""
+        if name == "van-der-pol":
+            v = corpus[name]
+        else:
+            degree, seed = map(int, name.split("-")[1:])
+            v = random_field(seed, degree=degree)
+        locs = [c.location for c in find_critical_points(v)]
+        saddles = opened = 0
+        for k, loc in enumerate(locs):
+            delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+            for n in (512, 1024):
+                dense = mf._Workspace(v, loc, delta)
+                banded = mf._Workspace(v, loc, delta)
+                banded.enclosure(n // 2)
+                lv = dense.level(n)
+                g = lv["g0n"]
+                # a kept cell whose diagonals are split widest
+                a, b, c, e = g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]
+                split = np.maximum(a, c) < np.minimum(b, e)
+                lo = np.where(split, np.maximum(a, c), np.maximum(b, e))
+                hi = np.where(split, np.minimum(b, e), np.minimum(a, c))
+                gap = np.where(lv["keep"], hi - lo, -np.inf)
+                i, j = np.unravel_index(np.argmax(gap), gap.shape)
+                saddle_eta = math.sqrt(0.5 * (lo[i, j] + hi[i, j]))
+                for eta in sweep + [4.0 * sweep[0], saddle_eta]:
+                    want = mf._march(dense, eta, n, count=False)[0]
+                    got, none = mf._march(banded, eta, n, count=False, band=True)
+                    assert none is None
+                    assert [cl for _, cl in got] == [cl for _, cl in want]
+                    assert all(np.array_equal(p, q) for (p, _), (q, _) in zip(got, want))
+                    opened += sum(not cl for _, cl in got)
+                    neg = g < eta * eta
+                    case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
+                    saddles += int((lv["keep"] & ((case == 5) | (case == 10))).sum())
+                assert n not in banded._levels
+        assert saddles > 0 and opened > 0
+
+    def test_margin_covers_float_evaluation(self):
+        """The margin's evaluation share bounds |float g0 - exact g0| at cap
+        nodes and parent centres, exact values taken in Fractions, also on a
+        random cubic moved to about (40, -40), where g0's terms cancel
+        heavily.  There too the band pass equals the dense pass, or falls
+        back to it where the band is too wide."""
+        rng = np.random.default_rng(1)
+        moved_bands = 0
+        for seed in (0, 5):
+            v = random_field(seed, degree=3)
+            cps = find_critical_points(v)
+            for shift in (0, 40):
+                w = VectorField(v.p.compose_affine(1, 0, 0, 1, -shift, shift),
+                                v.q.compose_affine(1, 0, 0, 1, -shift, shift),
+                                name="moved", box=cb.Box.make(-5 + shift, 5 + shift,
+                                                              -5 - shift, 5 - shift))
+                locs = [(c.location[0] + shift, c.location[1] - shift) for c in cps]
+                delta, sweep = mf.select_radii(w, locs[0], locs[1:])
+                ws = mf._Workspace(w, locs[0], delta)
+                margin = ws.margin()
+                assert 2 * ws._point_err < margin < math.inf
+                xs, ys = ws.axes(2048)[:2]
+                i, j = rng.integers(0, 2049, (2, 150))
+                px, py = ws.axes(1024)[:2]
+                k, m = rng.integers(0, 1024, (2, 150))
+                x = np.concatenate([xs[i], 0.5 * (px[k] + px[k + 1])])
+                y = np.concatenate([ys[j], 0.5 * (py[m] + py[m + 1])])
+                terms = ws.g0.terms.items()
+                for xv, yv, fv in zip(x.tolist(), y.tolist(), ws.g0.eval_grid(x, y).tolist()):
+                    exact = sum(cf * F(xv) ** a * F(yv) ** b for (a, b), cf in terms)
+                    assert abs(F(fv) - exact) <= ws._point_err
+                ws.enclosure(512)
+                dense = mf._Workspace(w, locs[0], delta)
+                for eta in sweep:
+                    want = mf._march(dense, eta, 1024, count=False)[0]
+                    got = mf._march(ws, eta, 1024, count=False, band=True)[0]
+                    assert [cl for _, cl in got] == [cl for _, cl in want]
+                    assert all(np.array_equal(p, q) for (p, _), (q, _) in zip(got, want))
+                moved_bands += shift > 0 and 1024 not in ws._levels
+        assert moved_bands > 0
 
 
 class TestSubmersion:

@@ -5,9 +5,13 @@ counts of the local level curves.  detect_limit_cycles supplies the empirical
 side.  The verdict compares the two; a violated inequality is reported as a
 finding, never suppressed.
 
-`run` is the one place that chains critical points -> fiber sweep ->
-detection, skipping detection when `no_cycle_certificate` proves from the
-divergence that no limit cycle exists.  It returns the objects as a
+`run` is the one place that chains critical points -> loop counts ->
+detection.  A point's loop count is l = 1 from `certify_single_loop` where
+that interval certificate decides it, and the fiber sweep
+`vanishing_cycle_count` otherwise; a sweep left unstable gets a note naming
+the point, its failed levels and their causes.  Detection is skipped when
+`no_cycle_certificate` proves from the divergence that no limit cycle
+exists.  It returns the objects as a
 `PipelineRun` and never raises on a parseable field.  `compare` (the JSON
 report), `morsification_invariance` (one table row per field) and the CLI
 (report plus portrait) all consume it.
@@ -35,7 +39,10 @@ from .milnorfiber import (
     FiberConfig,
     FiberError,
     MilnorData,
+    certify_single_loop,
     extract_fiber,
+    select_radii,
+    submersion_check,
     vanishing_cycle_count,
 )
 from .polyalg import Poly2, VectorField, VectorFieldError
@@ -189,10 +196,39 @@ def _cycles_or_certificate(v: VectorField, cps, cfg: DetectConfig):
         return [], None, f"{type(e).__name__}: {e}"
 
 
+def _milnor(v: VectorField, cp: CriticalPoint, others, cfg: FiberConfig) -> MilnorData:
+    """l = 1 from `certify_single_loop` where it decides the point, else the
+    sweep's loop count.  A certified point keeps `select_radii`'s delta and
+    eta sweep, and its submersion check, as a swept one would."""
+    delta, sweep = select_radii(v, cp.location, others, cfg)
+    cert = certify_single_loop(v, cp.location, cp.enclosure, delta)
+    if cert is None:
+        return vanishing_cycle_count(v, cp.id, cp.location, others, cfg)
+    ok, witness = submersion_check(v, cp.location, delta, min(sweep), max(sweep), cfg)
+    return MilnorData(point_id=cp.id, delta=float(delta),
+                      eta_sweep=tuple(float(e) for e in sweep), counts_per_eta=(),
+                      l=1, stable=True, submersion_ok=bool(ok), witness=witness,
+                      decided_by="certificate", certified_radius=cert[0],
+                      certified_eta=cert[1])
+
+
+def _unstable_note(m: MilnorData, tail: int) -> str:
+    """Why the sweep at m's point did not settle: its failed levels among
+    the last `tail` etas, or else the loop counts there that disagree."""
+    pairs = list(zip(m.eta_sweep, m.counts_per_eta, m.level_errors))[-tail:]
+    failed = [f"eta {eta:.6g}: {err}" for eta, _, err in pairs if err is not None]
+    if failed:
+        return f"fiber sweep unstable at point {m.point_id}: " + "; ".join(failed)
+    counts = ", ".join(f"{c[0]} at eta {eta:.6g}" for eta, c, _ in pairs)
+    return f"fiber sweep unstable at point {m.point_id}: closed loops {counts} disagree"
+
+
 def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
-    """Critical points, then the fiber sweep per point, then cycle detection,
-    each once; a divergence certificate replaces the detection with no
-    cycles.  Failures are recorded as notes and flags, never raised."""
+    """Critical points, then the loop count per point (`_milnor`: a
+    certificate, else the fiber sweep), then cycle detection, each once; a
+    divergence certificate replaces the detection with no cycles.  Failures
+    are recorded as notes and flags, never raised; so is each point the
+    sweep left unstable, with its cause."""
     notes: list[str] = []
     try:
         cps = find_critical_points(v, cfg.solve)
@@ -206,12 +242,15 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
     milnor = []
     for i, cp in enumerate(cps):
         try:
-            milnor.append(vanishing_cycle_count(v, cp.id, locs[i], locs[:i] + locs[i + 1:],
-                                                cfg.fiber))
+            m = _milnor(v, cp, locs[:i] + locs[i + 1:], cfg.fiber)
         except FiberError as e:
             had_failures = True
             notes.append(f"fiber sweep failed at point {cp.id}: {type(e).__name__}: {e}")
-            milnor.append(_placeholder_milnor(cp.id))
+            m = _placeholder_milnor(cp.id)
+        else:
+            if not m.stable:
+                notes.append(_unstable_note(m, cfg.fiber.stable_tail))
+        milnor.append(m)
 
     cycles, certificate, detect_error = _cycles_or_certificate(v, cps, cfg.detect)
     if detect_error is not None:

@@ -10,6 +10,10 @@ The subdivision is level-synchronous: each level's boxes form one
 operations on the arrays of the boxes still alive, so a level costs a fixed
 number of numpy calls however many boxes it holds.  An enclosure with a NaN
 endpoint (the arithmetic left the float range) raises CritFindError.
+
+The interval Jacobian over boxes and its regularity (`interval_jacobian`,
+`regular`), the mean-value enclosure and the one-box interval-Newton test
+(`newton_certifies`) also serve milnorfiber's single-loop certificate.
 """
 
 from __future__ import annotations
@@ -128,12 +132,12 @@ def _take(iv, keep):
     return iv[0][keep], iv[1][keep]
 
 
-def _mv_contains_zero(poly: Poly2, grad, boxes: IntervalBoxes, what: str) -> np.ndarray:
-    """Mean-value-form range test: f(box) within f(mid) + grad(box)*(box-mid).
+def mean_value_enclosure(poly: Poly2, grad, boxes: IntervalBoxes, what: str):
+    """Mean-value form of poly over each box: f(mid) + grad(box)*(box-mid).
 
-    Far tighter than the plain monomial sum on boxes away from the zero set,
-    which keeps the subdivision from drowning in fat enclosure bands.  grad
-    holds the enclosures of the two partials over the boxes.
+    Far tighter than the plain monomial sum on small boxes away from the
+    zero set, which keeps the subdivision from drowning in fat enclosure
+    bands.  grad holds the enclosures of the two partials over the boxes.
     """
     mx = 0.5 * (boxes.x[0] + boxes.x[1])
     my = 0.5 * (boxes.y[0] + boxes.y[1])
@@ -144,7 +148,33 @@ def _mv_contains_zero(poly: Poly2, grad, boxes: IntervalBoxes, what: str) -> np.
     dx = ia_sub(boxes.x, (mx, mx))
     dy = ia_sub(boxes.y, (my, my))
     mv = ia_add(ia_add((val - err, val + err), ia_mul(grad[0], dx)), ia_mul(grad[1], dy))
-    return ia_contains_zero(_checked(mv, boxes, f"the mean-value form of {what}"))
+    return _checked(mv, boxes, f"the mean-value form of {what}")
+
+
+def interval_jacobian(v: VectorField, boxes: IntervalBoxes):
+    """[J] over each box: the enclosures of dP/dx, dP/dy, dQ/dx and dQ/dy,
+    in that order."""
+    parts = _partials(v)
+    return [_enclose(parts[k], boxes, _PARTIALS[k]) for k in _PARTIALS]
+
+
+def regular(jac, boxes: IntervalBoxes):
+    """(det, ok): the enclosure of j11 j22 - j12 j21 with each entry its own
+    interval, and whether it excludes 0, per box.
+
+    Each entry occurs once in that expression, so det encloses the exact
+    range of the determinant over the interval matrix [J].  It excludes 0
+    exactly when every matrix in [J] is nonsingular: [J] is regular
+    (Neumaier, Interval Methods for Systems of Equations, 1990).  Then V is
+    injective on a convex box whose partials [J] encloses, since V(a) - V(b)
+    = M (a - b) with M, the mean of J along the segment, in [J].  det J != 0
+    at every point of the box is not enough: z^3 has det J > 0 on a box
+    that holds two cube roots of i.
+    """
+    j11, j12, j21, j22 = jac
+    det = _checked(ia_sub(ia_mul(j11, j22), ia_mul(j12, j21)), boxes,
+                   "the Jacobian determinant")
+    return det, ~ia_contains_zero(det)
 
 
 def _interval_newton(v: VectorField, jac, boxes: IntervalBoxes):
@@ -160,10 +190,7 @@ def _interval_newton(v: VectorField, jac, boxes: IntervalBoxes):
     mid = IntervalBoxes(mx, mx, my, my)
     fm1 = _checked(interval_eval(v.p, mid), boxes, "P at the box midpoint")
     fm2 = _checked(interval_eval(v.q, mid), boxes, "Q at the box midpoint")
-    j11, j12, j21, j22 = jac
-    det = _checked(ia_sub(ia_mul(j11, j22), ia_mul(j12, j21)), boxes,
-                   "the Jacobian determinant")
-    solve = ~ia_contains_zero(det)
+    det, solve = regular(jac, boxes)
     empty = np.zeros(len(boxes), dtype=bool)
     certified = empty.copy()
     contracted = [xl.copy(), xh.copy(), yl.copy(), yh.copy()]
@@ -214,7 +241,7 @@ def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes, cfg: SolveCo
     for poly, name, keys in ((v.p, "P", ("px", "py")), (v.q, "Q", ("qx", "qy"))):
         if len(boxes):
             grad = [_enclose(parts[k], boxes, _PARTIALS[k]) for k in keys]
-            keep = _mv_contains_zero(poly, grad, boxes, name)
+            keep = ia_contains_zero(mean_value_enclosure(poly, grad, boxes, name))
             boxes = boxes.take(keep)
             jac = [_take(j, keep) for j in jac + grad]
     if not len(boxes):
@@ -398,7 +425,7 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
         (a, b), (c, d) = j.tolist()
         det = a * d - b * c   # Python floats: overflow gives inf without a warning
         nondeg = bool(abs(det) > cfg.degeneracy_tol)
-        enc = _tight_enclosure(parts, v, (x, y), enc, cfg) if was_certified else enc
+        enc = _tight_enclosure(v, (x, y), enc, cfg) if was_certified else enc
         on_boundary = (
             min(abs(x - x0), abs(x - x1)) <= cfg.boundary_tol
             or min(abs(y - y0), abs(y - y1)) <= cfg.boundary_tol
@@ -420,19 +447,24 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
     return points
 
 
-def _tight_enclosure(parts, v, loc, fallback: _FBox, cfg: SolveConfig) -> _FBox:
+def _tight_enclosure(v, loc, fallback: _FBox, cfg: SolveConfig) -> _FBox:
     """Small certified box around a polished zero; falls back to the parent box."""
     x, y = loc
     scale = max(1.0, abs(x), abs(y))
     for w in (1e-9 * scale, 1e-7 * scale, 1e-5 * scale):
         b = (x - w, x + w, y - w, y + w)
-        boxes = IntervalBoxes(*([e] for e in b))
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = [_enclose(parts[k], boxes, _PARTIALS[k]) for k in _PARTIALS]
-            _, certified, _ = _interval_newton(v, jac, boxes)
-        if certified[0]:
+        if newton_certifies(v, b):
             return b
     return fallback
+
+
+def newton_certifies(v: VectorField, box: _FBox) -> bool:
+    """Does one interval-Newton step prove that box (xlo, xhi, ylo, yhi)
+    holds exactly one zero of v?"""
+    boxes = IntervalBoxes(*([e] for e in box))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, certified, _ = _interval_newton(v, interval_jacobian(v, boxes), boxes)
+    return bool(certified[0])
 
 
 def _index_radius(v: VectorField, loc, all_locs, self_id: int) -> float:
@@ -500,5 +532,9 @@ __all__ = [
     "StepTooCoarse",
     "ZeroOnCircle",
     "find_critical_points",
+    "interval_jacobian",
+    "mean_value_enclosure",
+    "newton_certifies",
     "poincare_index",
+    "regular",
 ]

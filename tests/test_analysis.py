@@ -11,6 +11,8 @@ import cyclebound as cb
 from cyclebound import analysis as an
 from cyclebound.milnorfiber import MilnorData
 
+from oracles import random_field
+
 
 def make_milnor(l=1, stable=True, sub=True):
     return MilnorData(point_id=0, delta=1.0, eta_sweep=(0.5,),
@@ -54,6 +56,62 @@ class TestHomologyBound:
         r, _, _ = corpus_runs["linear-center"]
         assert r.bound == 1
         assert [m.l for m in r.milnor] == [1]
+
+
+class TestLoopCountPath:
+    """Which path decides l: the single-loop certificate, and the sweep only
+    where the certificate does not decide."""
+
+    PANEL = ((2, 2), (2, 3), (3, 5), (4, 1))   # the benchmark's random-fields
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        real = an.vanishing_cycle_count
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(an, "vanishing_cycle_count", counted)
+        return calls
+
+    @pytest.mark.parametrize("degree,seed", PANEL)
+    def test_random_panel_sweeps_nothing(self, sweeps, degree, seed):
+        r = an.run(random_field(seed, degree, cb.Box.make(-2, 2, -2, 2)))
+        assert sweeps == []
+        assert all(m.decided_by == "certificate" and m.stable and m.l == 1
+                   and m.counts_per_eta == () and m.eta_sweep for m in r.milnor)
+
+    def test_degenerate_point_sweeps_once(self, sweeps, corpus):
+        r = an.run(corpus["degenerate-demo"])
+        assert sweeps == [0]
+        [m] = r.milnor
+        assert m.decided_by == "sweep" and m.certified_radius is None
+        assert m.level_errors == (None,) * len(m.eta_sweep)
+
+    def test_morsified_degenerate_point_certifies_both(self, sweeps, corpus):
+        """Criterion 8's perturbation splits the double zero into two simple
+        ones; each is certified and B stays 2."""
+        r = an.run(an.morsify(corpus["degenerate-demo"], 1e-2, 3))
+        assert sweeps == []
+        assert r.bound == 2
+
+    def test_unstable_sweep_names_point_eta_and_cause(self, monkeypatch):
+        """With the certificate off, cubic seed 5's point 2 fails two of the
+        last four levels at the grid cap: one note names both."""
+        monkeypatch.setattr(an, "certify_single_loop", lambda *args: None)
+        r = an.run(random_field(5, 3, cb.Box.make(-2, 2, -2, 2)))
+        m = r.milnor[2]
+        assert not m.stable
+        failed = [(eta, err) for eta, err in zip(m.eta_sweep[-4:], m.level_errors[-4:]) if err]
+        assert len(failed) == 2
+        assert all(err.startswith("GridTooCoarse: topology changed") for _, err in failed)
+        assert r.notes == ("fiber sweep unstable at point 2: "
+                           + "; ".join(f"eta {eta:.6g}: {err}" for eta, err in failed),)
+        assert "eta 0.00120747: GridTooCoarse: topology changed from (3, 0) to (1, 0) " \
+               "at the 2048 grid cap" in r.notes[0]
+        assert an.report_from_run(r).verdict == "inconclusive"
 
 
 class TestCompareReports:
@@ -114,7 +172,8 @@ class TestReportJson:
         of a failed sweep, none of which the corpus reports hold."""
         swept = MilnorData(point_id=0, delta=0.5, eta_sweep=(0.2, 0.1, 0.05),
                            counts_per_eta=((1, 0), None, (1, 0)), l=1, stable=False,
-                           submersion_ok=False, witness=(0.25, -0.125))
+                           submersion_ok=False, witness=(0.25, -0.125),
+                           level_errors=(None, "GridTooCoarse: cap", None))
         placeholder = MilnorData(point_id=1, delta=0.0, eta_sweep=(), counts_per_eta=(),
                                  l=0, stable=False, submersion_ok=False, witness=None)
         rep = an.AnalysisReport(

@@ -15,7 +15,7 @@ from cyclebound.critfind import (
     find_critical_points,
     poincare_index,
 )
-from cyclebound.polyalg import Box, Poly2, VectorField, parse_poly, parse_vf
+from cyclebound.polyalg import Box, IntervalBoxes, Poly2, VectorField, parse_poly, parse_vf
 
 from oracles import random_field, subdivide_reference
 
@@ -254,3 +254,31 @@ class TestFloatRange:
             [cp] = find_critical_points(v)
         assert cp.jacobian_determinant() == math.inf
         assert cp.nondegenerate
+
+
+class TestRegularity:
+    """`regular` decides injectivity on a box from its interval Jacobian,
+    not from the sign of det J at its points."""
+
+    def test_cube_map_not_regular_though_det_positive(self):
+        """z -> z^3 on [-0.9, 0.9] x [0.45, 0.55]: det J = 9 |z|^4 > 0 on the
+        whole box, yet e^(i pi/6) and e^(i 5 pi/6) both map to i."""
+        v = parse_vf("P = x^3 - 3*x*y^2\nQ = 3*x^2*y - y^3")
+        boxes = IntervalBoxes([-0.9], [0.9], [0.45], [0.55])
+        det, ok = cf.regular(cf.interval_jacobian(v, boxes), boxes)
+        assert not ok[0]
+        assert det[0][0] <= 0.0 <= det[1][0]
+        xs, ys = np.meshgrid(np.linspace(-0.9, 0.9, 181), np.linspace(0.45, 0.55, 11))
+        jac = [[v.p.partial(0), v.p.partial(1)], [v.q.partial(0), v.q.partial(1)]]
+        pointwise = (jac[0][0].eval_grid(xs, ys) * jac[1][1].eval_grid(xs, ys)
+                     - jac[0][1].eval_grid(xs, ys) * jac[1][0].eval_grid(xs, ys))
+        assert pointwise.min() > 0.0
+        a, b = (math.cos(math.pi / 6), 0.5), (-math.cos(math.pi / 6), 0.5)
+        assert np.allclose(v.eval(*a), (0.0, 1.0)) and np.allclose(v.eval(*b), (0.0, 1.0))
+
+    def test_small_box_at_a_simple_zero_is_regular(self):
+        """Around z = 1, where z^3 has J = 3 I, a small box is regular."""
+        v = parse_vf("P = x^3 - 3*x*y^2\nQ = 3*x^2*y - y^3")
+        boxes = IntervalBoxes([0.9], [1.1], [-0.1], [0.1])
+        det, ok = cf.regular(cf.interval_jacobian(v, boxes), boxes)
+        assert ok[0] and det[0][0] > 0.0

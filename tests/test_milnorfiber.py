@@ -686,3 +686,86 @@ class TestFloodFillAgreement:
             ob0, oclosed = floodfill_fiber_counts(v, cps[0].location,
                                                   delta, eta, 256)
             assert (b0, closed) == (ob0, oclosed)
+
+
+class TestSingleLoopCertificate:
+    """`certify_single_loop` against the sweep it replaces in `analysis.run`:
+    wherever `vanishing_cycle_count` is stable it finds l = 1, and the
+    fiber in the certified disc at half the certified eta is one closed
+    loop with no arcs."""
+
+    PANEL = ((2, 2), (2, 3), (3, 5), (4, 1), (3, 8), (4, 2))
+    SEEDS = (0, 1, 2, 3, 5, 6, 7, 8, 9, 10)   # criterion 5's
+
+    @staticmethod
+    def cross_check(v):
+        cps = find_critical_points(v)
+        locs = [cp.location for cp in cps]
+        decided = []
+        for k, cp in enumerate(cps):
+            others = locs[:k] + locs[k + 1:]
+            delta, _ = mf.select_radii(v, cp.location, others)
+            cert = mf.certify_single_loop(v, cp.location, cp.enclosure, delta)
+            decided.append(cert is not None)
+            if cert is None:
+                continue
+            r, eta = cert
+            assert 0.0 < r <= delta and eta > 0.0
+            # a lower bound of ||V - V(p)|| on the circle: below every sample
+            t = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
+            x, y = cp.x + r * np.cos(t), cp.y + r * np.sin(t)
+            c = v.eval(cp.x, cp.y)
+            assert eta <= np.hypot(v.p.eval_grid(x, y) - c[0], v.q.eval_grid(x, y) - c[1]).min()
+            fib = mf.extract_fiber(v, cp.location, r, eta / 2)
+            assert (fib.closed_count, fib.arc_count) == (1, 0)
+            md = mf.vanishing_cycle_count(v, cp.id, cp.location, others)
+            if md.stable:
+                assert md.l == 1
+        return decided
+
+    @pytest.mark.parametrize("name", ["cubic-one-cycle", "van-der-pol", "linear-center",
+                                      "two-cycle", "degenerate-demo"])
+    def test_corpus(self, corpus, name):
+        decided = self.cross_check(corpus[name])
+        assert decided == ([False] if name == "degenerate-demo" else [True])
+
+    @pytest.mark.parametrize("degree,seed", PANEL)
+    def test_random_panel(self, degree, seed):
+        decided = self.cross_check(random_field(seed, degree, cb.Box.make(-2, 2, -2, 2)))
+        assert all(decided)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_criterion_5_seeds(self, seed):
+        assert all(self.cross_check(random_field(seed)))
+
+    def test_radius_halves_from_delta(self, corpus):
+        """Cubic: the square of half-width delta = 1.5 is not regular, the
+        one of 0.375 is: two halvings."""
+        v = corpus["cubic-one-cycle"]
+        [cp] = find_critical_points(v)
+        delta, _ = mf.select_radii(v, cp.location)
+        r, _ = mf.certify_single_loop(v, cp.location, cp.enclosure, delta)
+        assert (delta, r) == (1.5, 0.375)
+
+    def test_enclosure_without_zero_is_not_decided(self, pair_field):
+        """Interval Newton must certify the enclosure: a box beside the
+        zero (1, 0) of (x^2 - 1, y) holds none."""
+        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (1.01, 1.02, -0.01, 0.01),
+                                      1.0) is None
+        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (0.99, 1.01, -0.01, 0.01),
+                                      1.0) is not None
+
+    def test_point_far_from_its_zero_is_not_decided(self):
+        """||V(p)|| must stay below eta_c: for V = (x, 10 y) at p = (0, 0.05)
+        the disc of radius 0.1 holds the zero, but ||V(p)|| = 0.5 exceeds
+        the minimum 0.1 of ||V - V(p)|| on its circle."""
+        v = cb.parse_vf("P = x\nQ = 10*y\n")
+        enclosure = (-0.001, 0.001, -0.001, 0.001)
+        assert mf.certify_single_loop(v, (0.0, 0.05), enclosure, 0.1) is None
+        assert mf.certify_single_loop(v, (0.0, 0.0005), enclosure, 0.1) is not None
+
+    def test_enclosure_outside_disc_is_not_decided(self, pair_field):
+        """The disc must hold the enclosure: the one around the zero
+        (-1, 0) does not certify the point (1, 0)."""
+        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (-1.01, -0.99, -0.01, 0.01),
+                                      1.0) is None

@@ -11,7 +11,9 @@ that interval certificate decides it, and the fiber sweep
 `vanishing_cycle_count` otherwise; a sweep left unstable gets a note naming
 the point, its failed levels and their causes.  Detection is skipped when
 `no_cycle_certificate` proves from the divergence that no limit cycle
-exists.  It returns the objects as a
+exists, or `_index_certificate` proves that every zero in the scouting
+rectangle is a saddle, so that no closed orbit can enclose zeros of index
+sum +1.  It returns the objects as a
 `PipelineRun` and never raises on a parseable field.  `compare` (the JSON
 report), `morsification_invariance` (one table row per field) and the CLI
 (report plus portrait) all consume it.
@@ -26,7 +28,17 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .critfind import CritFindError, CriticalPoint, SolveConfig, find_critical_points
+import numpy as np
+
+from .critfind import (
+    CritFindError,
+    CriticalPoint,
+    SolveConfig,
+    find_critical_points,
+    interval_jacobian,
+    newton_certifies,
+    regular,
+)
 from .cycledetect import (
     DetectConfig,
     LimitCycle,
@@ -45,7 +57,8 @@ from .milnorfiber import (
     submersion_check,
     vanishing_cycle_count,
 )
-from .polyalg import Poly2, VectorField, VectorFieldError
+from .odeflow import BOX_INFLATION
+from .polyalg import Box, IntervalBoxes, Poly2, VectorField, VectorFieldError
 
 VERDICT_HOLDS = "inequality_holds"
 VERDICT_VIOLATED = "inequality_violated"
@@ -72,7 +85,7 @@ class AnalysisReport:
     diagnostics: tuple
     timestamp: str
     notes: tuple
-    no_cycle_certificate: str | None  # why detection was skipped, if it was
+    no_cycle_certificate: str | None  # why detection was skipped (divergence or index rule)
 
 
 def _json_float(x) -> float | None:
@@ -176,22 +189,63 @@ class PipelineRun:
     critfind_error: str | None = None  # "Type: message"; nothing else ran
     detect_error: str | None = None    # "Type: message"; cycles is empty
     had_failures: bool = False         # a sweep or the detection failed
-    no_cycle_certificate: str | None = None  # set when detection was skipped
+    # why detection was skipped: the divergence or the index certificate
+    no_cycle_certificate: str | None = None
 
     @property
     def bound(self) -> int:
         return sum(m.l for m in self.milnor if m.stable)
 
 
-def _cycles_or_certificate(v: VectorField, cps, cfg: DetectConfig):
-    """(cycles, certificate, error): no cycles and the reason when
-    `no_cycle_certificate` holds, else the sampled search.  error is
-    "Type: message" when either step raised; cycles is then empty."""
+def _certified_saddle(v: VectorField, cp: CriticalPoint) -> bool:
+    """Interval Newton proves that cp's enclosure holds one zero, and the
+    determinant of [J] over the enclosure is negative: a saddle, index -1."""
+    if not newton_certifies(v, cp.enclosure):
+        return False
+    boxes = IntervalBoxes(*([e] for e in cp.enclosure))
+    (_, hi), _ = regular(interval_jacobian(v, boxes), boxes)
+    return bool(hi[0] < 0.0)
+
+
+def _index_certificate(v: VectorField, cps, cfg: SolveConfig) -> str | None:
+    """Why v has no closed orbit in the scouting rectangle R =
+    box.inflate(BOX_INFLATION) by index theory, or None.
+
+    A closed orbit in the convex R encloses zeros whose indices sum to +1
+    (Perko, Differential Equations and Dynamical Systems, 3.12).  So if
+    every zero in R is a certified saddle (`_certified_saddle`), no subset
+    sums to +1 and R holds no closed orbit.  The points cps found in the box
+    are tested first; only when all pass does critfind run once more on R.
+    A box with no zero gives None: detection returns no cycle there anyway.
+    So does a search on R that raises.
+    """
+    if not cps:
+        return None
+    x0, x1, y0, y1 = v.box.inflate(BOX_INFLATION)
     try:
-        certificate = no_cycle_certificate(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(_certified_saddle(v, cp) for cp in cps):
+                return None
+            wide = VectorField(v.p, v.q, v.name, Box.make(x0, x1, y0, y1))
+            if not all(_certified_saddle(v, cp) for cp in find_critical_points(wide, cfg)):
+                return None
+    except CritFindError:
+        return None
+    return (f"every zero of V in [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}] is a saddle "
+            f"(interval Newton, det [J] < 0 on its enclosure), so no closed orbit lies "
+            f"there: one would enclose zeros of index sum +1")
+
+
+def _cycles_or_certificate(v: VectorField, cps, cfg: PipelineConfig):
+    """(cycles, certificate, error): no cycles and the reason when the
+    divergence (`no_cycle_certificate`) or the index rule
+    (`_index_certificate`) rules cycles out, else the sampled search.  error
+    is "Type: message" when a step raised; cycles is then empty."""
+    try:
+        certificate = no_cycle_certificate(v) or _index_certificate(v, cps, cfg.solve)
         if certificate is not None:
             return [], certificate, None
-        return detect_limit_cycles(v, cps, cfg), None, None
+        return detect_limit_cycles(v, cps, cfg.detect), None, None
     except Exception as e:  # contract: detection must not abort the report
         return [], None, f"{type(e).__name__}: {e}"
 
@@ -226,9 +280,9 @@ def _unstable_note(m: MilnorData, tail: int) -> str:
 def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
     """Critical points, then the loop count per point (`_milnor`: a
     certificate, else the fiber sweep), then cycle detection, each once; a
-    divergence certificate replaces the detection with no cycles.  Failures
-    are recorded as notes and flags, never raised; so is each point the
-    sweep left unstable, with its cause."""
+    divergence or index certificate replaces the detection with no cycles.
+    Failures are recorded as notes and flags, never raised; so is each point
+    the sweep left unstable, with its cause."""
     notes: list[str] = []
     try:
         cps = find_critical_points(v, cfg.solve)
@@ -252,7 +306,7 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
                 notes.append(_unstable_note(m, cfg.fiber.stable_tail))
         milnor.append(m)
 
-    cycles, certificate, detect_error = _cycles_or_certificate(v, cps, cfg.detect)
+    cycles, certificate, detect_error = _cycles_or_certificate(v, cps, cfg)
     if detect_error is not None:
         had_failures = True
         notes.append(f"cycle detection failed: {detect_error}")

@@ -230,7 +230,7 @@ def cmd_cycles(args) -> int:
     cps = _critical_points(v, cfg)
     if cps is None:
         return EXIT_INCONCLUSIVE
-    cycles, certificate, error = _cycles_or_certificate(v, cps, cfg.detect)
+    cycles, certificate, error = _cycles_or_certificate(v, cps, cfg)
     if error is not None:  # same contract as analyze: report, do not crash
         print(f"cycle detection failed: {error}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -24,12 +24,17 @@ first crossing at which one of its families has settled: four crossings or
 more, the last two within the floor of `_settled`.  Its families are cut at
 that crossing, so the result does not depend on when a solve ran, and
 `_analyze_family` judges each settled family as a candidate (floor branch)
-or a closed-orbit band (stall test).  Seeds that never settle run to
-t_horizon or max_returns.
+or a closed-orbit band (stall test).  A seed also stops once a step ends in
+the certified basin disk of a sink of the scouting direction (`_basin`): a
+sublevel set of a quadratic Lyapunov function, proved decreasing by
+interval arithmetic, from which the seed can only converge to the sink.
+Seeds that do neither run to t_horizon or max_returns.
 
 `no_cycle_certificate` is the certified shortcut: when div V is identically
 zero or keeps one strict sign on the region scouting explores, no limit
 cycle lies there (Bendixson-Dulac) and the sampled search can be skipped.
+`analysis` adds the index rule, for fields whose zeros there are all
+saddles.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odeflow
+from .critfind import CritFindError, interval_jacobian, newton_certifies
 from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, hermite_roots,
                       integrate, rk_step, section_crossings)
-from .polyalg import IntervalBoxes, Poly2, VectorField, interval_eval
+from .polyalg import IntervalBoxes, Poly2, VectorField, ia_add, ia_mul, ia_sub, interval_eval
 
 log = logging.getLogger(__name__)
 
@@ -103,15 +109,26 @@ def _close_loop(pts: np.ndarray) -> np.ndarray:
     return np.vstack([pts, pts[:1]])
 
 
+# points per block of `_directed_hausdorff`: its temporaries are a block's
+# rows times the polyline's segments
+_HAUSDORFF_ROWS = 64
+
+
 def _directed_hausdorff(pts: np.ndarray, poly: np.ndarray) -> float:
+    """Largest distance from a point of pts to the polyline poly.  Each
+    point's nearest segment is found on its own, so blocks of
+    _HAUSDORFF_ROWS points give the floats of the dense pts x segments
+    computation without its n x m x 2 temporaries."""
     a = poly[:-1]
     d = poly[1:] - a
     l2 = np.maximum((d * d).sum(1), 1e-300)
-    ap = pts[:, None, :] - a[None]
-    t = np.clip((ap * d[None]).sum(-1) / l2[None], 0.0, 1.0)
-    proj = a[None] + t[..., None] * d[None]
-    dist2 = ((pts[:, None, :] - proj) ** 2).sum(-1)
-    return float(np.sqrt(dist2.min(axis=1).max()))
+    worst = []
+    for s in range(0, len(pts), _HAUSDORFF_ROWS):
+        blk = pts[s:s + _HAUSDORFF_ROWS, None, :]
+        t = np.clip(((blk - a) * d).sum(-1) / l2, 0.0, 1.0)
+        dist2 = ((blk - (a + t[..., None] * d)) ** 2).sum(-1)
+        worst.append(dist2.min(axis=1).max())
+    return float(np.sqrt(np.max(worst)))
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -159,6 +176,123 @@ def _make_seeds(v: VectorField, cps, cfg: DetectConfig) -> np.ndarray:
     return seeds
 
 
+# the basin search tries the squares [p +- r0 2^-k]^2, k = 0 .. _BASIN_HALVINGS
+_BASIN_HALVINGS = 12
+
+
+@dataclass(frozen=True)
+class _Basin:
+    """A certified basin disk of a sink (`_basin`): every orbit that enters
+    {L <= level}, with L = s11 dx^2 + 2 s12 dx dy + s22 dy^2 and (dx, dy)
+    the offset from the float point (x, y), stays in a disk around the sink
+    on which a quadratic Lyapunov function decreases, and tends to the
+    sink."""
+
+    x: float
+    y: float
+    s11: float
+    s12: float
+    s22: float
+    level: float
+
+    def holds(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        dx, dy = xx - self.x, yy - self.y
+        return self.s11 * dx * dx + 2.0 * self.s12 * dx * dy + self.s22 * dy * dy <= self.level
+
+
+def _lyapunov(a: float, b: float, c: float, d: float):
+    """(s11, s12, s22): the S with A^T S + S A = -I for A = [[a, b], [c, d]]
+    with trace t < 0 and determinant D > 0, in closed form:
+    S = (D I + adj(A)^T adj(A)) / (-2 t D)."""
+    t, det = a + d, a * d - b * c
+    k = -2.0 * t * det
+    return (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
+
+
+def _negative_definite(s, jac, time_sign: float):
+    """Per box: is S A + A^T S negative definite for every A in time_sign [J],
+    by interval arithmetic?  Its diagonal must be < 0 and its determinant
+    > 0, each entry enclosed on its own, which is conservative."""
+    s11, s12, s22 = ((e, e) for e in s)
+    a, b, c, d = jac if time_sign > 0 else [(-hi, -lo) for lo, hi in jac]
+    m11 = ia_add(ia_mul(s11, a), ia_mul(s12, c))
+    m22 = ia_add(ia_mul(s12, b), ia_mul(s22, d))
+    m12 = ia_add(ia_add(ia_mul(s11, b), ia_mul(s12, d)), ia_add(ia_mul(s12, a), ia_mul(s22, c)))
+    m11, m22 = (2.0 * m11[0], 2.0 * m11[1]), (2.0 * m22[0], 2.0 * m22[1])
+    det = ia_sub(ia_mul(m11, m22), ia_mul(m12, m12))
+    return (m11[1] < 0.0) & (m22[1] < 0.0) & (det[0] > 0.0)
+
+
+def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
+    """cp's certified basin disk in the direction time_sign, or None.
+
+    Only a hyperbolic sink of time_sign V qualifies: A = time_sign J(p) at
+    the float point p has trace < 0 and determinant > 0, tested before S is
+    solved (`_lyapunov`), since the solve is singular at a centre or a
+    saddle.  Interval Newton must prove that cp's enclosure E holds the zero
+    z.  Then the square K = [p +- r]^2 is halved from r0, half the distance
+    to the nearest other zero (or the box's half-width), until it holds E
+    and S A + A^T S is negative definite for every A in time_sign [J](K)
+    (`_negative_definite`).  Since V(x) = M (x - z) with M, the mean of J
+    along the segment, in [J](K), L_z(x) = (x - z)^T S (x - z) then
+    decreases along every orbit in K other than z, so each sublevel set of
+    L_z inside K is positively invariant and every orbit in it tends to z
+    (Khalil, Nonlinear Systems, 4.3).  The largest such ellipse, for every z
+    in E, has S-radius rho = (r - e) sqrt(det S / max(s11, s22)) with e the
+    reach of E from p.  z is known only to E, so the stop level on L at p
+    is (rho - e sqrt(s11 + 2 |s12| + s22))^2, shrunk by a relative margin
+    that covers the float rounding of L and of the level itself.
+    """
+    (a, b), (c, d) = cp.jacobian
+    a, b, c, d = time_sign * a, time_sign * b, time_sign * c, time_sign * d
+    t, det = a + d, a * d - b * c
+    # a hyperbolic sink, with t det clear of underflow so that S is defined
+    if not (t < 0.0 < det and t * det < 0.0):
+        return None
+    s = s11, s12, s22 = _lyapunov(a, b, c, d)
+    det_s = s11 * s22 - s12 * s12
+    if not (s11 > 0.0 and 0.0 < det_s < math.inf):
+        return None
+    # |s11 dx^2| + |2 s12 dx dy| + |s22 dy^2| <= 2 / (1 - q) L, so the float
+    # rounding of L, and of the level below, is far inside this margin
+    q = abs(s12) / math.sqrt(s11 * s22)
+    if not q < 0.99:
+        return None
+    margin = 2e-9 / (1.0 - q)
+    px, py = cp.x, cp.y
+    xlo, xhi, ylo, yhi = cp.enclosure
+    e = max(px - xlo, xhi - px, py - ylo, yhi - py) * 1.001
+    x0, x1, y0, y1 = v.box.floats()
+    r0 = 0.5 * min([x1 - x0, y1 - y0] + [math.hypot(px - ox, py - oy) for ox, oy in others])
+    radii = r0 * 0.5 ** np.arange(_BASIN_HALVINGS + 1)
+    radii = radii[radii > e]
+    if not radii.size:
+        return None
+    squares = IntervalBoxes(np.nextafter(px - radii, -np.inf), np.nextafter(px + radii, np.inf),
+                            np.nextafter(py - radii, -np.inf), np.nextafter(py + radii, np.inf))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not newton_certifies(v, cp.enclosure):
+                return None
+            ok = _negative_definite(s, interval_jacobian(v, squares), time_sign)
+    except CritFindError:
+        return None
+    if not ok.any():
+        return None
+    r = float(radii[np.argmax(ok)])
+    rho = (r - e) * math.sqrt(det_s / max(s11, s22)) - e * math.sqrt(s11 + 2.0 * abs(s12) + s22)
+    if not rho > 0.0:
+        return None
+    return _Basin(px, py, s11, s12, s22, rho * rho * (1.0 - margin))
+
+
+def _basins(v: VectorField, cps, time_sign: float) -> tuple[_Basin, ...]:
+    """The certified basin disks (`_basin`) of the points that have one."""
+    locs = [(cp.x, cp.y) for cp in cps]
+    found = (_basin(v, cp, locs[:i] + locs[i + 1:], time_sign) for i, cp in enumerate(cps))
+    return tuple(b for b in found if b is not None)
+
+
 # relative margin of the sure-hit tests; one Hermite evaluation rounds by a
 # few ulps of its inputs' magnitude, far below it
 _SURE_MARGIN = 1e-9
@@ -197,7 +331,8 @@ def _sure_hits(t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, anchor_x):
     return (t0 > 0) & (rising | falling) & (left | right), rising, left
 
 
-def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float):
+def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float,
+           basins=()):
     """Integrate all seeds at once, logging section-line crossings.
 
     Returns one dict per seed mapping (section_index, crossing_direction,
@@ -216,6 +351,11 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     has already judged.  Since every family is cut at that crossing, the
     result does not depend on when a check ran.  t_horizon and max_returns
     still stop the seeds that never settle.
+
+    A seed also stops, like one that hits an equilibrium, once an accepted
+    step ends inside one of `basins` (`_Basin`): from there it can only
+    tend to that sink, so its families are cut to a prefix of what they
+    would be without the basins.
     """
     m = len(seeds)
     fams: list[dict] = [dict() for _ in range(m)]
@@ -348,9 +488,11 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                 (x5_a < bx0) | (x5_a > bx1) | (y5_a < by0) | (y5_a > by1)
                 | ~np.isfinite(x5_a) | ~np.isfinite(y5_a)
             )
-            eqm = np.hypot(k7x_a, k7y_a) < 1e-10
+            caught = np.hypot(k7x_a, k7y_a) < 1e-10   # at an equilibrium or in a basin
+            for b in basins:
+                caught |= b.holds(x5_a, y5_a)
             tend = t[gidx] >= cfg.t_horizon - 1e-12
-            dead = out | eqm | tend
+            dead = out | caught | tend
             if dead.any():
                 active[gidx[dead]] = False
             if n_fresh >= len(idx):
@@ -645,7 +787,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
 
     pool = []
     for time_sign in (1.0, -1.0):
-        fams = _scout(v, seeds, sections, cfg, time_sign)
+        fams = _scout(v, seeds, sections, cfg, time_sign, _basins(v, cps, time_sign))
         for per_seed in fams:
             for (si, dirc, _side), evs in sorted(per_seed.items()):
                 got = _analyze_family(evs, cfg)

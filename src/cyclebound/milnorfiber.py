@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,15 @@ def _third_order_bound(g0: Poly2, px: float, py: float, delta: float) -> float:
         return math.inf
 
 
+def _float_coefficients(g: Poly2) -> None:
+    """Build g's float coefficient matrix, or raise FiberError where a
+    coefficient of |V - V(p)|^2 or of its Hessian leaves the float range."""
+    try:
+        g.coeff_matrix()
+    except OverflowError:
+        raise FiberError("|V - V(p)|^2 has coefficients beyond the float range") from None
+
+
 # cells per row block of a level's centre arrays: 1 MiB of floats
 _BLOCK = 1 << 17
 
@@ -250,21 +260,36 @@ class _Workspace:
         dp = v.p - Poly2({(0, 0): p0})
         dq = v.q - Poly2({(0, 0): q0})
         self.g0 = dp * dp + dq * dq
-        self.g0x = self.g0.partial(0)
-        self.g0y = self.g0.partial(1)
-        # (polynomial, weight) pairs of the second-order term, 1/2 a^T H a
-        self._hess = ((self.g0x.partial(0), 0.5), (self.g0x.partial(1), 1.0),
-                      (self.g0y.partial(1), 0.5))
-        try:
-            for p in (self.g0, *(hp for hp, _ in self._hess)):
-                p.coeff_matrix()
-        except OverflowError:
-            raise FiberError("|V - V(p)|^2 has coefficients beyond the float range") from None
-        self._t3 = _third_order_bound(self.g0, px, py, self.delta)
+        _float_coefficients(self.g0)
         self._levels: dict[int, dict] = {}
         self._enclosures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._margin: float | None = None
         self._point_err: float | None = None
+
+    # the Taylor data that only `enclosure`, `margin` and `_snap_chain` read
+    # are built on first use: a certified point's `submersion_check` needs
+    # only the node values
+
+    @cached_property
+    def g0x(self) -> Poly2:
+        return self.g0.partial(0)
+
+    @cached_property
+    def g0y(self) -> Poly2:
+        return self.g0.partial(1)
+
+    @cached_property
+    def _hess(self):
+        """(polynomial, weight) pairs of the second-order term, 1/2 a^T H a."""
+        hess = ((self.g0x.partial(0), 0.5), (self.g0x.partial(1), 1.0),
+                (self.g0y.partial(1), 0.5))
+        for hp, _ in hess:
+            _float_coefficients(hp)
+        return hess
+
+    @cached_property
+    def _t3(self) -> float:
+        return _third_order_bound(self.g0, *self.location, self.delta)
 
     def axes(self, n: int):
         """The grid of n cells, without its node values: the node axes xs and
@@ -304,6 +329,7 @@ class _Workspace:
         enc = self._enclosures.get(n)
         if enc is not None:
             return enc
+        hess, t3 = self._hess, self._t3
         lv = self.level(n)
         xs, ys = lv["xs"], lv["ys"]
         r = 0.5 * lv["h"]
@@ -321,12 +347,12 @@ class _Workspace:
             t = self.g0y.eval_outer(bx, cy)
             blk += np.abs(t, out=t)
             blk *= r
-            for hp, w in self._hess:
+            for hp, w in hess:
                 t = hp.eval_outer(bx, cy)
                 np.abs(t, out=t)
                 t *= w * r * r
                 blk += t
-        rad += self._t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(lv["g0n"]).max()) + 1e-300
+        rad += t3 * r ** 3 / 6.0 + 1e-12 * float(np.abs(lv["g0n"]).max()) + 1e-300
         enc = self._enclosures[n] = (g0c, rad)
         return enc
 
@@ -766,15 +792,15 @@ def submersion_check(
     px, py = ws.location
     in_ball = ((xs - px) ** 2)[:, None] + ((ys - py) ** 2)[None, :] <= delta * delta
     g0n = lv["g0n"]
-    mask = in_ball & (g0n >= eta_lo * eta_lo) & (g0n <= eta_hi * eta_hi)
-    if not mask.any():
+    i, j = np.nonzero(in_ball & (g0n >= eta_lo * eta_lo) & (g0n <= eta_hi * eta_hi))
+    # the gradient only at the annulus nodes, in grid order; eval_grid gives
+    # the floats of eval_outer there
+    x, y = xs[i], ys[j]
+    grad = np.hypot(v.p.partial(0).eval_grid(x, y), v.p.partial(1).eval_grid(x, y))
+    bad = np.flatnonzero(grad <= cfg.submersion_tol)
+    if not bad.size:
         return True, None
-    grad = np.hypot(v.p.partial(0).eval_outer(xs, ys), v.p.partial(1).eval_outer(xs, ys))
-    bad = mask & (grad <= cfg.submersion_tol)
-    if not bad.any():
-        return True, None
-    i, j = np.argwhere(bad)[0]
-    return False, (float(xs[i]), float(ys[j]))
+    return False, (float(x[bad[0]]), float(y[bad[0]]))
 
 
 # the single-loop certificate tries the radii delta * 2^-k, k = 0 .. _HALVINGS

@@ -187,6 +187,38 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return best
 
 
+def directed_hausdorff_dense(pts: np.ndarray, poly: np.ndarray) -> float:
+    """Largest point-to-polyline distance from one n x m x 2 computation:
+    the form `cycledetect._directed_hausdorff` had before it went blockwise."""
+    a = poly[:-1]
+    d = poly[1:] - a
+    l2 = np.maximum((d * d).sum(1), 1e-300)
+    ap = pts[:, None, :] - a[None]
+    t = np.clip((ap * d[None]).sum(-1) / l2[None], 0.0, 1.0)
+    proj = a[None] + t[..., None] * d[None]
+    dist2 = ((pts[:, None, :] - proj) ** 2).sum(-1)
+    return float(np.sqrt(dist2.min(axis=1).max()))
+
+
+def submersion_check_dense(v: VectorField, ws, delta: float, eta_lo: float, eta_hi: float,
+                           grid: int, tol: float):
+    """`milnorfiber.submersion_check` with grad P on the whole node grid, as
+    it was computed before it went to the annulus nodes only; ws is the
+    point's `_Workspace`."""
+    lv = ws.level(grid)
+    xs, ys = lv["xs"], lv["ys"]
+    px, py = ws.location
+    in_ball = ((xs - px) ** 2)[:, None] + ((ys - py) ** 2)[None, :] <= delta * delta
+    g0n = lv["g0n"]
+    mask = in_ball & (g0n >= eta_lo * eta_lo) & (g0n <= eta_hi * eta_hi)
+    grad = np.hypot(v.p.partial(0).eval_outer(xs, ys), v.p.partial(1).eval_outer(xs, ys))
+    bad = mask & (grad <= tol)
+    if not bad.any():
+        return True, None
+    i, j = np.argwhere(bad)[0]
+    return False, (float(xs[i]), float(ys[j]))
+
+
 def hausdorff_resampled(a: np.ndarray, b: np.ndarray, step: float) -> float:
     """Symmetric Hausdorff distance between two closed polylines.
 

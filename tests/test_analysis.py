@@ -9,6 +9,7 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import analysis as an
+from cyclebound.critfind import CritFindError, SolveConfig
 from cyclebound.milnorfiber import MilnorData
 
 from oracles import random_field
@@ -112,6 +113,72 @@ class TestLoopCountPath:
         assert "eta 0.00120747: GridTooCoarse: topology changed from (3, 0) to (1, 0) " \
                "at the 2048 grid cap" in r.notes[0]
         assert an.report_from_run(r).verdict == "inconclusive"
+
+
+class TestIndexCertificate:
+    """No closed orbit where every zero in the scouting rectangle is a
+    certified saddle: one would enclose zeros of index sum +1."""
+
+    BOX = cb.Box.make(-2, 2, -2, 2)
+
+    @pytest.mark.parametrize("degree,seed", [(2, 3), (4, 1)])
+    def test_saddle_only_panel_fields(self, degree, seed, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled search ran")
+
+        monkeypatch.setattr(an, "detect_limit_cycles", never)
+        r = an.run(random_field(seed, degree, self.BOX))
+        assert r.cycles == () and not r.had_failures
+        assert r.no_cycle_certificate.startswith(
+            "every zero of V in [-3, 3] x [-3, 3] is a saddle")
+        assert an.report_from_run(r).verdict == "inequality_holds"
+
+    def test_node_outside_the_box_counts(self):
+        """The saddle at 0 is the box's only zero, but the node at 2.5 lies
+        in the scouting rectangle [-3, 3]^2: nothing is certified."""
+        v = cb.parse_vf("P = x^2 - 2.5*x\nQ = y\nbox = [-2, 2] x [-2, 2]\n")
+        cps = cb.find_critical_points(v)
+        assert [cp.location for cp in cps] == [(0.0, 0.0)]
+        assert an._certified_saddle(v, cps[0])
+        assert an._index_certificate(v, cps, SolveConfig()) is None
+
+    def test_degenerate_demo_not_certified(self, corpus_runs):
+        r, _, _ = corpus_runs["degenerate-demo"]
+        assert an._index_certificate(r.field, r.cps, SolveConfig()) is None
+        assert r.no_cycle_certificate is None
+
+    def test_failed_wide_search_is_no_certificate(self, monkeypatch):
+        """critfind on the scouting rectangle raises: the rule gives None,
+        detection runs, and the verdict stands."""
+        real = an.find_critical_points
+        v = random_field(3, 2, self.BOX)
+
+        def wide_fails(f, cfg):
+            if f.box != v.box:
+                raise CritFindError("no search on the wide box")
+            return real(f, cfg)
+
+        monkeypatch.setattr(an, "find_critical_points", wide_fails)
+        assert an._index_certificate(v, real(v, SolveConfig()), SolveConfig()) is None
+        r = an.run(v)
+        assert r.no_cycle_certificate is None and r.detect_error is None
+        assert an.report_from_run(r).verdict == "inequality_holds"
+
+    def test_certified_fields_have_no_cycles(self):
+        """Sampled cross-check on random fields of degree 2-4, seeds 0-11:
+        detection finds nothing wherever the rule certifies."""
+        certified = []
+        for degree in (2, 3, 4):
+            for seed in range(12):
+                v = random_field(seed, degree, self.BOX)
+                try:
+                    cps = cb.find_critical_points(v)
+                except CritFindError:
+                    continue
+                if an._index_certificate(v, cps, SolveConfig()) is not None:
+                    certified.append((degree, seed))
+                    assert cb.detect_limit_cycles(v, cps) == []
+        assert len(certified) == 8 and (2, 3) in certified and (4, 1) in certified
 
 
 class TestCompareReports:

@@ -4,7 +4,9 @@ The cubic system contracts onto the exact unit circle with period
 2 pi, giving closed forms for period, shape, and stability. Van der
 Pol's period is checked against an independent scipy reference.
 Return exponents are checked against the radial closed form 2 pi f'(r*),
-and the divergence certificate against the sampled search.
+and the divergence certificate against the sampled search.  Basin disks
+are checked by sampling dL/dt on their boundaries and by the prefix
+relation of the families they cut.
 """
 
 import math
@@ -21,8 +23,8 @@ from cyclebound.critfind import find_critical_points
 from cyclebound.odeflow import Section, hermite, hermite_deriv, hermite_root
 from cyclebound.polyalg import IntervalBoxes, interval_eval
 
-from oracles import (circle, hausdorff_resampled, random_field, scout_reference,
-                     truncate_at_settle, winding_brute)
+from oracles import (circle, directed_hausdorff_dense, hausdorff_resampled, random_field,
+                     scout_reference, truncate_at_settle, winding_brute)
 from test_polyalg import rand_poly
 
 TWO_PI = 2.0 * math.pi
@@ -340,6 +342,120 @@ class TestNoCycleCertificate:
         for row in rows:
             assert (row["k"], row["B"], row["detected"]) == (1, 1, 0)
             assert row["error"] is None and not row["changed"]
+
+
+def sections_of(v, cps):
+    x0, x1, y0, y1 = v.box.floats()
+    return [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
+                    halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
+
+
+PANEL = ((2, 2), (2, 3), (3, 5), (4, 1))   # the benchmark's random-fields
+
+
+def panel_fields():
+    box = cb.Box.make(-2, 2, -2, 2)
+    return {f"random-{d}-{s}": random_field(s, d, box) for d, s in PANEL}
+
+
+class TestBasins:
+    """A sink's certified basin disk stops the seeds that enter it."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, corpus):
+        return {**corpus, **panel_fields()}
+
+    def test_lyapunov_closed_form(self):
+        rng = np.random.default_rng(0)
+        done = 0
+        while done < 200:
+            a = rng.uniform(-3.0, 3.0, (2, 2))
+            if not (np.trace(a) < 0 and np.linalg.det(a) > 0):
+                continue
+            s11, s12, s22 = cd._lyapunov(*a.ravel())
+            s = np.array([[s11, s12], [s12, s22]])
+            res = a.T @ s + s @ a + np.eye(2)
+            assert np.abs(res).max() <= 1e-12 * max(1.0, np.abs(s).max() * np.abs(a).max())
+            done += 1
+
+    def test_boundary_decreases(self, fields):
+        """dL/dt < 0 at 2000 points of each basin's boundary ellipse."""
+        found = []
+        for name, v in fields.items():
+            cps = find_critical_points(v)
+            for time_sign in (1.0, -1.0):
+                for b in cd._basins(v, cps, time_sign):
+                    th = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
+                    ux, uy = np.cos(th), np.sin(th)
+                    scale = np.sqrt(b.level / (b.s11 * ux * ux + 2 * b.s12 * ux * uy
+                                               + b.s22 * uy * uy))
+                    dx, dy = scale * ux, scale * uy
+                    fx = time_sign * v.p.eval_grid(b.x + dx, b.y + dy)
+                    fy = time_sign * v.q.eval_grid(b.x + dx, b.y + dy)
+                    dldt = 2.0 * ((b.s11 * dx + b.s12 * dy) * fx + (b.s12 * dx + b.s22 * dy) * fy)
+                    assert np.all(dldt < 0.0), (name, time_sign)
+                    found.append((name, time_sign))
+        assert sorted(found) == [("cubic-one-cycle", -1.0), ("random-3-5", -1.0),
+                                 ("two-cycle", -1.0), ("van-der-pol", -1.0)]
+
+    def test_no_basin_at_centres_and_saddles(self, fields, monkeypatch):
+        """A centre or a saddle fails the trace and determinant test before
+        any Lyapunov solve, where that solve would be singular."""
+        def never(*args):
+            raise AssertionError("Lyapunov solve at a non-sink")
+
+        for v in (fields["linear-center"], hamiltonian_cubic()):
+            cps = find_critical_points(v)
+            with monkeypatch.context() as m:
+                m.setattr(cd, "_lyapunov", never)
+                assert cd._basins(v, cps, 1.0) == cd._basins(v, cps, -1.0) == ()
+        saddles = 0
+        for v in fields.values():
+            cps = find_critical_points(v)
+            for cp in cps:
+                if cp.jacobian_determinant() < 0:
+                    saddles += 1
+                    assert cd._basin(v, cp, [], 1.0) is None
+                    assert cd._basin(v, cp, [], -1.0) is None
+        assert saddles >= 5
+
+    def test_no_numpy_linalg(self, corpus, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for fn in ("solve", "inv", "eig", "eigvals", "eigh", "eigvalsh", "det", "lstsq",
+                   "cholesky", "norm", "svd"):
+            monkeypatch.setattr(np.linalg, fn, never)
+        v = corpus["van-der-pol"]
+        assert len(cd._basins(v, find_critical_points(v), -1.0)) == 1
+
+    @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
+    def test_families_are_prefixes(self, fields, name):
+        """With the basins, every seed's families are prefixes of its
+        basin-free families, and some are cut."""
+        v = fields[name]
+        cps = find_critical_points(v)
+        cfg = cd.DetectConfig()
+        seeds = cd._make_seeds(v, cps, cfg)
+        basins = cd._basins(v, cps, -1.0)
+        assert basins
+        got = cd._scout(v, seeds, sections_of(v, cps), cfg, -1.0, basins)
+        free = cd._scout(v, seeds, sections_of(v, cps), cfg, -1.0)
+        for fam, ref in zip(got, free):
+            assert set(fam) <= set(ref)
+            for key, evs in fam.items():
+                assert evs == ref[key][:len(evs)]
+        assert sum(a != b for a, b in zip(got, free)) > 0
+
+
+class TestHausdorff:
+    @pytest.mark.parametrize("n,m", [(1, 5), (63, 40), (64, 7), (65, 300), (512, 1366)])
+    def test_blocks_match_dense(self, n, m):
+        rng = np.random.default_rng(n + m)
+        for _ in range(3):
+            pts = rng.normal(size=(n, 2))
+            poly = np.cumsum(rng.normal(size=(m, 2)), axis=0)
+            assert cd._directed_hausdorff(pts, poly) == directed_hausdorff_dense(pts, poly)
 
 
 class TestWinding:

@@ -22,7 +22,7 @@ from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
 from cyclebound.polyalg import VectorField
 
-from oracles import floodfill_fiber_counts, random_field
+from oracles import floodfill_fiber_counts, random_field, submersion_check_dense
 
 
 def rotated_copy(v, c, s):
@@ -265,6 +265,35 @@ class TestWorkspaceLevel:
         want = mf.extract_fiber(v, self.LOC, self.DELTA, 0.2, cfg)
         assert 129 in ws._levels
         assert fib == want and fib.components
+
+
+class TestLazyTaylorData:
+    """The workspace builds g0 and its node values at once, and the Taylor
+    data (gradient, Hessian, third-order bound) only for `enclosure`."""
+
+    TAYLOR = ("g0x", "g0y", "_hess", "_t3")
+
+    def test_submersion_check_builds_no_taylor_data(self):
+        v = random_field(5, degree=3)
+        ws = mf._Workspace(v, (0.25, -0.5), 0.75)
+        mf.submersion_check(v, (0.25, -0.5), 0.75, 0.01, 0.1, _ws=ws)
+        assert not set(self.TAYLOR) & set(vars(ws))
+        ws.enclosure(64)
+        assert set(self.TAYLOR) <= set(vars(ws))
+
+    def test_hessian_overflow_raises_at_first_enclosure(self):
+        """g0 = 1e308 x^4 + 2e154 x^3 + x^2 + y^2 fits in floats, but its
+        g_xx has the coefficient 1.2e309."""
+        v = cb.parse_vf("P = 10^154*x^2 + x\nQ = y\nbox = [-5, 5] x [-5, 5]\n")
+        ws = mf._Workspace(v, (0.0, 0.0), 0.5)
+        ws.level(64)
+        with pytest.raises(mf.FiberError, match="float range"):
+            ws.enclosure(64)
+
+    def test_g0_overflow_raises_in_constructor(self):
+        v = cb.parse_vf("P = 10^200*(x - y)\nQ = 10^200*(x + y)\n")
+        with pytest.raises(mf.FiberError, match="float range"):
+            mf._Workspace(v, (0.0, 0.0), 0.5)
 
 
 class TestCellEnclosure:
@@ -605,6 +634,28 @@ class TestSubmersion:
         px = v.p.partial(0).eval(wx, wy)
         py = v.p.partial(1).eval(wx, wy)
         assert math.hypot(px, py) <= 1e-8
+
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.05, 0.5])
+    def test_annulus_nodes_match_dense_grid(self, corpus, tol):
+        """Taking grad P only at the annulus nodes gives the whole-grid
+        check's verdict and witness, at tolerances that pass and fail."""
+        cfg = mf.FiberConfig(submersion_tol=tol)
+        box = cb.Box.make(-2, 2, -2, 2)
+        fields = [*corpus.values(),
+                  *(random_field(s, d, box) for d, s in ((2, 3), (3, 5), (4, 1)))]
+        verdicts = set()
+        for v in fields:
+            locs = [cp.location for cp in find_critical_points(v)]
+            for k, loc in enumerate(locs):
+                delta, sweep = mf.select_radii(v, loc, locs[:k] + locs[k + 1:])
+                ws = mf._Workspace(v, loc, delta)
+                got = mf.submersion_check(v, loc, delta, min(sweep), max(sweep), cfg, _ws=ws)
+                want = submersion_check_dense(v, ws, delta, min(sweep), max(sweep),
+                                              cfg.grid, tol)
+                assert got == want
+                verdicts.add(got[0])
+        assert verdicts == {True, False}
 
 
 class TestVanishingCycleCount:

@@ -177,7 +177,7 @@ class Poly2:
     """Polynomial in two variables over the rationals.
 
     Terms map exponent pairs (i, j) to nonzero Fractions; (i, j) stands for
-    x^i * y^j.  The zero polynomial has no terms and degree -1.
+    x^i * y^j.  The zero polynomial has no terms.
     """
 
     __slots__ = ("_terms", "_key", "_rows", "_cmat", "_amat", "_ivals")
@@ -201,12 +201,6 @@ class Poly2:
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         return dict(self._terms)
-
-    @property
-    def degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms

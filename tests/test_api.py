@@ -1,5 +1,5 @@
 """Every name listed in an __all__ of cyclebound or its modules exists and
-has a caller."""
+has a caller, and every private helper of the package is read in it."""
 
 import ast
 import importlib
@@ -45,3 +45,17 @@ def test_public_names_have_a_caller():
               for a in getattr(importlib.import_module(name), "__all__", ())
               if not a.startswith("__")}
     assert sorted(public - refs) == []
+
+
+def test_private_names_are_read():
+    """A private function, class or method (a _name, not a dunder) defined
+    in the package is read somewhere in the package; one that nothing reads
+    is left over from a deletion."""
+    sources = sorted((ROOT / "src" / "cyclebound").glob("*.py"))
+    refs = set().union(*(_references(p) for p in sources))
+    defined = {(p.name, node.name) for p in sources
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert sorted(f"{f}:{name}" for f, name in defined if name not in refs) == []

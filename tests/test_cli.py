@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -327,6 +328,18 @@ class TestArtifacts:
         svg = out_svg.read_text()
         assert svg.lstrip().startswith("<svg")
         assert len(svg) > 1000
+
+    @pytest.mark.parametrize("command", ["analyze", "cycles"])
+    def test_figure_escapes_the_field_name(self, capsys, tmp_path, command):
+        """A name with markup characters reaches the SVG as text, and the
+        file stays well-formed XML."""
+        path = tmp_path / "marked.vf"
+        path.write_text("P = x^2 - 1\nQ = y\nbox = [-5, 5] x [-5, 5]\nname = a<b & c\n")
+        out_svg = tmp_path / "portrait.svg"
+        code, _, _ = run(capsys, command, str(path), "--svg", str(out_svg))
+        assert code == EXIT_OK
+        texts = ET.parse(out_svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert "a<b & c" in [t.text for t in texts]
 
     def test_analyze_figure_survives_failed_detection(self, capsys, tmp_path,
                                                       pair_file, monkeypatch):

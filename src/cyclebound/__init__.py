@@ -19,7 +19,7 @@ from .analysis import (
     report_to_json,
     run,
 )
-from .critfind import CriticalPoint, SolveConfig, find_critical_points, poincare_index
+from .critfind import CriticalPoint, find_critical_points, poincare_index
 from .cycledetect import (
     DetectConfig,
     LimitCycle,
@@ -61,7 +61,6 @@ __all__ = [
     "PipelineRun",
     "Poly2",
     "Section",
-    "SolveConfig",
     "Trajectory",
     "VectorField",
     "betti",

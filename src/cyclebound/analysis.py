@@ -33,7 +33,6 @@ import numpy as np
 from .critfind import (
     CritFindError,
     CriticalPoint,
-    SolveConfig,
     find_critical_points,
     interval_jacobian,
     newton_certifies,
@@ -48,6 +47,7 @@ from .cycledetect import (
     no_cycle_certificate,
 )
 from .milnorfiber import (
+    STABLE_TAIL,
     FiberConfig,
     FiberError,
     MilnorData,
@@ -67,7 +67,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    solve: SolveConfig = SolveConfig()
     fiber: FiberConfig = FiberConfig()
     detect: DetectConfig = DetectConfig()
 
@@ -207,7 +206,7 @@ def _certified_saddle(v: VectorField, cp: CriticalPoint) -> bool:
     return bool(hi[0] < 0.0)
 
 
-def _index_certificate(v: VectorField, cps, cfg: SolveConfig) -> str | None:
+def _index_certificate(v: VectorField, cps) -> str | None:
     """Why v has no closed orbit in the scouting rectangle R =
     box.inflate(BOX_INFLATION) by index theory, or None.
 
@@ -227,7 +226,7 @@ def _index_certificate(v: VectorField, cps, cfg: SolveConfig) -> str | None:
             if not all(_certified_saddle(v, cp) for cp in cps):
                 return None
             wide = VectorField(v.p, v.q, v.name, Box.make(x0, x1, y0, y1))
-            if not all(_certified_saddle(v, cp) for cp in find_critical_points(wide, cfg)):
+            if not all(_certified_saddle(v, cp) for cp in find_critical_points(wide)):
                 return None
     except CritFindError:
         return None
@@ -242,7 +241,7 @@ def _cycles_or_certificate(v: VectorField, cps, cfg: PipelineConfig):
     (`_index_certificate`) rules cycles out, else the sampled search.  error
     is "Type: message" when a step raised; cycles is then empty."""
     try:
-        certificate = no_cycle_certificate(v) or _index_certificate(v, cps, cfg.solve)
+        certificate = no_cycle_certificate(v) or _index_certificate(v, cps)
         if certificate is not None:
             return [], certificate, None
         return detect_limit_cycles(v, cps, cfg.detect), None, None
@@ -254,7 +253,7 @@ def _milnor(v: VectorField, cp: CriticalPoint, others, cfg: FiberConfig) -> Miln
     """l = 1 from `certify_single_loop` where it decides the point, else the
     sweep's loop count.  A certified point keeps `select_radii`'s delta and
     eta sweep, and its submersion check, as a swept one would."""
-    delta, sweep = select_radii(v, cp.location, others, cfg)
+    delta, sweep = select_radii(v, cp.location, others)
     cert = certify_single_loop(v, cp.location, cp.enclosure, delta)
     if cert is None:
         return vanishing_cycle_count(v, cp.id, cp.location, others, cfg)
@@ -266,10 +265,10 @@ def _milnor(v: VectorField, cp: CriticalPoint, others, cfg: FiberConfig) -> Miln
                       certified_eta=cert[1])
 
 
-def _unstable_note(m: MilnorData, tail: int) -> str:
+def _unstable_note(m: MilnorData) -> str:
     """Why the sweep at m's point did not settle: its failed levels among
-    the last `tail` etas, or else the loop counts there that disagree."""
-    pairs = list(zip(m.eta_sweep, m.counts_per_eta, m.level_errors))[-tail:]
+    the last STABLE_TAIL etas, or else the loop counts there that disagree."""
+    pairs = list(zip(m.eta_sweep, m.counts_per_eta, m.level_errors))[-STABLE_TAIL:]
     failed = [f"eta {eta:.6g}: {err}" for eta, _, err in pairs if err is not None]
     if failed:
         return f"fiber sweep unstable at point {m.point_id}: " + "; ".join(failed)
@@ -285,7 +284,7 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
     the sweep left unstable, with its cause."""
     notes: list[str] = []
     try:
-        cps = find_critical_points(v, cfg.solve)
+        cps = find_critical_points(v)
     except CritFindError as e:
         msg = f"{type(e).__name__}: {e}"
         notes.append(f"critical point search failed: {msg}")
@@ -303,7 +302,7 @@ def run(v: VectorField, cfg: PipelineConfig = PipelineConfig()) -> PipelineRun:
             m = _placeholder_milnor(cp.id)
         else:
             if not m.stable:
-                notes.append(_unstable_note(m, cfg.fiber.stable_tail))
+                notes.append(_unstable_note(m))
         milnor.append(m)
 
     cycles, certificate, detect_error = _cycles_or_certificate(v, cps, cfg)

@@ -129,10 +129,10 @@ def _load(path):
         return None
 
 
-def _critical_points(v, cfg):
+def _critical_points(v):
     """The critical points of v, or None after reporting why the search failed."""
     try:
-        return find_critical_points(v, cfg.solve)
+        return find_critical_points(v)
     except CritFindError as e:
         print(f"critical point search failed: {type(e).__name__}: {e}",
               file=sys.stderr)
@@ -149,8 +149,8 @@ def cmd_critpoints(args) -> int:
     v = _load(args.input)
     if v is None:
         return EXIT_USAGE
-    cfg = _config_from(args)
-    cps = _critical_points(v, cfg)
+    _config_from(args)  # refuses bad option values, as every command does
+    cps = _critical_points(v)
     if cps is None:
         return EXIT_INCONCLUSIVE
     print(f"{'id':>3} {'x':>18} {'y':>18} {'index':>6} {'det':>12} "
@@ -170,7 +170,7 @@ def cmd_fiber(args) -> int:
     if v is None:
         return EXIT_USAGE
     cfg = _config_from(args)
-    cps = _critical_points(v, cfg)
+    cps = _critical_points(v)
     if cps is None:
         return EXIT_INCONCLUSIVE
     by_id = {cp.id: cp for cp in cps}
@@ -181,7 +181,7 @@ def cmd_fiber(args) -> int:
     cp = by_id[args.point_id]
     others = [(o.x, o.y) for o in cps if o.id != cp.id]
     try:
-        delta, sweep = select_radii(v, (cp.x, cp.y), others, cfg.fiber)
+        delta, sweep = select_radii(v, (cp.x, cp.y), others)
     except FiberError as e:
         print(f"cyclebound: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -227,7 +227,7 @@ def cmd_cycles(args) -> int:
     if v is None:
         return EXIT_USAGE
     cfg = _config_from(args)
-    cps = _critical_points(v, cfg)
+    cps = _critical_points(v)
     if cps is None:
         return EXIT_INCONCLUSIVE
     cycles, certificate, error = _cycles_or_certificate(v, cps, cfg)

@@ -66,19 +66,6 @@ class StepTooCoarse(CritFindError):
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    residual_tol: float = 1e-12
-    degeneracy_tol: float = 1e-9
-    max_depth: int = 40
-    resolution_tol: float = 1e-7
-    box_budget: int = 2048          # survivors per level before declaring a zero curve
-    boundary_tol: float = 1e-9
-    index_samples: int = 256
-    index_max_samples: int = 1 << 20
-    circle_zero_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class CriticalPoint:
     id: int
     location: tuple[float, float]
@@ -223,7 +210,13 @@ def _rows(cols, keep) -> list[_FBox]:
     return list(zip(*(c[keep].tolist() for c in cols)))
 
 
-def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes, cfg: SolveConfig,
+# survivors per level, and levels, before declaring a zero curve
+_BOX_BUDGET, _MAX_DEPTH = 2048, 40
+# undecided boxes narrower than this stay unresolved; zeros closer are one
+_RESOLUTION_TOL = 1e-7
+
+
+def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes,
                  certified: list, unresolved: list) -> np.ndarray:
     """Test one level's boxes, record the certified and unresolved ones, and
     return the next level as a (4, n) array of xlo, xhi, ylo, yhi.
@@ -250,7 +243,7 @@ def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes, cfg: SolveCo
     certified.extend(zip(_rows(boxes.x + boxes.y, cert), _rows(contracted, cert)))
     cx0, cx1, cy0, cy1 = contracted
     undecided = ~(empty | cert)
-    small = undecided & (cx1 - cx0 < cfg.resolution_tol) & (cy1 - cy0 < cfg.resolution_tol)
+    small = undecided & (cx1 - cx0 < _RESOLUTION_TOL) & (cy1 - cy0 < _RESOLUTION_TOL)
     unresolved.extend(_rows(contracted, small))
     cx0, cx1, cy0, cy1 = (c[undecided & ~small] for c in contracted)
     mx = 0.5 * (cx0 + cx1)
@@ -260,7 +253,7 @@ def _split_level(v: VectorField, parts: dict, boxes: IntervalBoxes, cfg: SolveCo
     return kids.transpose(0, 2, 1).reshape(4, 4 * len(mx))
 
 
-def _subdivide(v: VectorField, parts: dict, cfg: SolveConfig):
+def _subdivide(v: VectorField, parts: dict):
     """Breadth-first subdivision of v.box, one level at a time.
 
     Returns (certified, unresolved): the boxes interval Newton certified,
@@ -274,20 +267,20 @@ def _subdivide(v: VectorField, parts: dict, cfg: SolveConfig):
     unresolved: list[_FBox] = []
     depth = 0
     while level.shape[1]:
-        if depth > cfg.max_depth:
+        if depth > _MAX_DEPTH:
             raise DepthLimitExceeded(
-                f"subdivision did not terminate at depth {cfg.max_depth}; "
+                f"subdivision did not terminate at depth {_MAX_DEPTH}; "
                 "the zero set may be a curve",
                 box=tuple(level[:, 0].tolist()),
             )
-        if level.shape[1] > cfg.box_budget:
+        if level.shape[1] > _BOX_BUDGET:
             raise DepthLimitExceeded(
                 f"{level.shape[1]} live boxes at depth {depth}; "
                 "the zero set may be a curve",
                 box=tuple(level[:, 0].tolist()),
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            level = _split_level(v, parts, IntervalBoxes(*level), cfg, certified, unresolved)
+            level = _split_level(v, parts, IntervalBoxes(*level), certified, unresolved)
         depth += 1
     return certified, unresolved
 
@@ -344,7 +337,12 @@ def _cluster_touching(boxes: list[_FBox], gap: float) -> list[list[_FBox]]:
     return list(groups.values())
 
 
-def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> list[CriticalPoint]:
+_RESIDUAL_TOL = 1e-12   # Newton polish residual that accepts a zero
+_DEGENERACY_TOL = 1e-9  # |det J| above which a zero is nondegenerate
+_BOUNDARY_TOL = 1e-9    # distance to the box edge that flags a zero
+
+
+def find_critical_points(v: VectorField) -> list[CriticalPoint]:
     """All zeros of v inside its box, sorted by (x, y), ids in sorted order.
 
     Raises DepthLimitExceeded when subdivision explodes (non-isolated zeros),
@@ -353,7 +351,7 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
     that the interval tests could not exclude.
     """
     parts = _partials(v)
-    certified, unresolved = _subdivide(v, parts, cfg)
+    certified, unresolved = _subdivide(v, parts)
     x0, x1, y0, y1 = v.box.floats()
 
     candidates: list[tuple[float, float, _FBox, bool]] = []  # x, y, enclosure, certified
@@ -361,21 +359,20 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
     for b, contracted in certified:
         cx = 0.5 * (contracted[0] + contracted[1])
         cy = 0.5 * (contracted[2] + contracted[3])
-        x, y, res = _newton_polish(v, cx, cy, cfg.residual_tol)
-        if res > cfg.residual_tol:
+        x, y, res = _newton_polish(v, cx, cy, _RESIDUAL_TOL)
+        if res > _RESIDUAL_TOL:
             # certified zero exists; keep the best point we have
             x, y = cx, cy
         candidates.append((x, y, contracted, True))
 
-    gap = cfg.resolution_tol
-    for cluster in _cluster_touching(unresolved, gap):
+    for cluster in _cluster_touching(unresolved, _RESOLUTION_TOL):
         xs = [b[0] for b in cluster] + [b[1] for b in cluster]
         ys = [b[2] for b in cluster] + [b[3] for b in cluster]
         bbox = (min(xs), max(xs), min(ys), max(ys))
         polished = []
         for b in cluster:
-            px, py, res = _newton_polish(v, 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3]), cfg.residual_tol)
-            if res <= cfg.residual_tol:
+            px, py, res = _newton_polish(v, 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3]), _RESIDUAL_TOL)
+            if res <= _RESIDUAL_TOL:
                 polished.append((px, py))
         if not polished:
             # a failed polish does not exclude a zero, so the search cannot
@@ -387,7 +384,7 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
             )
         ref = polished[0]
         spread = max(math.hypot(p[0] - ref[0], p[1] - ref[1]) for p in polished)
-        if spread > 0.01 * cfg.resolution_tol:
+        if spread > 0.01 * _RESOLUTION_TOL:
             raise AmbiguousCluster(
                 "distinct zeros inside one resolution-tolerance cluster",
                 box=bbox,
@@ -403,10 +400,10 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
         dup = False
         for n, kept in enumerate(merged):
             d = math.hypot(cand[0] - kept[0], cand[1] - kept[1])
-            if d <= 0.01 * cfg.resolution_tol:
+            if d <= 0.01 * _RESOLUTION_TOL:
                 dup = True
                 break
-            if d < cfg.resolution_tol:
+            if d < _RESOLUTION_TOL:
                 raise AmbiguousCluster(
                     "two candidate zeros closer than the resolution tolerance",
                     box=cand[2],
@@ -424,14 +421,14 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
         j = v.jacobian_at(x, y)
         (a, b), (c, d) = j.tolist()
         det = a * d - b * c   # Python floats: overflow gives inf without a warning
-        nondeg = bool(abs(det) > cfg.degeneracy_tol)
-        enc = _tight_enclosure(v, (x, y), enc, cfg) if was_certified else enc
+        nondeg = bool(abs(det) > _DEGENERACY_TOL)
+        enc = _tight_enclosure(v, (x, y), enc) if was_certified else enc
         on_boundary = (
-            min(abs(x - x0), abs(x - x1)) <= cfg.boundary_tol
-            or min(abs(y - y0), abs(y - y1)) <= cfg.boundary_tol
+            min(abs(x - x0), abs(x - x1)) <= _BOUNDARY_TOL
+            or min(abs(y - y0), abs(y - y1)) <= _BOUNDARY_TOL
         )
         radius = _index_radius(v, (x, y), locs, pid)
-        idx = poincare_index(v, (x, y), radius, cfg)
+        idx = poincare_index(v, (x, y), radius)
         points.append(
             CriticalPoint(
                 id=pid,
@@ -447,7 +444,7 @@ def find_critical_points(v: VectorField, cfg: SolveConfig = SolveConfig()) -> li
     return points
 
 
-def _tight_enclosure(v, loc, fallback: _FBox, cfg: SolveConfig) -> _FBox:
+def _tight_enclosure(v, loc, fallback: _FBox) -> _FBox:
     """Small certified box around a polished zero; falls back to the parent box."""
     x, y = loc
     scale = max(1.0, abs(x), abs(y))
@@ -478,22 +475,22 @@ def _index_radius(v: VectorField, loc, all_locs, self_id: int) -> float:
     return max(min(0.5 * r, 1.0), 1e-8)
 
 
-def poincare_index(
-    v: VectorField,
-    center: tuple[float, float],
-    radius: float,
-    cfg: SolveConfig = SolveConfig(),
-) -> int:
+# samples on the index circle: the first count, doubled up to the cap
+_INDEX_SAMPLES, _INDEX_MAX_SAMPLES = 256, 1 << 20
+_CIRCLE_ZERO_TOL = 1e-10  # |V| at a sample that counts as a zero on the circle
+
+
+def poincare_index(v: VectorField, center: tuple[float, float], radius: float) -> int:
     """Winding number of v around a circle, by accumulated angle increments.
 
-    Sampling starts at cfg.index_samples and doubles until every increment
+    Sampling starts at _INDEX_SAMPLES and doubles until every increment
     is below pi/2.  Raises ZeroOnCircle if the field (numerically) vanishes
     on a sample and StepTooCoarse if doubling hits its limit without
     resolving.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = max(int(cfg.index_samples), 64)
+    n = _INDEX_SAMPLES
     cx, cy = center
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -502,7 +499,7 @@ def poincare_index(
         vx = v.p.eval_grid(xs, ys)
         vy = v.q.eval_grid(xs, ys)
         norms = np.hypot(vx, vy)
-        if float(norms.min()) <= cfg.circle_zero_tol:
+        if float(norms.min()) <= _CIRCLE_ZERO_TOL:
             raise ZeroOnCircle(
                 f"field vanishes on the sample circle (min |V| = {norms.min():.3e})"
             )
@@ -517,9 +514,9 @@ def poincare_index(
                 raise StepTooCoarse(f"winding sum {w:.4f} is not close to an integer")
             return int(idx)
         n *= 2
-        if n > cfg.index_max_samples:
+        if n > _INDEX_MAX_SAMPLES:
             raise StepTooCoarse(
-                f"angle increments stay above pi/2 at {cfg.index_max_samples} samples"
+                f"angle increments stay above pi/2 at {_INDEX_MAX_SAMPLES} samples"
             )
 
 
@@ -528,7 +525,6 @@ __all__ = [
     "CritFindError",
     "CriticalPoint",
     "DepthLimitExceeded",
-    "SolveConfig",
     "StepTooCoarse",
     "ZeroOnCircle",
     "find_critical_points",

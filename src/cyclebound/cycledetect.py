@@ -28,7 +28,7 @@ or a closed-orbit band (stall test).  A seed also stops once a step ends in
 the certified basin disk of a sink of the scouting direction (`_basin`): a
 sublevel set of a quadratic Lyapunov function, proved decreasing by
 interval arithmetic, from which the seed can only converge to the sink.
-Seeds that do neither run to t_horizon or max_returns.
+Seeds that do neither run to t_horizon or _MAX_RETURNS.
 
 `no_cycle_certificate` is the certified shortcut: when div V is identically
 zero or keeps one strict sign on the region scouting explores, no limit
@@ -64,19 +64,8 @@ class DetectConfig:
     radii: int = 12
     grid_seeds: int = 20
     t_horizon: float = 200.0
-    scout_rtol: float = 1e-6
-    scout_atol: float = 1e-9
     refine_rtol: float = 1e-10
     refine_atol: float = 1e-13
-    isolation_tol: float = 1e-3
-    dedup_tol: float = 1e-3
-    conv_tol: float = 1e-3
-    stall_tol: float = 1e-7
-    min_cycle_size: float = 1e-3
-    max_returns: int = 48
-    max_candidates: int = 12
-    newton_iters: int = 30
-    cycle_vertices: int = 512
 
 
 @dataclass(eq=False)
@@ -293,6 +282,8 @@ def _basins(v: VectorField, cps, time_sign: float) -> tuple[_Basin, ...]:
     return tuple(b for b in found if b is not None)
 
 
+_SCOUT_RTOL, _SCOUT_ATOL = 1e-6, 1e-9  # scouting's step tolerances
+_MAX_RETURNS = 48  # crossings of one family that stop a seed
 # relative margin of the sure-hit tests; one Hermite evaluation rounds by a
 # few ulps of its inputs' magnitude, far below it
 _SURE_MARGIN = 1e-9
@@ -349,7 +340,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     (`_settled`), and each of its families keeps only the crossings up to
     that time: after it the seed only repeats an orbit that `_analyze_family`
     has already judged.  Since every family is cut at that crossing, the
-    result does not depend on when a check ran.  t_horizon and max_returns
+    result does not depend on when a check ran.  t_horizon and _MAX_RETURNS
     still stop the seeds that never settle.
 
     A seed also stops, like one that hits an equilibrium, once an accepted
@@ -387,7 +378,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
 
     def check():
         nonlocal n_rows, n_fresh
-        for gi in _stop_settled(fams, fresh, _solve_rows(rows[:n_rows]), cfg):
+        for gi in _stop_settled(fams, fresh, _solve_rows(rows[:n_rows])):
             active[gi] = False
         fresh.clear()
         n_rows = n_fresh = 0
@@ -400,8 +391,8 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             xa, ya = x[idx], y[idx]
             ha = np.minimum(h[idx], cfg.t_horizon - t[idx])
             x5, y5, ex, ey, (k7x, k7y) = rk_step(field, xa, ya, ha, (k1x[idx], k1y[idx]))
-            scx = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(xa), np.abs(x5))
-            scy = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(ya), np.abs(y5))
+            scx = _SCOUT_ATOL + _SCOUT_RTOL * np.maximum(np.abs(xa), np.abs(x5))
+            scy = _SCOUT_ATOL + _SCOUT_RTOL * np.maximum(np.abs(ya), np.abs(y5))
             errn = np.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
             good = np.isfinite(errn) & np.isfinite(x5) & np.isfinite(y5)
             errn = np.where(good, np.maximum(errn, 1e-16), 4.0)
@@ -451,7 +442,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                         events = fams[gi].setdefault((si, dirc, side), [])
                         fresh.setdefault((gi, (si, dirc, side)), len(events))
                         events.append(row)
-                        if len(events) >= cfg.max_returns:
+                        if len(events) >= _MAX_RETURNS:
                             active[gi] = False
                     n_rows += k
                     n_fresh += k
@@ -475,7 +466,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     fresh.setdefault((gi, (si, dirc, u > 0)), len(events))
                     events.append((t_cross, u))
                     n_fresh += 1
-                    if len(events) >= cfg.max_returns:
+                    if len(events) >= _MAX_RETURNS:
                         active[gi] = False
 
             x[gidx] = x5_a
@@ -509,7 +500,7 @@ def _solve_rows(rows: np.ndarray) -> list:
     return list(zip((t0 + tau * hh).tolist(), (-(hermite(x0, dx0, x1, dx1, tau) - ax)).tolist()))
 
 
-def _stop_settled(fams, fresh, solved, cfg: DetectConfig) -> list:
+def _stop_settled(fams, fresh, solved) -> list:
     """Fill in the solved rows of the fresh families and cut each settled seed.
 
     `fresh` maps (seed, key) to the family's length at the last check; row
@@ -524,7 +515,7 @@ def _stop_settled(fams, fresh, solved, cfg: DetectConfig) -> list:
         events = fams[gi][key]
         events[start:] = [solved[e] if type(e) is int else e for e in events[start:]]
         for k in range(max(start, 3), len(events)):
-            if _settled(events[:k + 1], cfg):
+            if _settled(events[:k + 1]):
                 stop[gi] = min(stop.get(gi, math.inf), events[k][0])
                 break
     for gi, t_stop in stop.items():
@@ -533,27 +524,31 @@ def _stop_settled(fams, fresh, solved, cfg: DetectConfig) -> list:
     return list(stop)
 
 
-def _settled(events, cfg: DetectConfig) -> bool:
+def _settled(events) -> bool:
     """Whether a crossing sequence has reached the scout measurement floor.
 
     At least four crossings, and the last two u differ by less than
-    max(1e-9, 0.1 scout_rtol) times max(1, max |u|).  This is the floor
-    branch of `_analyze_family` and, at the default stall_tol, its stall
-    test too; scouting stops a seed at the first crossing where it holds.
+    max(1e-9, 0.1 _SCOUT_RTOL) times max(1, max |u|).  This is the floor
+    branch of `_analyze_family` and, at _STALL_TOL, its stall test too;
+    scouting stops a seed at the first crossing where it holds.
     """
     if len(events) < 4:
         return False
     scale = max(1.0, max(abs(u) for _, u in events))
-    return abs(events[-1][1] - events[-2][1]) < max(1e-9, 0.1 * cfg.scout_rtol) * scale
+    return abs(events[-1][1] - events[-2][1]) < max(1e-9, 0.1 * _SCOUT_RTOL) * scale
 
 
-def _analyze_family(events, cfg: DetectConfig):
+_STALL_TOL = 1e-7  # largest relative step of a closed-orbit band
+_CONV_TOL = 1e-3   # a difference ratio below 1 - _CONV_TOL converges
+
+
+def _analyze_family(events):
     """Convergence test on one crossing sequence; (u_limit, period) or None.
 
     Sequences that sit still from the start are closed-orbit bands (centers)
     and yield nothing; genuine convergence either collapses to the scout
     measurement floor (`_settled`) after a real approach or shows a
-    geometric difference ratio below 1 - conv_tol, in which case the limit
+    geometric difference ratio below 1 - _CONV_TOL, in which case the limit
     is Aitken-extrapolated.  The floor sits below the scouting tolerance
     rather than at machine epsilon: adaptive steps phase-lock onto the
     orbit, so the recorded crossings repeat with a coherent interpolation
@@ -570,21 +565,21 @@ def _analyze_family(events, cfg: DetectConfig):
     scale = max(1.0, float(np.abs(us).max()))
     d = np.diff(us)
     ad = np.abs(d)
-    if ad.max() < cfg.stall_tol * scale:
+    if ad.max() < _STALL_TOL * scale:
         return None
     t_est = float(ts[-1] - ts[-2])
-    if _settled(events, cfg):
+    if _settled(events):
         return float(us[-1]), t_est
     ratios = ad[1:] / np.maximum(ad[:-1], 1e-300)
     tail = ratios[-3:]
-    if len(tail) >= 2 and np.all(tail < 1.0 - cfg.conv_tol):
+    if len(tail) >= 2 and np.all(tail < 1.0 - _CONV_TOL):
         denom = d[-1] - d[-2]
         u_star = float(us[-1] - d[-1] * d[-1] / denom) if denom != 0.0 else float(us[-1])
         return u_star, t_est
     return None
 
 
-def _cluster(pool, cfg: DetectConfig):
+def _cluster(pool):
     groups: dict = {}
     for c in pool:
         groups.setdefault((c["sec"], c["dirc"], c["sign"], c["u"] > 0), []).append(c)
@@ -669,6 +664,12 @@ def _probe_semistable(v, sec, u_star, period, dirc_fwd, probe, cfg):
 # three-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
 _GL_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+_NEWTON_ITERS = 30       # Newton shooting iterations
+_MIN_CYCLE_SIZE = 1e-3   # |u| below which a cycle is too small to keep
+_ISOLATION_TOL = 1e-3    # |r - 1| within which the probe decides stability
+_CYCLE_VERTICES = 512    # vertices of a cycle's polyline
+_MAX_CANDIDATES = 12     # candidates refined, by support
+_DEDUP_TOL = 1e-3        # relative Hausdorff distance of duplicate cycles
 
 
 def _return_exponent(div: Poly2, traj) -> float:
@@ -699,7 +700,7 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
     tx, ty = sec.tangent
     traj = None
     res = math.inf
-    for _ in range(cfg.newton_iters):
+    for _ in range(_NEWTON_ITERS):
         q = _section_point(sec, u)
         traj = _flow_to(v, q, T, sgn, cfg)
         if traj is None:
@@ -732,7 +733,7 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
     if res > 1e-8 or traj is None:
         log.debug("shooting left residual %.3e at u=%.6g, dropped", res, u)
         return None
-    if abs(u) < cfg.min_cycle_size:
+    if abs(u) < _MIN_CYCLE_SIZE:
         return None
 
     q = _section_point(sec, u)
@@ -748,9 +749,9 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
     except OverflowError:  # lam above log of the largest float, about 709.78
         r = math.inf
 
-    if r < 1.0 - cfg.isolation_tol:
+    if r < 1.0 - _ISOLATION_TOL:
         stability = "attracting"
-    elif r > 1.0 + cfg.isolation_tol:
+    elif r > 1.0 + _ISOLATION_TOL:
         stability = "repelling"
     else:
         dirc_fwd = dirc if sgn > 0 else -dirc
@@ -759,7 +760,7 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
             log.debug("candidate at u=%.6g not isolated, dropped", u)
             return None
 
-    ts = np.linspace(0.0, T, cfg.cycle_vertices, endpoint=False)
+    ts = np.linspace(0.0, T, _CYCLE_VERTICES, endpoint=False)
     pts = np.array([traj.state_at(tt) for tt in ts])
     if sgn < 0:
         pts = pts[::-1]
@@ -790,17 +791,17 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
         fams = _scout(v, seeds, sections, cfg, time_sign, _basins(v, cps, time_sign))
         for per_seed in fams:
             for (si, dirc, _side), evs in sorted(per_seed.items()):
-                got = _analyze_family(evs, cfg)
+                got = _analyze_family(evs)
                 if got is None:
                     continue
                 u_star, t_est = got
-                if abs(u_star) < cfg.min_cycle_size or t_est <= 0:
+                if abs(u_star) < _MIN_CYCLE_SIZE or t_est <= 0:
                     continue
                 pool.append({"sec": si, "dirc": dirc, "sign": time_sign,
                              "u": u_star, "T": t_est})
 
     raw = []
-    for cand in _cluster(pool, cfg)[: cfg.max_candidates]:
+    for cand in _cluster(pool)[:_MAX_CANDIDATES]:
         got = _refine_candidate(v, div, sections, cand, cfg)
         if got is not None:
             raw.append(got)
@@ -808,7 +809,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
     kept = []
     for c in sorted(raw, key=lambda c: (c["residual"], c["period"])):
         scale = max(1.0, _mean_radius(c["points"]))
-        if any(hausdorff_distance(c["points"], k["points"]) < cfg.dedup_tol * scale
+        if any(hausdorff_distance(c["points"], k["points"]) < _DEDUP_TOL * scale
                for k in kept):
             continue
         kept.append(c)

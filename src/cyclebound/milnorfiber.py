@@ -74,13 +74,6 @@ class EtaTooLarge(FiberError):
 class FiberConfig:
     grid: int = 256
     max_grid: int = 2048
-    sweep_len: int = 8
-    stable_tail: int = 4
-    delta_cap: float = 10.0
-    submersion_tol: float = 1e-8
-    sphere_samples: int = 720
-    delta_min: float = 1e-6
-    tangency_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -141,12 +134,14 @@ class MilnorData:
     certified_eta: float | None = None
 
 
-def select_radii(
-    v: VectorField,
-    location: tuple[float, float],
-    other_locations=(),
-    cfg: FiberConfig = FiberConfig(),
-) -> tuple[float, list[float]]:
+_DELTA_CAP, _DELTA_MIN = 10.0, 1e-6  # bounds on the ball radius
+_SPHERE_SAMPLES = 720  # field distance samples on its sphere
+_SWEEP_LEN = 8         # eta levels per sweep
+STABLE_TAIL = 4        # the smallest levels, whose loop counts must agree
+
+
+def select_radii(v: VectorField, location: tuple[float, float],
+                 other_locations=()) -> tuple[float, list[float]]:
     """Ball radius delta and a descending geometric eta sweep for one zero.
 
     delta = min(cap, half the distance to the nearest other zero, half the
@@ -161,12 +156,12 @@ def select_radii(
         d = math.hypot(x - ox, y - oy)
         if d > 0:
             d_cp = min(d_cp, d)
-    delta = min(cfg.delta_cap, 0.5 * d_box, 0.5 * d_cp)
-    if delta < cfg.delta_min:
+    delta = min(_DELTA_CAP, 0.5 * d_box, 0.5 * d_cp)
+    if delta < _DELTA_MIN:
         raise DeltaCollapse(
-            f"ball radius {delta:.3e} below {cfg.delta_min:.1e} at ({x:.6g}, {y:.6g})"
+            f"ball radius {delta:.3e} below {_DELTA_MIN:.1e} at ({x:.6g}, {y:.6g})"
         )
-    theta = np.linspace(0.0, 2.0 * math.pi, cfg.sphere_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _SPHERE_SAMPLES, endpoint=False)
     sx = x + delta * np.cos(theta)
     sy = y + delta * np.sin(theta)
     p0 = v.p.eval(x, y)
@@ -178,7 +173,7 @@ def select_radii(
     if eta_max / 100.0 < ETA_MIN:
         raise FiberError(f"sweep bottom eta {eta_max / 100.0:.3e} is below {ETA_MIN:.9g}: "
                          "its square underflows")
-    sweep = list(np.geomspace(eta_max, eta_max / 100.0, cfg.sweep_len))
+    sweep = list(np.geomspace(eta_max, eta_max / 100.0, _SWEEP_LEN))
     return delta, sweep
 
 
@@ -555,14 +550,17 @@ def _extract_once(ws: _Workspace, eta: float, n: int, count: bool):
     return comps, unresolved
 
 
-def _check_tangency(comps, ws: _Workspace, n: int, cfg: FiberConfig):
+_TANGENCY_TOL = 1e-6  # relative gap below which a closed loop touches the sphere
+
+
+def _check_tangency(comps, ws: _Workspace, n: int):
     cx, cy = ws.location
     d = ws.delta
     cell = 2.0 * d / n
     for c in comps:
         arr = c.as_array()
         rmax = float(np.hypot(arr[:, 0] - cx, arr[:, 1] - cy).max())
-        if c.closed and rmax >= d * (1.0 - cfg.tangency_tol):
+        if c.closed and rmax >= d * (1.0 - _TANGENCY_TOL):
             raise EtaTooLarge(
                 f"closed fiber component reaches radius {rmax:.9g} of ball {d:.9g}"
             )
@@ -617,7 +615,7 @@ def extract_fiber(
             break
         prev_topo = topo
         n *= 2
-    _check_tangency(comps, ws, n, cfg)
+    _check_tangency(comps, ws, n)
     return FiberCurve(components=tuple(comps), eta=float(eta), delta=float(ws.delta),
                       grid_resolution=n)
 
@@ -625,6 +623,9 @@ def extract_fiber(
 def betti(fiber: FiberCurve) -> tuple[int, int]:
     """(number of components, number of closed components)."""
     return len(fiber.components), fiber.closed_count
+
+
+_SUBMERSION_TOL = 1e-8  # |grad P| at or below which P is not a submersion
 
 
 def submersion_check(
@@ -649,7 +650,7 @@ def submersion_check(
     # the floats of eval_outer there
     x, y = xs[i], ys[j]
     grad = np.hypot(v.p.partial(0).eval_grid(x, y), v.p.partial(1).eval_grid(x, y))
-    bad = np.flatnonzero(grad <= cfg.submersion_tol)
+    bad = np.flatnonzero(grad <= _SUBMERSION_TOL)
     if not bad.size:
         return True, None
     return False, (float(x[bad[0]]), float(y[bad[0]]))
@@ -756,9 +757,9 @@ def vanishing_cycle_count(
 
     Individual level failures are recorded as None, with their cause in
     level_errors, and do not abort the sweep; stability requires the final
-    cfg.stable_tail levels (the small-eta end) to agree exactly.
+    STABLE_TAIL levels (the small-eta end) to agree exactly.
     """
-    delta, sweep = select_radii(v, location, other_locations, cfg)
+    delta, sweep = select_radii(v, location, other_locations)
     ws = _Workspace(v, location, delta)
     counts: list[tuple[int, int] | None] = []
     errors: list[str | None] = []
@@ -770,8 +771,8 @@ def vanishing_cycle_count(
         except FiberError as e:
             counts.append(None)
             errors.append(f"{type(e).__name__}: {e}")
-    tail = counts[-cfg.stable_tail:]
-    stable = len(tail) == cfg.stable_tail and all(c is not None for c in tail) and \
+    tail = counts[-STABLE_TAIL:]
+    stable = len(tail) == STABLE_TAIL and all(c is not None for c in tail) and \
         len({c[0] for c in tail}) == 1
     if stable:
         l = tail[-1][0]

@@ -239,8 +239,9 @@ def integrate(
             if n_acc + n_rej >= max_steps:
                 reason = STEP_UNDERFLOW
                 break
-            # PI controller (accepted): use current and previous error
-            fac = safety * err ** (-0.7 / ORDER) * err_prev ** (0.4 / ORDER)
+            # PI controller (accepted): use current and previous error; err is
+            # floored as in scouting, since a step can integrate V exactly
+            fac = safety * max(err, 1e-16) ** (-0.7 / ORDER) * err_prev ** (0.4 / ORDER)
             err_prev = max(err, 1e-10)
             h = min(h * min(5.0, max(0.2, fac)), h_max)
         else:

@@ -21,6 +21,8 @@ import numpy as np
 import scipy.integrate
 import scipy.ndimage
 
+from cyclebound import critfind as cf
+from cyclebound import cycledetect as cd
 from cyclebound.critfind import DepthLimitExceeded
 from cyclebound.odeflow import BOX_INFLATION, hermite, hermite_deriv, hermite_root, rk_step
 from cyclebound.polyalg import Poly2, VectorField
@@ -309,8 +311,8 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
             xa, ya = x[idx], y[idx]
             ha = np.minimum(h[idx], cfg.t_horizon - t[idx])
             x5, y5, ex, ey, (k7x, k7y) = rk_step(field, xa, ya, ha, (k1x[idx], k1y[idx]))
-            scx = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(xa), np.abs(x5))
-            scy = cfg.scout_atol + cfg.scout_rtol * np.maximum(np.abs(ya), np.abs(y5))
+            scx = cd._SCOUT_ATOL + cd._SCOUT_RTOL * np.maximum(np.abs(xa), np.abs(x5))
+            scy = cd._SCOUT_ATOL + cd._SCOUT_RTOL * np.maximum(np.abs(ya), np.abs(y5))
             errn = np.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
             good = np.isfinite(errn) & np.isfinite(x5) & np.isfinite(y5)
             errn = np.where(good, np.maximum(errn, 1e-16), 4.0)
@@ -359,7 +361,7 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
                         continue
                     events = fams[g].setdefault((si, dirc, u > 0), [])
                     events.append((t_cross, u))
-                    if len(events) >= cfg.max_returns:
+                    if len(events) >= cd._MAX_RETURNS:
                         active[g] = False
 
             x[gidx] = x5_a
@@ -380,16 +382,16 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
     return fams
 
 
-def truncate_at_settle(fams, cfg):
+def truncate_at_settle(fams):
     """Scouting's stop rule, applied after a run that went on to the end.
 
     A family settles at its first crossing k >= 3 (0-based) whose u differs
-    from the one before by less than max(1e-9, 0.1 scout_rtol) times
+    from the one before by less than max(1e-9, 0.1 _SCOUT_RTOL) times
     max(1, max |u|) over crossings 0..k.  Each seed is cut at the earliest
     time at which any of its families settles: every family keeps its
     crossings up to that time, and families left empty are dropped.
     """
-    floor = max(1e-9, 0.1 * cfg.scout_rtol)
+    floor = max(1e-9, 0.1 * cd._SCOUT_RTOL)
     out = []
     for per_seed in fams:
         t_stop = math.inf
@@ -567,7 +569,7 @@ def _interval_newton(parts: dict, pv: Poly2, qv: Poly2, b):
     return ("certified" if certified else "unknown"), contracted
 
 
-def subdivide_reference(v: VectorField, cfg):
+def subdivide_reference(v: VectorField):
     """critfind's breadth-first subdivision, one box at a time on `Interval`:
     (certified, unresolved), the first as (box, contracted box) pairs."""
     parts = {
@@ -582,13 +584,13 @@ def subdivide_reference(v: VectorField, cfg):
     unresolved = []
     depth = 0
     while level:
-        if depth > cfg.max_depth:
+        if depth > cf._MAX_DEPTH:
             raise DepthLimitExceeded(
-                f"subdivision did not terminate at depth {cfg.max_depth}; "
+                f"subdivision did not terminate at depth {cf._MAX_DEPTH}; "
                 "the zero set may be a curve",
                 box=level[0],
             )
-        if len(level) > cfg.box_budget:
+        if len(level) > cf._BOX_BUDGET:
             raise DepthLimitExceeded(
                 f"{len(level)} live boxes at depth {depth}; "
                 "the zero set may be a curve",
@@ -612,7 +614,7 @@ def subdivide_reference(v: VectorField, cfg):
                 certified.append((b, contracted))
                 continue
             b = contracted
-            if max(b[1] - b[0], b[3] - b[2]) < cfg.resolution_tol:
+            if max(b[1] - b[0], b[3] - b[2]) < cf._RESOLUTION_TOL:
                 unresolved.append(b)
                 continue
             mx = 0.5 * (b[0] + b[1])

@@ -9,7 +9,7 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import analysis as an
-from cyclebound.critfind import CritFindError, SolveConfig
+from cyclebound.critfind import CritFindError
 from cyclebound.milnorfiber import MilnorData
 
 from oracles import random_field
@@ -140,11 +140,11 @@ class TestIndexCertificate:
         cps = cb.find_critical_points(v)
         assert [cp.location for cp in cps] == [(0.0, 0.0)]
         assert an._certified_saddle(v, cps[0])
-        assert an._index_certificate(v, cps, SolveConfig()) is None
+        assert an._index_certificate(v, cps) is None
 
     def test_degenerate_demo_not_certified(self, corpus_runs):
         r, _, _ = corpus_runs["degenerate-demo"]
-        assert an._index_certificate(r.field, r.cps, SolveConfig()) is None
+        assert an._index_certificate(r.field, r.cps) is None
         assert r.no_cycle_certificate is None
 
     def test_failed_wide_search_is_no_certificate(self, monkeypatch):
@@ -153,13 +153,13 @@ class TestIndexCertificate:
         real = an.find_critical_points
         v = random_field(3, 2, self.BOX)
 
-        def wide_fails(f, cfg):
+        def wide_fails(f):
             if f.box != v.box:
                 raise CritFindError("no search on the wide box")
-            return real(f, cfg)
+            return real(f)
 
         monkeypatch.setattr(an, "find_critical_points", wide_fails)
-        assert an._index_certificate(v, real(v, SolveConfig()), SolveConfig()) is None
+        assert an._index_certificate(v, real(v)) is None
         r = an.run(v)
         assert r.no_cycle_certificate is None and r.detect_error is None
         assert an.report_from_run(r).verdict == "inequality_holds"
@@ -175,7 +175,7 @@ class TestIndexCertificate:
                     cps = cb.find_critical_points(v)
                 except CritFindError:
                     continue
-                if an._index_certificate(v, cps, SolveConfig()) is not None:
+                if an._index_certificate(v, cps) is not None:
                     certified.append((degree, seed))
                     assert cb.detect_limit_cycles(v, cps) == []
         assert len(certified) == 8 and (2, 3) in certified and (4, 1) in certified
@@ -207,7 +207,7 @@ class TestCompareReports:
 
     def test_config_echo_shape(self, corpus_reports):
         rep, _ = corpus_reports["linear-center"]
-        assert set(rep.config_echo) == {"solve", "fiber", "detect"}
+        assert set(rep.config_echo) == {"fiber", "detect"}
         assert "deriv_step" not in rep.config_echo["detect"]
         assert rep.config_echo["fiber"]["grid"] == 256
 

@@ -1,7 +1,9 @@
 """Every name listed in an __all__ of cyclebound or its modules exists and
-has a caller, and every private helper of the package is read in it."""
+has a caller, every private helper of the package is read in it, and every
+configuration field is named by a caller that sets or reads it."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -45,6 +47,17 @@ def test_public_names_have_a_caller():
               for a in getattr(importlib.import_module(name), "__all__", ())
               if not a.startswith("__")}
     assert sorted(public - refs) == []
+
+
+def test_config_fields_have_a_caller():
+    """Each field of the config dataclasses is named in the CLI, which sets
+    it from an option, or in the benchmark; a value that neither names
+    belongs in a constant of the module that reads it."""
+    words = set().union(*(re.findall(r"\w+", (ROOT / f).read_text(encoding="utf-8"))
+                          for f in ("src/cyclebound/cli.py", "perfbench/run.py")))
+    fields = {f.name for cls in (cyclebound.PipelineConfig, cyclebound.FiberConfig,
+                                 cyclebound.DetectConfig) for f in dataclasses.fields(cls)}
+    assert sorted(fields - words) == []
 
 
 def test_private_names_are_read():

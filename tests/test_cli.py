@@ -236,10 +236,10 @@ class TestShowConfig:
         code, out, _ = run(capsys, "--show-config")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert set(doc) == {"solve", "fiber", "detect"}
+        assert set(doc) == {"fiber", "detect"}
         assert "deriv_step" not in doc["detect"]
         assert doc["fiber"]["grid"] == 256
-        assert doc["detect"]["cycle_vertices"] == 512
+        assert doc["detect"]["t_horizon"] == 200.0
 
 
 class TestCritpoints:
@@ -328,6 +328,16 @@ class TestArtifacts:
         svg = out_svg.read_text()
         assert svg.lstrip().startswith("<svg")
         assert len(svg) > 1000
+
+    def test_figure_draws_every_streamline(self, capsys, tmp_path):
+        """The 9 x 9 streamlines of a field with no zero are all drawn, also
+        where the integrator's error estimate is exactly 0."""
+        path = tmp_path / "shear.vf"
+        path.write_text("P = 1\nQ = x\nbox = [-2, 2] x [-2, 2]\n")
+        out_svg = tmp_path / "portrait.svg"
+        code, _, _ = run(capsys, "analyze", str(path), "--svg", str(out_svg))
+        assert code == EXIT_OK
+        assert out_svg.read_text().count("<polyline") == 81
 
     @pytest.mark.parametrize("command", ["analyze", "cycles"])
     def test_figure_escapes_the_field_name(self, capsys, tmp_path, command):

@@ -10,7 +10,6 @@ from cyclebound.critfind import (
     AmbiguousCluster,
     CritFindError,
     DepthLimitExceeded,
-    SolveConfig,
     ZeroOnCircle,
     find_critical_points,
     poincare_index,
@@ -198,9 +197,9 @@ class TestSubdivisionMatchesReference:
     boxes, bit for bit, in the same order."""
 
     @staticmethod
-    def check(v, cfg=SolveConfig()):
-        ref = subdivide_reference(v, cfg)
-        got = cf._subdivide(v, cf._partials(v), cfg)
+    def check(v):
+        ref = subdivide_reference(v)
+        got = cf._subdivide(v, cf._partials(v))
         assert got == ref
         assert repr(got) == repr(ref)   # signed zeros too
         return got
@@ -220,17 +219,19 @@ class TestSubdivisionMatchesReference:
         for v, _ in factored_fields():
             self.check(v)
 
-    @pytest.mark.parametrize("text,cfg", [
-        ("P = x\nQ = 0", SolveConfig()),
-        ("P = x^2 - 1\nQ = y^2 - 1/4", SolveConfig(box_budget=8)),
-        ("P = x^2 - 1\nQ = y^2 - 1/4", SolveConfig(max_depth=3)),
+    @pytest.mark.parametrize("text,limits", [
+        ("P = x\nQ = 0", {}),
+        ("P = x^2 - 1\nQ = y^2 - 1/4", {"_BOX_BUDGET": 8}),
+        ("P = x^2 - 1\nQ = y^2 - 1/4", {"_MAX_DEPTH": 3}),
     ], ids=["zero-curve", "box-budget", "max-depth"])
-    def test_depth_limit_same_message_and_box(self, text, cfg):
+    def test_depth_limit_same_message_and_box(self, monkeypatch, text, limits):
+        for name, value in limits.items():
+            monkeypatch.setattr(cf, name, value)
         v = parse_vf(text)
         with pytest.raises(DepthLimitExceeded) as ref:
-            subdivide_reference(v, cfg)
+            subdivide_reference(v)
         with pytest.raises(DepthLimitExceeded) as got:
-            cf._subdivide(v, cf._partials(v), cfg)
+            cf._subdivide(v, cf._partials(v))
         assert str(got.value) == str(ref.value)
         assert got.value.box == ref.value.box
         assert repr(got.value.box) == repr(ref.value.box)

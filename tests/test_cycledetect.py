@@ -175,7 +175,7 @@ class TestScoutDeferredRoots:
         monkeypatch.setattr(cd, "hermite_root", counted)
         got = cd._scout(v, seeds, sections, cfg, time_sign)
         full = scout_reference(v, seeds, sections, cfg, time_sign)
-        want = truncate_at_settle(full, cfg)
+        want = truncate_at_settle(full)
         events = sum(len(evs) for fam in want for evs in fam.values())
         assert 0 < len(scalar_hits) < events  # both paths ran
         stopped = sum(a != b for a, b in zip(want, full))
@@ -202,32 +202,31 @@ class TestSettled:
     """The floor at which scouting stops a seed and `_analyze_family`
     nominates the family's last crossing."""
 
-    cfg = cd.DetectConfig()
-    floor = max(1e-9, 0.1 * cfg.scout_rtol)
+    floor = max(1e-9, 0.1 * cd._SCOUT_RTOL)
 
     def test_needs_four_crossings(self):
-        assert not cd._settled(crossings([0.9, 0.6, 0.6]), self.cfg)
-        assert cd._settled(crossings([0.9, 0.7, 0.6, 0.6]), self.cfg)
+        assert not cd._settled(crossings([0.9, 0.6, 0.6]))
+        assert cd._settled(crossings([0.9, 0.7, 0.6, 0.6]))
 
     @pytest.mark.parametrize("factor,settled", [(0.99, True), (1.01, False)])
     def test_last_difference_against_floor(self, factor, settled):
         us = [0.9, 0.7, 0.6, 0.6 + factor * self.floor]
-        assert cd._settled(crossings(us), self.cfg) is settled
+        assert cd._settled(crossings(us)) is settled
 
     @pytest.mark.parametrize("first,settled", [(0.9, False), (5.0, True), (-5.0, True)])
     def test_scale_follows_largest_u(self, first, settled):
         us = [first, 0.7, 0.6, 0.6 + 2.0 * self.floor]
-        assert cd._settled(crossings(us), self.cfg) is settled
+        assert cd._settled(crossings(us)) is settled
 
     def test_stalled_family_nominates_nothing(self):
         us = [0.6, 0.6 + 0.5 * self.floor, 0.6, 0.6 + 0.5 * self.floor]
-        assert cd._settled(crossings(us), self.cfg)
-        assert cd._analyze_family(crossings(us), self.cfg) is None
+        assert cd._settled(crossings(us))
+        assert cd._analyze_family(crossings(us)) is None
 
     def test_closed_orbits_stop_before_the_horizon(self, corpus, corpus_cps):
         """linear-center's orbits are closed: every crossing family stalls,
         so every seed stops long before t_horizon, and nothing is found."""
-        v, cps, cfg = corpus["linear-center"], corpus_cps["linear-center"], self.cfg
+        v, cps, cfg = corpus["linear-center"], corpus_cps["linear-center"], cd.DetectConfig()
         assert cd.detect_limit_cycles(v, cps, cfg) == []
         x0, x1, y0, y1 = v.box.floats()
         sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),

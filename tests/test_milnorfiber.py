@@ -545,10 +545,11 @@ class TestSubmersion:
 
 
     @pytest.mark.parametrize("tol", [1e-10, 0.05, 0.5])
-    def test_annulus_nodes_match_dense_grid(self, corpus, tol):
+    def test_annulus_nodes_match_dense_grid(self, corpus, monkeypatch, tol):
         """Taking grad P only at the annulus nodes gives the whole-grid
         check's verdict and witness, at tolerances that pass and fail."""
-        cfg = mf.FiberConfig(submersion_tol=tol)
+        monkeypatch.setattr(mf, "_SUBMERSION_TOL", tol)
+        cfg = mf.FiberConfig()
         box = cb.Box.make(-2, 2, -2, 2)
         fields = [*corpus.values(),
                   *(random_field(s, d, box) for d, s in ((2, 3), (3, 5), (4, 1)))]

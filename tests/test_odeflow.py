@@ -84,6 +84,17 @@ class TestIntegrate:
         assert max(abs(before[0]), abs(before[1])) <= 10.0
         assert max(abs(end[0]), abs(end[1])) >= 10.0 - 1e-9
 
+    @pytest.mark.parametrize("text", ["P = 1\nQ = 0", "P = 2\nQ = 3", "P = 1\nQ = x"],
+                             ids=["unit", "constant", "shear"])
+    def test_zero_error_estimate(self, text):
+        """A step integrates these fields exactly, so the embedded error
+        estimate is 0: the step grows by the full factor, and the run ends
+        at t_max or at the box."""
+        v = cb.parse_vf(text + "\nbox = [-2, 2] x [-2, 2]\n")
+        traj = integrate(v, (0.5, -0.5), 6.0, rtol=1e-6, atol=1e-9)
+        assert traj.terminated_by in ("t_end", "box_exit")
+        assert traj.n_rejected == 0
+
     def test_equilibrium_capture(self, sink):
         traj = integrate(sink, (1.0, 1.0), 100.0)
         assert traj.terminated_by == "equilibrium"

@@ -13,22 +13,20 @@ equilibria they enclose via winding numbers.
 Repelling cycles are found by the backward pass (they attract in reversed
 time) and refined in that direction; lambda is the same integral either way.
 
-Scouting brackets each line crossing inside one step.  Most hits have a
-direction and side that no root in the step can change (`_sure_hits`); they
-are recorded as pending rows, and one array bisection
-(`odeflow.hermite_roots`) solves all pending rows once there are at least as
-many new crossings as live seeds.  The other hits are solved at once by the
-scalar `hermite_root`.  Both give the same floats, so the crossing events do
-not depend on which path a hit took.  After each solve, a seed stops at the
-first crossing at which one of its families has settled: four crossings or
-more, the last two within the floor of `_settled`.  Its families are cut at
-that crossing, so the result does not depend on when a solve ran, and
-`_analyze_family` judges each settled family as a candidate (floor branch)
-or a closed-orbit band (stall test).  A seed also stops once a step ends in
-the certified basin disk of a sink of the scouting direction (`_basin`): a
-sublevel set of a quadratic Lyapunov function, proved decreasing by
-interval arithmetic, from which the seed can only converge to the sink.
-Seeds that do neither run to t_horizon or _MAX_RETURNS.
+Scouting brackets each line crossing inside one step and records it as a
+pending row.  Once there are at least as many pending rows as live seeds,
+one array bisection (`odeflow.hermite_roots`) solves them all, and each
+crossing takes its family key, direction and side of the anchor, from its
+root.  After each solve, a seed stops at the first crossing at which one of
+its families has settled: four crossings or more, the last two within the
+floor of `_settled`.  Its families are cut at that crossing, so the result
+does not depend on when a solve ran, and `_analyze_family` judges each
+settled family as a candidate (floor branch) or a closed-orbit band (stall
+test).  A seed also stops once a step ends in the certified basin disk of a
+sink of the scouting direction (`_basin`): a sublevel set of a quadratic
+Lyapunov function, proved decreasing by interval arithmetic, from which the
+seed can only converge to the sink.  Seeds that do neither run to t_horizon
+or _MAX_RETURNS.
 
 `no_cycle_certificate` is the certified shortcut: when div V is identically
 zero or keeps one strict sign on the region scouting explores, no limit
@@ -47,8 +45,8 @@ import numpy as np
 
 from . import odeflow
 from .critfind import CritFindError, interval_jacobian, newton_certifies
-from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_root, hermite_roots,
-                      integrate, rk_step, section_crossings)
+from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_roots, integrate, rk_step,
+                      section_crossings)
 from .polyalg import IntervalBoxes, Poly2, VectorField, ia_add, ia_mul, ia_sub, interval_eval
 
 log = logging.getLogger(__name__)
@@ -284,42 +282,6 @@ def _basins(v: VectorField, cps, time_sign: float) -> tuple[_Basin, ...]:
 
 _SCOUT_RTOL, _SCOUT_ATOL = 1e-6, 1e-9  # scouting's step tolerances
 _MAX_RETURNS = 48  # crossings of one family that stop a seed
-# relative margin of the sure-hit tests; one Hermite evaluation rounds by a
-# few ulps of its inputs' magnitude, far below it
-_SURE_MARGIN = 1e-9
-# columns of a stored sure hit: t0, h, y-Hermite data, x-Hermite data, level, anchor
-_ROW_WIDTH = 12
-
-
-def _sure_hits(t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, anchor_x):
-    """Which line hits have a scouting key that no root in [0, 1] can change.
-
-    Arrays per hit: the step's start time, the y-Hermite data (which crosses
-    the section line) and the x-Hermite data, slopes scaled by the step.  A
-    hit is sure when t0 > 0, the y-Hermite slope keeps one strict sign on
-    [0, 1] and the x-Hermite range stays clear of the anchor.  Both ranges
-    are bounded by Bernstein control points, with a margin of _SURE_MARGIN
-    times the inputs' magnitude; the x test also clears the 1e-12 band in
-    which a crossing is dropped.  For a sure hit the crossing is kept, its
-    direction is +1 where `rising`, and u > 0 where `left`, whatever root
-    the bisection returns.  Returns (sure, rising, left) boolean arrays.
-    A magnitude that overflows makes its margin inf, and a nan fails every
-    comparison, so neither hit is sure.
-    """
-    ys = np.abs(y0) + np.abs(dy0) + np.abs(y1) + np.abs(dy1)
-    xs = np.abs(x0) + np.abs(dx0) + np.abs(x1) + np.abs(dx1) + abs(anchor_x)
-    ym = _SURE_MARGIN * ys
-    xm = _SURE_MARGIN * xs + 1e-12
-    mid = 3.0 * (y1 - y0) - dy0 - dy1   # middle Bernstein coefficient of the slope
-    rising = (dy0 > ym) & (mid > ym) & (dy1 > ym)
-    falling = (dy0 < -ym) & (mid < -ym) & (dy1 < -ym)
-    b1 = x0 + dx0 / 3.0
-    b2 = x1 - dx1 / 3.0
-    lo = np.minimum(np.minimum(x0, x1), np.minimum(b1, b2))
-    hi = np.maximum(np.maximum(x0, x1), np.maximum(b1, b2))
-    left = hi < anchor_x - xm
-    right = lo > anchor_x + xm
-    return (t0 > 0) & (rising | falling) & (left | right), rising, left
 
 
 def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float,
@@ -330,18 +292,18 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     positive_side) to the time-ordered list of (t, u) crossing events.
 
     A step that crosses a section line brackets the crossing on its y
-    Hermite.  A sure hit (`_sure_hits`) has its key and its place in the
-    family without a root, so it stores its bracket as a pending row; any
-    other hit is solved at once by `hermite_root`.  Once the crossings
-    gained since the last check are at least as many as the live seeds, one
-    `hermite_roots` call solves every pending row (both give the same
-    floats) and `_stop_settled` checks the families that gained a crossing.
-    A seed stops at the first crossing at which one of its families settles
-    (`_settled`), and each of its families keeps only the crossings up to
-    that time: after it the seed only repeats an orbit that `_analyze_family`
-    has already judged.  Since every family is cut at that crossing, the
-    result does not depend on when a check ran.  t_horizon and _MAX_RETURNS
-    still stop the seeds that never settle.
+    Hermite and stores the bracket as a pending row, tagged with its loop
+    step, seed and section.  Once the pending rows are at least as many as
+    the live seeds, one `hermite_roots` call solves them all
+    (`_solve_rows`), and `_stop_settled` files the kept crossings into
+    their families and stops the seeds that reached _MAX_RETURNS or
+    settled.  A seed stops at the first crossing at which one of its
+    families settles (`_settled`), and each of its families keeps only the
+    crossings up to that time: after it the seed only repeats an orbit that
+    `_analyze_family` has already judged.  Since every family is cut at that
+    crossing, and a capped seed at the step of its cap, the result does not
+    depend on when a check ran.  t_horizon and _MAX_RETURNS still stop the
+    seeds that never settle.
 
     A seed also stops, like one that hits an equilibrium, once an accepted
     step ends inside one of `basins` (`_Basin`): from there it can only
@@ -360,13 +322,9 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     sy = [s.anchor[1] for s in sections]
     sax = [s.anchor[0] for s in sections]
 
-    # Hermite data of the pending sure hits, one row each
-    rows = np.empty((1024, _ROW_WIDTH))
+    # the pending line hits, one block of `_solve_rows` rows per step and section
+    rows: list = []
     n_rows = 0
-    # (seed, key) of each family that gained a crossing since the last
-    # check, mapped to its length before it; and the count of those crossings
-    fresh: dict = {}
-    n_fresh = 0
 
     x = seeds[:, 0].astype(float).copy()
     y = seeds[:, 1].astype(float).copy()
@@ -377,14 +335,14 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     active = np.hypot(k1x, k1y) > 1e-10
 
     def check():
-        nonlocal n_rows, n_fresh
-        for gi in _stop_settled(fams, fresh, _solve_rows(rows[:n_rows])):
-            active[gi] = False
-        fresh.clear()
-        n_rows = n_fresh = 0
+        nonlocal n_rows
+        if rows:
+            active[_stop_settled(fams, _solve_rows(np.concatenate(rows)))] = False
+        rows.clear()
+        n_rows = 0
 
     with np.errstate(all="ignore"):
-        for _ in range(200_000):
+        for step in range(200_000):
             if not active.any():
                 break
             idx = np.nonzero(active)[0]
@@ -422,52 +380,11 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                     continue
                 g = gidx[w]
                 hh = ha_a[w]
-                t0 = t[g]
-                seg = (ya_a[w], k1y_a[w] * hh, y5_a[w], k7y_a[w] * hh,
-                       xa_a[w], k1x_a[w] * hh, x5_a[w], k7x_a[w] * hh)
-                sure, rising, left = _sure_hits(t0, *seg, sax[si])
-                k = int(np.count_nonzero(sure))
-                if k:
-                    if n_rows + k > len(rows):
-                        grown = np.empty((max(2 * len(rows), n_rows + k), _ROW_WIDTH))
-                        grown[:n_rows] = rows[:n_rows]
-                        rows = grown
-                    block = rows[n_rows:n_rows + k]
-                    block[:, :10] = np.column_stack((t0, hh) + seg)[sure]
-                    block[:, 10] = sy[si]
-                    block[:, 11] = sax[si]
-                    keys = zip(g[sure].tolist(), np.where(rising[sure], 1, -1).tolist(),
-                               left[sure].tolist())
-                    for row, (gi, dirc, side) in enumerate(keys, n_rows):
-                        events = fams[gi].setdefault((si, dirc, side), [])
-                        fresh.setdefault((gi, (si, dirc, side)), len(events))
-                        events.append(row)
-                        if len(events) >= _MAX_RETURNS:
-                            active[gi] = False
-                    n_rows += k
-                    n_fresh += k
-                for j in np.nonzero(~sure)[0]:
-                    gi = int(g[j])
-                    tg = float(t0[j])
-                    py0, dy0, py1, dy1, px0, dx0, px1, dx1 = (float(c[j]) for c in seg)
-                    tau = hermite_root(py0, dy0, py1, dy1, sy[si], 0.0, 1.0, py0 - sy[si], 45)
-                    t_cross = tg + tau * float(hh[j])
-                    if t_cross - tg < 1e-12 and tg == 0.0:
-                        continue
-                    xc = hermite(px0, dx0, px1, dx1, tau)
-                    dydt = hermite_deriv(py0, dy0, py1, dy1, tau)
-                    if dydt == 0.0:
-                        dydt = py1 - py0
-                    dirc = 1 if dydt > 0 else -1
-                    u = -(xc - sax[si])
-                    if abs(u) < 1e-12:
-                        continue
-                    events = fams[gi].setdefault((si, dirc, u > 0), [])
-                    fresh.setdefault((gi, (si, dirc, u > 0)), len(events))
-                    events.append((t_cross, u))
-                    n_fresh += 1
-                    if len(events) >= _MAX_RETURNS:
-                        active[gi] = False
+                rows.append(np.column_stack(np.broadcast_arrays(
+                    step, g, si, t[g], hh,
+                    ya_a[w], k1y_a[w] * hh, y5_a[w], k7y_a[w] * hh,
+                    xa_a[w], k1x_a[w] * hh, x5_a[w], k7x_a[w] * hh, sy[si], sax[si])))
+                n_rows += w.size
 
             x[gidx] = x5_a
             y[gidx] = y5_a
@@ -486,7 +403,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             dead = out | caught | tend
             if dead.any():
                 active[gidx[dead]] = False
-            if n_fresh >= len(idx):
+            if n_rows >= len(idx):
                 check()
 
     check()
@@ -494,26 +411,57 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
 
 
 def _solve_rows(rows: np.ndarray) -> list:
-    """(t, u) of each pending sure hit, by one `hermite_roots` bisection."""
-    t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows.T
-    tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
-    return list(zip((t0 + tau * hh).tolist(), (-(hermite(x0, dx0, x1, dx1, tau) - ax)).tolist()))
+    """The crossing of each pending line hit, by one `hermite_roots` bisection.
 
-
-def _stop_settled(fams, fresh, solved) -> list:
-    """Fill in the solved rows of the fresh families and cut each settled seed.
-
-    `fresh` maps (seed, key) to the family's length at the last check; row
-    indices past it become their (t, u) from `solved`.  Every pending row is
-    solved, so a seed's events are complete up to its current time, and the
-    earliest crossing at which one of its fresh families settles is the
-    seed's first.  That seed's families keep the crossings up to it, and
-    empty ones are dropped.  Returns the seeds that settled.
+    A row is (loop step, seed, section, t0, h, y-Hermite data, x-Hermite
+    data, level, anchor): the step [t0, t0 + h] crosses y = level, and the
+    slopes are scaled by h.  The per-hit rules of scouting then apply to the
+    arrays.  A hit at t0 = 0 within 1e-12 of its start, where a seed starts
+    on the section line, is dropped, as is one with |u| < 1e-12.  The
+    direction is the sign of the y slope at the root, or of y1 - y0 where
+    that slope is 0.  Returns (step, seed, key, (t, u)) for each kept row,
+    in row order, with key = (section, direction, u > 0).
     """
+    step, seed, si, t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows.T
+    tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
+    tc = t0 + tau * hh
+    u = -(hermite(x0, dx0, x1, dx1, tau) - ax)
+    slope = hermite_deriv(y0, dy0, y1, dy1, tau)
+    slope = np.where(slope == 0.0, y1 - y0, slope)
+    keep = ~(((t0 == 0.0) & (tc - t0 < 1e-12)) | (np.abs(u) < 1e-12))
+    cols = (step.astype(int), seed.astype(int), si.astype(int), np.where(slope > 0, 1, -1),
+            u > 0, tc, u)
+    return [(s, g, (i, dirc, side), (tt, uu))
+            for s, g, i, dirc, side, tt, uu in zip(*(c[keep].tolist() for c in cols))]
+
+
+def _stop_settled(fams, solved) -> list:
+    """File the solved crossings into their families; cut capped and settled seeds.
+
+    `solved` comes from `_solve_rows`, in row order, so each seed's
+    crossings come in time order.  A family that reaches _MAX_RETURNS caps
+    its seed at that loop step: the seed keeps its crossings from that step
+    and drops those from later ones, since an unbatched loop would have
+    stopped it after that step.  Every pending row is solved, so a seed's
+    events are then complete up to its cap or its current time, and the
+    earliest crossing at which one of the families that gained a crossing
+    settles is the seed's first.  That seed's families keep the crossings up
+    to it, and empty ones are dropped.  Returns the seeds that were capped or
+    settled.
+    """
+    capped: dict = {}  # seed -> the loop step at which one of its families reached the cap
+    fresh: dict = {}   # (seed, key) -> the family's length before this check
+    for step, gi, key, event in solved:
+        if gi in capped and step > capped[gi]:
+            continue
+        events = fams[gi].setdefault(key, [])
+        fresh.setdefault((gi, key), len(events))
+        events.append(event)
+        if len(events) >= _MAX_RETURNS:
+            capped[gi] = step
     stop: dict = {}
     for (gi, key), start in fresh.items():
         events = fams[gi][key]
-        events[start:] = [solved[e] if type(e) is int else e for e in events[start:]]
         for k in range(max(start, 3), len(events)):
             if _settled(events[:k + 1]):
                 stop[gi] = min(stop.get(gi, math.inf), events[k][0])
@@ -521,7 +469,7 @@ def _stop_settled(fams, fresh, solved) -> list:
     for gi, t_stop in stop.items():
         kept = ((key, [e for e in evs if e[0] <= t_stop]) for key, evs in fams[gi].items())
         fams[gi] = {key: evs for key, evs in kept if evs}
-    return list(stop)
+    return list(capped.keys() | stop.keys())
 
 
 def _settled(events) -> bool:
@@ -610,11 +558,8 @@ def _cluster(pool):
 def _flow_to(v, q, T, sgn, cfg):
     if not (T > 0):
         return None
-    try:
-        traj = integrate(v, q, T, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
-                         direction=sgn, equilibrium_tol=1e-14)
-    except Exception:
-        return None
+    traj = integrate(v, q, T, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
+                     direction=sgn, equilibrium_tol=1e-14)
     if traj.terminated_by != T_END:
         return None
     return traj
@@ -622,11 +567,8 @@ def _flow_to(v, q, T, sgn, cfg):
 
 def _first_return_u(v, sec, u, t_ref, dirc, cfg):
     q = _section_point(sec, u)
-    try:
-        traj = integrate(v, q, 3.0 * t_ref, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
-                         equilibrium_tol=1e-14)
-    except Exception:
-        return None
+    traj = integrate(v, q, 3.0 * t_ref, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
+                     equilibrium_tol=1e-14)
     for c in section_crossings(traj, sec, direction=dirc):
         if c.t > 0.05 * t_ref:
             return float(c.u)

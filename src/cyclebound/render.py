@@ -115,11 +115,7 @@ def phase_portrait_svg(v: VectorField, cps=(), cycles=(), fibers=()) -> str:
         for sy in gy:
             if any(math.hypot(sx - cp.x, sy - cp.y) < 1e-9 for cp in cps):
                 continue
-            try:
-                traj = integrate(v, (sx, sy), 6.0, rtol=1e-6, atol=1e-9,
-                                 max_steps=20_000)
-            except Exception:
-                continue
+            traj = integrate(v, (sx, sy), 6.0, rtol=1e-6, atol=1e-9, max_steps=20_000)
             pts = traj.states
             if len(pts) >= 2:
                 cv.polyline(pts[:: max(1, len(pts) // 400)], stroke="#c0c0c0",

@@ -279,9 +279,12 @@ def fd_partial(poly: Poly2, var: int, x: float, y: float, h: float = 1e-6) -> fl
 def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign: float):
     """`cycledetect._scout` with every line hit bisected on the spot.
 
-    The per-hit loop that scouting used before it deferred its sure hits to
-    one array bisection after the loop; the families (keys, order, floats)
-    must come out the same.
+    The per-hit loop that scouting used before it deferred its line hits to
+    batched array bisections: each hit is solved by the scalar `hermite_root`
+    and filed under its key at once, and a family that reaches _MAX_RETURNS
+    stops its seed after the current step.  With `truncate_at_settle`
+    applied, the families (keys, order, floats) must come out the same as
+    `_scout`'s.
     """
     m = len(seeds)
     fams: list[dict] = [dict() for _ in range(m)]

@@ -193,6 +193,15 @@ class TestCompareReports:
             "degenerate-demo": "inequality_holds",
         }
 
+    def test_failed_shooting_is_inconclusive(self, corpus):
+        """A refinement tolerance that `integrate` rejects fails detection
+        with a named cause, rather than leaving 0 cycles to count."""
+        cfg = cb.PipelineConfig(detect=cb.DetectConfig(refine_rtol=0.0))
+        rep = cb.compare(corpus["van-der-pol"], cfg)
+        assert rep.verdict == "inconclusive"
+        assert rep.notes == ("cycle detection failed: ValueError: rtol, atol and t_max "
+                             "must be positive",)
+
     def test_bound_recomputes_from_milnor(self, corpus_reports):
         for rep, _ in corpus_reports.values():
             assert rep.bound == sum(m.l for m in rep.milnor)

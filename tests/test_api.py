@@ -60,15 +60,26 @@ def test_config_fields_have_a_caller():
     assert sorted(fields - words) == []
 
 
+def _assigned(node) -> list[str]:
+    """Names bound by a module-level assignment, tuple targets included."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_private_names_are_read():
-    """A private function, class or method (a _name, not a dunder) defined
-    in the package is read somewhere in the package; one that nothing reads
-    is left over from a deletion."""
+    """A private function, class or method, or a private module-level
+    constant (a _name, not a dunder), defined in the package is read
+    somewhere in the package; one that nothing reads is left over from a
+    deletion."""
     sources = sorted((ROOT / "src" / "cyclebound").glob("*.py"))
     refs = set().union(*(_references(p) for p in sources))
-    defined = {(p.name, node.name) for p in sources
-               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name.startswith("_")
-               and not (node.name.startswith("__") and node.name.endswith("__"))}
-    assert sorted(f"{f}:{name}" for f, name in defined if name not in refs) == []
+    defined = set()
+    for p in sources:
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        defined |= {(p.name, node.name) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined |= {(p.name, name) for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign)) for name in _assigned(node)}
+    private = {(f, name) for f, name in defined if name.startswith("_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(f"{f}:{name}" for f, name in private if name not in refs) == []

@@ -10,6 +10,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import cyclebound as cb
+from cyclebound import render
 from cyclebound.cli import _build_parser, _config_from, main
 
 SYSTEMS = pathlib.Path(__file__).resolve().parent.parent / "systems"
@@ -338,6 +340,16 @@ class TestArtifacts:
         code, _, _ = run(capsys, "analyze", str(path), "--svg", str(out_svg))
         assert code == EXIT_OK
         assert out_svg.read_text().count("<polyline") == 81
+
+    def test_figure_raises_on_a_failed_streamline(self, pair_file, monkeypatch):
+        """An integrator error reaches the caller instead of dropping the
+        streamline from the figure."""
+        def fail(*args, **kwargs):
+            raise ValueError("rtol, atol and t_max must be positive")
+
+        monkeypatch.setattr(render, "integrate", fail)
+        with pytest.raises(ValueError, match="must be positive"):
+            render.phase_portrait_svg(cb.load_vf(pair_file))
 
     @pytest.mark.parametrize("command", ["analyze", "cycles"])
     def test_figure_escapes_the_field_name(self, capsys, tmp_path, command):

@@ -96,8 +96,10 @@ def fuzz_hits(rng, n):
     """Random line hits as _scout sees them: t0, y-Hermite, x-Hermite (slopes
     scaled by the step), level, anchor.  The first third is generic, at
     scales from 1e-8 to 1e3; in the second, y moves by one ulp of 1500 with
-    slopes below an ulp; in the third, x stays within an ulp or two of the
-    1e-12 band around an anchor at 1500.  A tenth start at t0 = 0."""
+    slopes below an ulp, half of them 0; in the third, x stays within an ulp
+    or two of the 1e-12 band around an anchor at 1500.  A tenth start at
+    t0 = 0, and half of those on the line itself, as seeds on a section line
+    do."""
     k = n // 3
     scale = 10.0 ** rng.uniform(-8, 3, n)
     level = rng.choice([0.0, 1.0, -1e3, 1e3], n)
@@ -116,8 +118,9 @@ def fuzz_hits(rng, n):
     level[s] = 1500.0
     y0[s] = 1500.0 - ulp * (sgn[s] > 0)
     y1[s] = 1500.0 - ulp * (sgn[s] < 0)
-    dy0[s] = sgn[s] * ulp * rng.uniform(0, 1, k)
-    dy1[s] = sgn[s] * ulp * rng.uniform(0, 1, k)
+    flat = rng.integers(0, 2, k)   # half the steps have no slope, so none at the root
+    dy0[s] = sgn[s] * ulp * rng.uniform(0, 1, k) * flat
+    dy1[s] = sgn[s] * ulp * rng.uniform(0, 1, k) * flat
     s = slice(2 * k, n)
     anchor[s] = 1500.0
     x0[s] = 1500.0 + sgn[s] * (1e-12 + ulp * rng.integers(0, 2, n - 2 * k))
@@ -125,39 +128,56 @@ def fuzz_hits(rng, n):
     dx0[s] = sgn[s] * ulp * rng.uniform(0, 1, n - 2 * k)
     dx1[s] = -sgn[s] * ulp * rng.uniform(0, 1, n - 2 * k)
     t0 = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-3, 2, n))
+    on_line = (t0 == 0.0) & (rng.random(n) < 0.5)
+    y0[on_line] = level[on_line]
     return t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor
 
 
-def scalar_key(y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor):
-    """(direction, u > 0) of one hit after its step's start by the per-hit
-    rule, None if dropped."""
+def scalar_key(t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor, h=1.0):
+    """(direction, u > 0, (t, u)) of one hit of the step [t0, t0 + h] by the
+    per-hit rule, None if dropped."""
     tau = hermite_root(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
+    t = t0 + tau * h
+    if t - t0 < 1e-12 and t0 == 0.0:
+        return None
     dydt = hermite_deriv(y0, dy0, y1, dy1, tau)
     if dydt == 0.0:
         dydt = y1 - y0
     u = -(hermite(x0, dx0, x1, dx1, tau) - anchor)
     if abs(u) < 1e-12:
         return None
-    return (1 if dydt > 0 else -1), u > 0
+    return (1 if dydt > 0 else -1), u > 0, (t, u)
 
 
 class TestScoutDeferredRoots:
-    """Scouting solves its sure hits in batched array bisections and stops
-    each seed once one of its families settles; its families must equal the
-    per-hit reference loop's, cut by the stop rule, bit for bit."""
+    """Scouting solves its line hits in batched array bisections and stops
+    each seed once one of its families settles or reaches _MAX_RETURNS; its
+    families must equal the per-hit reference loop's, cut by the stop rule,
+    bit for bit."""
 
-    # seeds whose families the stop rule cuts, (forward, backward).  Forward,
-    # every seed of van der Pol and of the cubic settles on the attracting
-    # cycle.  Backward, van der Pol's seeds inside the cycle spiral into the
-    # origin and are cut once their crossings settle; the cubic's contract by
-    # e^(-2 pi) a turn and stop at the origin before they cross again, and
-    # the outer seeds leave the box.
+    # seeds whose families the stop rule cuts, (forward, backward), at the
+    # default cap.  Forward, every seed of van der Pol and of the cubic
+    # settles on the attracting cycle.  Backward, van der Pol's seeds inside
+    # the cycle spiral into the origin and are cut once their crossings
+    # settle; the cubic's contract by e^(-2 pi) a turn and stop at the origin
+    # before they cross again, and the outer seeds leave the box.
     STOPPED = {"van-der-pol": ("all", "some"), "cubic-one-cycle": ("all", "none"),
                "random-3-5": ("none", "none")}
+    # seeds with a family of 4 crossings or more, (forward, backward): the
+    # seeds that a cap of 4 stops.  random (3,5)'s seeds cross at most twice.
+    CAPPED_AT_4 = {"van-der-pol": (592, 232), "cubic-one-cycle": (592, 160),
+                   "random-3-5": (0, 0)}
 
     @pytest.mark.parametrize("time_sign", [1.0, -1.0], ids=["forward", "backward"])
-    @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
-    def test_families_match_reference(self, corpus, monkeypatch, name, time_sign):
+    @pytest.mark.parametrize("name, cap", [
+        pytest.param(name, cap, id=name if cap is None else f"{name}-cap{cap}")
+        for name in ("van-der-pol", "cubic-one-cycle", "random-3-5") for cap in (None, 4)])
+    def test_families_match_reference(self, corpus, monkeypatch, name, cap, time_sign):
+        """At the default cap, which binds on none of these fields, and at a
+        cap of 4 crossings, which stops seeds of van der Pol and of the cubic
+        mid-run."""
+        if cap is not None:
+            monkeypatch.setattr(cd, "_MAX_RETURNS", cap)
         v = (random_field(5, 3, cb.Box.make(-2, 2, -2, 2)) if name == "random-3-5"
              else corpus[name])
         cps = find_critical_points(v)
@@ -166,32 +186,55 @@ class TestScoutDeferredRoots:
                             halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        scalar_hits = []
-
-        def counted(*args):
-            scalar_hits.append(args)
-            return hermite_root(*args)
-
-        monkeypatch.setattr(cd, "hermite_root", counted)
         got = cd._scout(v, seeds, sections, cfg, time_sign)
         full = scout_reference(v, seeds, sections, cfg, time_sign)
         want = truncate_at_settle(full)
-        events = sum(len(evs) for fam in want for evs in fam.values())
-        assert 0 < len(scalar_hits) < events  # both paths ran
-        stopped = sum(a != b for a, b in zip(want, full))
-        kind = "none" if stopped == 0 else "all" if stopped == len(seeds) else "some"
-        assert kind == self.STOPPED[name][time_sign < 0]
+        if cap is None:
+            assert max(len(evs) for fam in full for evs in fam.values()) < cd._MAX_RETURNS
+            stopped = sum(a != b for a, b in zip(want, full))
+            kind = "none" if stopped == 0 else "all" if stopped == len(seeds) else "some"
+            assert kind == self.STOPPED[name][time_sign < 0]
+        else:
+            capped = sum(any(len(evs) >= cap for evs in fam.values()) for fam in full)
+            assert capped == self.CAPPED_AT_4[name][time_sign < 0]
         assert pickle.dumps(got) == pickle.dumps(want)
 
+    def test_cap_keeps_the_capping_step(self, monkeypatch):
+        """A seed whose family reaches _MAX_RETURNS keeps its other crossings
+        of that loop step and drops those of later steps; a seed that never
+        reaches the cap keeps all of its crossings."""
+        monkeypatch.setattr(cd, "_MAX_RETURNS", 2)
+        a, b, c = (0, 1, True), (1, 1, True), (2, -1, False)
+        solved = [(3, 0, a, (1.0, 0.5)), (5, 1, a, (1.5, 0.7)),
+                  (7, 0, a, (2.0, 0.6)), (7, 0, b, (2.1, 0.4)), (8, 0, c, (2.5, -0.3)),
+                  (9, 1, b, (3.0, 0.2))]
+        fams = [{}, {}]
+        assert cd._stop_settled(fams, solved) == [0]
+        assert fams == [{a: [(1.0, 0.5), (2.0, 0.6)], b: [(2.1, 0.4)]},
+                        {a: [(1.5, 0.7)], b: [(3.0, 0.2)]}]
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sure_hits_keep_the_scalar_key(self, seed):
-        hits = fuzz_hits(np.random.default_rng(seed), 6000)
-        sure, rising, left = cd._sure_hits(*hits[:9], hits[10])
-        assert sure.sum() > 500
-        assert np.all(hits[0][sure] > 0)  # a hit at t = 0 may be dropped
-        for j in np.nonzero(sure)[0]:
-            want = scalar_key(*(float(c[j]) for c in hits[1:]))
-            assert want == (1 if rising[j] else -1, bool(left[j])), j
+    def test_solved_rows_keep_the_scalar_key(self, seed):
+        """`_solve_rows` gives every hit the per-hit loop's t, u and key, or
+        drops it where that loop does: one-ulp slopes, the 1e-12 band around
+        the anchor and hits at t0 = 0 included."""
+        rng = np.random.default_rng(seed)
+        hits = fuzz_hits(rng, 6000)
+        n = len(hits[0])
+        hh = 10.0 ** rng.uniform(-3, 0, n)
+        steps, seeds, sections = np.arange(n), np.arange(n) % 7, np.arange(n) % 3
+        rows = np.column_stack((steps, seeds, sections, hits[0], hh) + hits[1:])
+        got = {s: (g, key, event) for s, g, key, event in cd._solve_rows(rows)}
+        dropped = 0
+        for j in range(n):
+            want = scalar_key(*(float(c[j]) for c in hits + (hh,)))
+            if want is None:
+                dropped += 1
+                assert j not in got, j
+            else:
+                dirc, side, event = want
+                assert got[j] == (j % 7, (j % 3, dirc, side), event), j
+        assert 0 < dropped < n // 2
 
 
 def crossings(us):

@@ -1,8 +1,8 @@
 """Empirical limit-cycle detection for planar polynomial fields.
 
 Strategy: seed trajectories on rays around each equilibrium and on a coarse
-box grid, integrate them forward and backward with a vectorized adaptive
-stepper, and watch where they cross the horizontal line through each
+box grid, integrate them forward and backward in one vectorized adaptive
+stepper loop, and watch where they cross the horizontal line through each
 equilibrium.  A crossing sequence that converges geometrically marks a
 candidate periodic orbit; candidates are refined by Newton shooting on the
 return map (anchor offset and period as unknowns), classified by the
@@ -23,7 +23,7 @@ floor of `_settled`.  Its families are cut at that crossing, so the result
 does not depend on when a solve ran, and `_analyze_family` judges each
 settled family as a candidate (floor branch) or a closed-orbit band (stall
 test).  A seed also stops once a step ends in the certified basin disk of a
-sink of the scouting direction (`_basin`): a sublevel set of a quadratic
+sink of its own time direction (`_basin`): a sublevel set of a quadratic
 Lyapunov function, proved decreasing by interval arithmetic, from which the
 seed can only converge to the sink.  Seeds that do neither run to t_horizon
 or _MAX_RETURNS.
@@ -97,25 +97,55 @@ def _close_loop(pts: np.ndarray) -> np.ndarray:
 
 
 # points per block of `_directed_hausdorff`: its temporaries are a block's
-# rows times the polyline's segments
+# rows times the polyline's vertices
 _HAUSDORFF_ROWS = 64
 
 
 def _directed_hausdorff(pts: np.ndarray, poly: np.ndarray) -> float:
-    """Largest distance from a point of pts to the polyline poly.  Each
-    point's nearest segment is found on its own, so blocks of
-    _HAUSDORFF_ROWS points give the floats of the dense pts x segments
-    computation without its n x m x 2 temporaries."""
-    a = poly[:-1]
-    d = poly[1:] - a
-    l2 = np.maximum((d * d).sum(1), 1e-300)
-    worst = []
+    """Largest distance from a point of pts to the polyline poly.
+
+    A first pass, in blocks of _HAUSDORFF_ROWS points, finds each point's
+    nearest vertex; the squared distance to the nearer of the vertex's two
+    segments is an upper bound ub on the point's squared distance to poly.
+    Then the points, by decreasing ub and a block at a time, get their exact
+    squared distance, the minimum over all segments, until the next ub is
+    no larger than the largest exact value so far: no point after it can
+    raise the maximum (the early break of Taha and Hanbury, IEEE TPAMI
+    37(11), 2015).  A NaN ub, from a non-finite point or vertex, sorts first
+    and is never skipped.
+
+    Each point-segment value takes the float operations of the dense
+    pts x segments x 2 computation, a coordinate at a time; only the sign
+    of a zero projection parameter can differ, and the squares drop it.  So
+    the result is the dense computation's float.
+    """
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    dx, dy = poly[1:, 0] - ax, poly[1:, 1] - ay
+    l2 = np.maximum(dx * dx + dy * dy, 1e-300)
+
+    def dist2(px, py, k):
+        """Squared distances of the points (px, py) to the segments k."""
+        t = np.clip(((px - ax[k]) * dx[k] + (py - ay[k]) * dy[k]) / l2[k], 0.0, 1.0)
+        return (px - (ax[k] + t * dx[k])) ** 2 + (py - (ay[k] + t * dy[k])) ** 2
+
+    last = len(ax) - 1
+    ub = np.empty(len(pts))
     for s in range(0, len(pts), _HAUSDORFF_ROWS):
-        blk = pts[s:s + _HAUSDORFF_ROWS, None, :]
-        t = np.clip(((blk - a) * d).sum(-1) / l2, 0.0, 1.0)
-        dist2 = ((blk - (a + t[..., None] * d)) ** 2).sum(-1)
-        worst.append(dist2.min(axis=1).max())
-    return float(np.sqrt(np.max(worst)))
+        blk = pts[s:s + _HAUSDORFF_ROWS]
+        near = ((blk[:, :1] - poly[:, 0]) ** 2 + (blk[:, 1:] - poly[:, 1]) ** 2).argmin(axis=1)
+        px, py = blk[:, 0], blk[:, 1]
+        ub[s:s + _HAUSDORFF_ROWS] = np.minimum(dist2(px, py, np.maximum(near - 1, 0)),
+                                               dist2(px, py, np.minimum(near, last)))
+    order = np.argsort(np.where(np.isnan(ub), -np.inf, -ub))
+    worst = -np.inf
+    for s in range(0, len(pts), _HAUSDORFF_ROWS):
+        rows = order[s:s + _HAUSDORFF_ROWS]
+        rows = rows[~(ub[rows] <= worst)]
+        if not rows.size:
+            break
+        exact = dist2(pts[rows, :1], pts[rows, 1:], slice(None)).min(axis=1)
+        worst = np.max(exact, initial=worst)
+    return float(np.sqrt(worst))
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -173,7 +203,7 @@ class _Basin:
     {L <= level}, with L = s11 dx^2 + 2 s12 dx dy + s22 dy^2 and (dx, dy)
     the offset from the float point (x, y), stays in a disk around the sink
     on which a quadratic Lyapunov function decreases, and tends to the
-    sink."""
+    sink.  It holds for the flow of time_sign V only."""
 
     x: float
     y: float
@@ -181,6 +211,7 @@ class _Basin:
     s12: float
     s22: float
     level: float
+    time_sign: float
 
     def holds(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
         dx, dy = xx - self.x, yy - self.y
@@ -270,7 +301,7 @@ def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
     rho = (r - e) * math.sqrt(det_s / max(s11, s22)) - e * math.sqrt(s11 + 2.0 * abs(s12) + s22)
     if not rho > 0.0:
         return None
-    return _Basin(px, py, s11, s12, s22, rho * rho * (1.0 - margin))
+    return _Basin(px, py, s11, s12, s22, rho * rho * (1.0 - margin), time_sign)
 
 
 def _basins(v: VectorField, cps, time_sign: float) -> tuple[_Basin, ...]:
@@ -284,39 +315,49 @@ _SCOUT_RTOL, _SCOUT_ATOL = 1e-6, 1e-9  # scouting's step tolerances
 _MAX_RETURNS = 48  # crossings of one family that stop a seed
 
 
-def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_sign: float,
-           basins=()):
-    """Integrate all seeds at once, logging section-line crossings.
+def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basins=()):
+    """Integrate all seeds forward and backward at once, logging section-line
+    crossings.
 
-    Returns one dict per seed mapping (section_index, crossing_direction,
-    positive_side) to the time-ordered list of (t, u) crossing events.
+    Returns (forward, backward): per direction, one dict per seed mapping
+    (section_index, crossing_direction, positive_side) to the time-ordered
+    list of (t, u) crossing events.
+
+    Each seed runs twice in one array loop, as a trajectory of V and as one
+    of -V: the field value of each trajectory is multiplied by its time sign
+    +-1.0, which is exact, and every other operation is elementwise.  So each
+    trajectory takes the same float steps as in a loop of its own direction,
+    at the same loop step, and the loop runs max(forward, backward) steps
+    instead of their sum.
 
     A step that crosses a section line brackets the crossing on its y
     Hermite and stores the bracket as a pending row, tagged with its loop
-    step, seed and section.  Once the pending rows are at least as many as
-    the live seeds, one `hermite_roots` call solves them all
+    step, trajectory and section.  Once the pending rows are at least as
+    many as the live trajectories, one `hermite_roots` call solves them all
     (`_solve_rows`), and `_stop_settled` files the kept crossings into
-    their families and stops the seeds that reached _MAX_RETURNS or
-    settled.  A seed stops at the first crossing at which one of its
+    their families and stops the trajectories that reached _MAX_RETURNS or
+    settled.  A trajectory stops at the first crossing at which one of its
     families settles (`_settled`), and each of its families keeps only the
     crossings up to that time: after it the seed only repeats an orbit that
     `_analyze_family` has already judged.  Since every family is cut at that
-    crossing, and a capped seed at the step of its cap, the result does not
-    depend on when a check ran.  t_horizon and _MAX_RETURNS still stop the
-    seeds that never settle.
+    crossing, and a capped trajectory at the step of its cap, the result
+    does not depend on when a check ran.  t_horizon and _MAX_RETURNS still
+    stop the trajectories that never settle.
 
-    A seed also stops, like one that hits an equilibrium, once an accepted
-    step ends inside one of `basins` (`_Basin`): from there it can only
-    tend to that sink, so its families are cut to a prefix of what they
-    would be without the basins.
+    A trajectory also stops, like one that hits an equilibrium, once an
+    accepted step ends inside one of `basins` (`_Basin`) of its own time
+    sign: from there it can only tend to that sink, so its families are cut
+    to a prefix of what they would be without the basins.
     """
     m = len(seeds)
-    fams: list[dict] = [dict() for _ in range(m)]
+    fams: list[dict] = [dict() for _ in range(2 * m)]
     if m == 0:
-        return fams
+        return [], []
+    sign = np.repeat([1.0, -1.0], m)
+    sa = sign   # the time signs of the trajectories that `field` evaluates
 
     def field(xx, yy):
-        return time_sign * v.p.eval_grid(xx, yy), time_sign * v.q.eval_grid(xx, yy)
+        return sa * v.p.eval_grid(xx, yy), sa * v.q.eval_grid(xx, yy)
 
     bx0, bx1, by0, by1 = v.box.inflate(odeflow.BOX_INFLATION)
     sy = [s.anchor[1] for s in sections]
@@ -326,11 +367,11 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
     rows: list = []
     n_rows = 0
 
-    x = seeds[:, 0].astype(float).copy()
-    y = seeds[:, 1].astype(float).copy()
-    t = np.zeros(m)
-    h = np.full(m, 1e-3)
-    errp = np.ones(m)
+    x = np.tile(seeds[:, 0].astype(float), 2)
+    y = np.tile(seeds[:, 1].astype(float), 2)
+    t = np.zeros(2 * m)
+    h = np.full(2 * m, 1e-3)
+    errp = np.ones(2 * m)
     k1x, k1y = field(x, y)
     active = np.hypot(k1x, k1y) > 1e-10
 
@@ -346,6 +387,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             if not active.any():
                 break
             idx = np.nonzero(active)[0]
+            sa = sign[idx]
             xa, ya = x[idx], y[idx]
             ha = np.minimum(h[idx], cfg.t_horizon - t[idx])
             x5, y5, ex, ey, (k7x, k7y) = rk_step(field, xa, ya, ha, (k1x[idx], k1y[idx]))
@@ -398,7 +440,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
             )
             caught = np.hypot(k7x_a, k7y_a) < 1e-10   # at an equilibrium or in a basin
             for b in basins:
-                caught |= b.holds(x5_a, y5_a)
+                caught |= (sa[acc] == b.time_sign) & b.holds(x5_a, y5_a)
             tend = t[gidx] >= cfg.t_horizon - 1e-12
             dead = out | caught | tend
             if dead.any():
@@ -407,7 +449,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, time_
                 check()
 
     check()
-    return fams
+    return fams[:m], fams[m:]
 
 
 def _solve_rows(rows: np.ndarray) -> list:
@@ -729,8 +771,8 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
     div = v.divergence()
 
     pool = []
-    for time_sign in (1.0, -1.0):
-        fams = _scout(v, seeds, sections, cfg, time_sign, _basins(v, cps, time_sign))
+    basins = _basins(v, cps, 1.0) + _basins(v, cps, -1.0)
+    for time_sign, fams in zip((1.0, -1.0), _scout(v, seeds, sections, cfg, basins)):
         for per_seed in fams:
             for (si, dirc, _side), evs in sorted(per_seed.items()):
                 got = _analyze_family(evs)

@@ -48,32 +48,34 @@ STEP_UNDERFLOW = "step_underflow"
 BOX_INFLATION = 1.5
 
 
-def _combine(coeffs, ks):
-    """Sums of c * k over the nonzero coefficients, left to right, per coordinate."""
-    sx = sy = 0.0
-    for c, k in zip(coeffs, ks):
-        if c:
-            sx = sx + c * k[0]
-            sy = sy + c * k[1]
-    return sx, sy
-
-
 def rk_step(f, x, y, h, k1=None):
     """One Dormand-Prince step from (x, y) with step h.
 
     Works on floats and, elementwise, on numpy arrays of states and steps;
     the inputs are not modified.  Returns (x5, y5, err_x, err_y, k7) where
-    k7 = f(x5, y5) can seed the next step.
+    k7 = f(x5, y5) can seed the next step.  Each stage sums c * k over the
+    nonzero coefficients of its row, left to right from 0.0, so the leading
+    0.0 fixes the sign of a zero sum.
     """
-    if k1 is None:
-        k1 = f(x, y)
-    ks = [k1]
-    for row in DP_A[1:]:
-        sx, sy = _combine(row, ks)
-        x5, y5 = x + h * sx, y + h * sy
-        ks.append(f(x5, y5))
-    ex, ey = _combine(DP_E, ks)
-    return x5, y5, h * ex, h * ey, ks[6]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = DP_A[1:]
+    e1, _, e3, e4, e5, e6, e7 = DP_E
+    k1x, k1y = f(x, y) if k1 is None else k1
+    k2x, k2y = f(x + h * (0.0 + a21 * k1x), y + h * (0.0 + a21 * k1y))
+    k3x, k3y = f(x + h * (0.0 + a31 * k1x + a32 * k2x),
+                 y + h * (0.0 + a31 * k1y + a32 * k2y))
+    k4x, k4y = f(x + h * (0.0 + a41 * k1x + a42 * k2x + a43 * k3x),
+                 y + h * (0.0 + a41 * k1y + a42 * k2y + a43 * k3y))
+    k5x, k5y = f(x + h * (0.0 + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x),
+                 y + h * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y))
+    k6x, k6y = f(x + h * (0.0 + a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x),
+                 y + h * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y))
+    x5 = x + h * (0.0 + a71 * k1x + a73 * k3x + a74 * k4x + a75 * k5x + a76 * k6x)
+    y5 = y + h * (0.0 + a71 * k1y + a73 * k3y + a74 * k4y + a75 * k5y + a76 * k6y)
+    k7 = k7x, k7y = f(x5, y5)
+    ex = 0.0 + e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x
+    ey = 0.0 + e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
+    return x5, y5, h * ex, h * ey, k7
 
 
 def hermite(y0, d0, y1, d1, s):
@@ -153,13 +155,6 @@ class Trajectory:
         if h == 0:
             return float(self.states[i, 0]), float(self.states[i, 1])
         return hermite(*self._nodes(i, h, 0), s), hermite(*self._nodes(i, h, 1), s)
-
-    def deriv_at(self, t: float) -> tuple[float, float]:
-        i, h, s = self._segment(t)
-        if h == 0:
-            return float(self.derivs[i, 0]), float(self.derivs[i, 1])
-        return (hermite_deriv(*self._nodes(i, h, 0), s) / h,
-                hermite_deriv(*self._nodes(i, h, 1), s) / h)
 
 
 def _initial_step(f, x, y):

@@ -3,14 +3,17 @@
 Everything here deliberately avoids the library's own counting, chaining,
 and refinement code paths: polynomial values come straight from the term
 dictionaries, fiber counts from a sign-grid flood fill, periods from scipy,
-distances from dense resampling.  Two exceptions pin optimised library
+distances from dense resampling.  Four exceptions pin optimised library
 paths bit for bit.  `scout_reference` is scouting's earlier per-hit loop on
 the library's own stepper and scalar bisection, which runs every seed to its
 end; with `truncate_at_settle` applied after it, it pins the crossing events
 that the deferred root solve and the early stop must reproduce.
 `subdivide_reference` is critfind's earlier box-by-box subdivision on the
 scalar `Interval` arithmetic below; it pins the certified and unresolved
-boxes of the level-at-a-time array path.
+boxes of the level-at-a-time array path.  `rk_step_reference` is the
+Dormand-Prince step as a loop over the tableau rows; it pins the written-out
+stages of `odeflow.rk_step`, and `directed_hausdorff_dense` pins the pruned
+`cycledetect._directed_hausdorff`.
 """
 
 import math
@@ -24,7 +27,8 @@ import scipy.ndimage
 from cyclebound import critfind as cf
 from cyclebound import cycledetect as cd
 from cyclebound.critfind import DepthLimitExceeded
-from cyclebound.odeflow import BOX_INFLATION, hermite, hermite_deriv, hermite_root, rk_step
+from cyclebound.odeflow import (BOX_INFLATION, DP_A, DP_E, hermite, hermite_deriv, hermite_root,
+                                rk_step)
 from cyclebound.polyalg import Poly2, VectorField
 
 
@@ -191,7 +195,8 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 def directed_hausdorff_dense(pts: np.ndarray, poly: np.ndarray) -> float:
     """Largest point-to-polyline distance from one n x m x 2 computation:
-    the form `cycledetect._directed_hausdorff` had before it went blockwise."""
+    the form `cycledetect._directed_hausdorff` had before it went blockwise
+    and pruned its rows."""
     a = poly[:-1]
     d = poly[1:] - a
     l2 = np.maximum((d * d).sum(1), 1e-300)
@@ -274,6 +279,30 @@ def fd_partial(poly: Poly2, var: int, x: float, y: float, h: float = 1e-6) -> fl
     if var == 0:
         return float(eval_terms(poly, x + h, y) - eval_terms(poly, x - h, y)) / (2 * h)
     return float(eval_terms(poly, x, y + h) - eval_terms(poly, x, y - h)) / (2 * h)
+
+
+def _combine(coeffs, ks):
+    """Sums of c * k over the nonzero coefficients, left to right, per coordinate."""
+    sx = sy = 0.0
+    for c, k in zip(coeffs, ks):
+        if c:
+            sx = sx + c * k[0]
+            sy = sy + c * k[1]
+    return sx, sy
+
+
+def rk_step_reference(f, x, y, h, k1=None):
+    """`odeflow.rk_step` as a loop over the rows of DP_A and DP_E, the form it
+    had before its stages were written out; the two must agree bit for bit."""
+    if k1 is None:
+        k1 = f(x, y)
+    ks = [k1]
+    for row in DP_A[1:]:
+        sx, sy = _combine(row, ks)
+        x5, y5 = x + h * sx, y + h * sy
+        ks.append(f(x5, y5))
+    ex, ey = _combine(DP_E, ks)
+    return x5, y5, h * ex, h * ey, ks[6]
 
 
 def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign: float):

@@ -9,8 +9,10 @@ are checked by sampling dL/dt on their boundaries and by the prefix
 relation of the families they cut.
 """
 
+import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,10 +152,11 @@ def scalar_key(t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor, h=1.0):
 
 
 class TestScoutDeferredRoots:
-    """Scouting solves its line hits in batched array bisections and stops
-    each seed once one of its families settles or reaches _MAX_RETURNS; its
-    families must equal the per-hit reference loop's, cut by the stop rule,
-    bit for bit."""
+    """Scouting runs both time directions in one array loop, solves its line
+    hits in batched array bisections and stops each trajectory once one of
+    its families settles or reaches _MAX_RETURNS; each direction's families
+    must equal the per-hit reference loop's for that direction alone, cut by
+    the stop rule, bit for bit."""
 
     # seeds whose families the stop rule cuts, (forward, backward), at the
     # default cap.  Forward, every seed of van der Pol and of the cubic
@@ -173,9 +176,9 @@ class TestScoutDeferredRoots:
         pytest.param(name, cap, id=name if cap is None else f"{name}-cap{cap}")
         for name in ("van-der-pol", "cubic-one-cycle", "random-3-5") for cap in (None, 4)])
     def test_families_match_reference(self, corpus, monkeypatch, name, cap, time_sign):
-        """At the default cap, which binds on none of these fields, and at a
-        cap of 4 crossings, which stops seeds of van der Pol and of the cubic
-        mid-run."""
+        """Each half of the joint run, at the default cap, which binds on none
+        of these fields, and at a cap of 4 crossings, which stops seeds of
+        van der Pol and of the cubic mid-run."""
         if cap is not None:
             monkeypatch.setattr(cd, "_MAX_RETURNS", cap)
         v = (random_field(5, 3, cb.Box.make(-2, 2, -2, 2)) if name == "random-3-5"
@@ -186,7 +189,7 @@ class TestScoutDeferredRoots:
                             halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        got = cd._scout(v, seeds, sections, cfg, time_sign)
+        got = cd._scout(v, seeds, sections, cfg)[time_sign < 0]
         full = scout_reference(v, seeds, sections, cfg, time_sign)
         want = truncate_at_settle(full)
         if cap is None:
@@ -274,7 +277,7 @@ class TestSettled:
         x0, x1, y0, y1 = v.box.floats()
         sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
                             halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
-        fams = cd._scout(v, cd._make_seeds(v, cps, cfg), sections, cfg, 1.0)
+        fams, _ = cd._scout(v, cd._make_seeds(v, cps, cfg), sections, cfg)
         last = [max(t for evs in fam.values() for t, _ in evs) for fam in fams if fam]
         assert len(last) > len(fams) // 2
         assert max(last) < cfg.t_horizon
@@ -473,24 +476,60 @@ class TestBasins:
 
     @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
     def test_families_are_prefixes(self, fields, name):
-        """With the basins, every seed's families are prefixes of its
-        basin-free families, and some are cut."""
+        """With the basins of both directions, every seed's families in each
+        half of the joint run are prefixes of its basin-free families in that
+        half, and some backward ones are cut.  These fields have basins only
+        backward, so the forward half comes out whole."""
         v = fields[name]
         cps = find_critical_points(v)
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        basins = cd._basins(v, cps, -1.0)
-        assert basins
-        got = cd._scout(v, seeds, sections_of(v, cps), cfg, -1.0, basins)
-        free = cd._scout(v, seeds, sections_of(v, cps), cfg, -1.0)
-        for fam, ref in zip(got, free):
-            assert set(fam) <= set(ref)
-            for key, evs in fam.items():
-                assert evs == ref[key][:len(evs)]
-        assert sum(a != b for a, b in zip(got, free)) > 0
+        basins = cd._basins(v, cps, 1.0) + cd._basins(v, cps, -1.0)
+        assert [b.time_sign for b in basins] == [-1.0]
+        got = cd._scout(v, seeds, sections_of(v, cps), cfg, basins)
+        free = cd._scout(v, seeds, sections_of(v, cps), cfg)
+        for half, ref_half in zip(got, free):
+            for fam, ref in zip(half, ref_half):
+                assert set(fam) <= set(ref)
+                for key, evs in fam.items():
+                    assert evs == ref[key][:len(evs)]
+        assert pickle.dumps(got[0]) == pickle.dumps(free[0])
+        assert sum(a != b for a, b in zip(got[1], free[1])) > 0
+
+    def test_basins_stop_only_their_direction(self, fields):
+        """A basin is tested only on the trajectories of its time sign: van
+        der Pol's backward basin disk, relabelled forward, cuts forward
+        seeds, which start inside it, and leaves the backward half as it is
+        without basins."""
+        v = fields["van-der-pol"]
+        cps = find_critical_points(v)
+        cfg = cd.DetectConfig()
+        seeds = cd._make_seeds(v, cps, cfg)
+        (basin,) = cd._basins(v, cps, -1.0)
+        flipped = dataclasses.replace(basin, time_sign=1.0)
+        got = cd._scout(v, seeds, sections_of(v, cps), cfg, (flipped,))
+        free = cd._scout(v, seeds, sections_of(v, cps), cfg)
+        assert pickle.dumps(got[1]) == pickle.dumps(free[1])
+        assert sum(a != b for a, b in zip(got[0], free[0])) > 0
+
+
+def wobbly(n: int = 512) -> np.ndarray:
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    r = 1.0 + 0.2 * np.sin(3.0 * th) + 0.05 * np.cos(11.0 * th)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def same_as_dense(pts, poly) -> float:
+    got = cd._directed_hausdorff(pts, poly)
+    want = directed_hausdorff_dense(pts, poly)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+    return got
 
 
 class TestHausdorff:
+    """The pruned directed distance is the dense n x m x 2 computation's
+    float, compared with ==."""
+
     @pytest.mark.parametrize("n,m", [(1, 5), (63, 40), (64, 7), (65, 300), (512, 1366)])
     def test_blocks_match_dense(self, n, m):
         rng = np.random.default_rng(n + m)
@@ -498,6 +537,70 @@ class TestHausdorff:
             pts = rng.normal(size=(n, 2))
             poly = np.cumsum(rng.normal(size=(m, 2)), axis=0)
             assert cd._directed_hausdorff(pts, poly) == directed_hausdorff_dense(pts, poly)
+
+    @pytest.mark.parametrize("change", ["offset", "rolled", "reversed"])
+    def test_near_duplicate_closed_curves(self, change):
+        """The dedup case: two traversals of one curve, about 1e-9 apart or
+        with the vertices shared, start and orientation changed."""
+        base = wobbly()
+        other = {"offset": base + 1e-9, "rolled": np.roll(base, 37, axis=0),
+                 "reversed": base[::-1]}[change]
+        d = [same_as_dense(base, cd._close_loop(other)), same_as_dense(other, cd._close_loop(base))]
+        assert cd.hausdorff_distance(base, other) == max(d) < 1e-8
+
+    def test_tied_maxima(self):
+        """Points at exactly the same largest distance, among nearer ones,
+        in more than one block."""
+        square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        rng = np.random.default_rng(5)
+        far = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0], [3.0, 0.5],
+                        [-3.0, -0.5]])
+        pts = np.concatenate([rng.uniform(-2.4, 2.4, (300, 2)), far])
+        pts = pts[rng.permutation(len(pts))]
+        assert same_as_dense(pts, square) == 2.0
+        assert same_as_dense(circle(2.0, 256), cd._close_loop(circle(1.0, 256))) > 0.99
+
+    def test_zero_length_segments(self):
+        """Repeated vertices make segments of length 0, floored at 1e-300."""
+        pts = wobbly(300)
+        doubled = cd._close_loop(np.repeat(circle(1.0, 200), 2, axis=0))
+        same_as_dense(pts, doubled)
+        same_as_dense(doubled, cd._close_loop(pts))
+        point = np.zeros((3, 2))
+        assert same_as_dense(pts, point) == directed_hausdorff_dense(pts, point[:2])
+        same_as_dense(np.vstack([pts, doubled[5:6]]), doubled)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.5, -math.inf),
+                                     (math.inf, math.inf)])
+    @pytest.mark.parametrize("where", [0, 100, 299])
+    def test_non_finite_point(self, bad, where):
+        """A non-finite point gives the dense result, NaN or inf, wherever
+        it sits: its bound, NaN or inf, sorts first and is never skipped."""
+        pts = wobbly(300)
+        pts[where] = bad
+        with np.errstate(invalid="ignore"):   # inf - inf in the projection
+            got = same_as_dense(pts, cd._close_loop(circle(1.0, 200)))
+        assert not math.isfinite(got)
+
+    def test_non_finite_vertex(self):
+        poly = cd._close_loop(circle(1.0, 200))
+        poly[50] = (math.nan, 1.0)
+        assert math.isnan(same_as_dense(wobbly(300), poly))
+
+    def test_row_blocked_memory(self):
+        """4096 points against a 4096-vertex polyline: the dense form would
+        hold 4096 x 4096 x 2 floats (268 MB), a one-shot nearest-vertex pass
+        4096 x 4097 (134 MB); a block's temporaries take 2 MB each."""
+        pts = wobbly(4096)
+        poly = cd._close_loop(wobbly(4096) * (1.0 + 1e-6))
+        tracemalloc.start()
+        try:
+            got = cd._directed_hausdorff(pts, poly)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < 1e-5
+        assert peak < 16 * 2**20
 
 
 class TestWinding:

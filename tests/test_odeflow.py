@@ -17,12 +17,15 @@ from cyclebound.cycledetect import no_cycle_certificate
 from cyclebound.odeflow import (
     Section,
     hermite,
+    hermite_deriv,
     hermite_root,
     hermite_roots,
     integrate,
     rk_step,
     section_crossings,
 )
+
+from oracles import rk_step_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,6 +180,61 @@ class TestFixedStepOrder:
         assert np.array_equal(xs, x_in)
         assert np.array_equal(ys, y_in)
 
+    @staticmethod
+    def _field(x, y):
+        """A field with a zero slope at (0, 0), of either sign: x y is 0.0
+        or -0.0 there, and 1 - x - y is 0 on the line x + y = 1."""
+        return x * y, 1.0 - x - y + 0.5 * x * x
+
+    @staticmethod
+    def _zero_slopes(x, y):
+        """P is a zero whose sign follows (0.85 - y)(y - 0.95); with Q = 1,
+        x = -0.0, y = 0 and h = 1 every product of the fifth-order row is
+        -0.0, so only the leading 0.0 of the sum makes x5 +0.0."""
+        return 0.0 * ((0.85 - y) * (y - 0.95)), 1.0 + 0.0 * y
+
+    STATES = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.0), (0.5, 0.5),
+              (-0.3, 2.0), (math.inf, 0.5), (0.5, -math.inf), (math.inf, math.inf),
+              (math.nan, 1.0), (1e-300, -1e-300), (3.0, -7.0)]
+    STEPS = [0.1, -0.05, 0.0, -0.0, 1e-9, 2.5]
+
+    @staticmethod
+    def _bits(out):
+        x5, y5, ex, ey, (kx, ky) = out
+        return np.array([x5, y5, ex, ey, kx, ky], dtype=float).tobytes()
+
+    def test_matches_tableau_loop_on_floats(self):
+        """Bit for bit, NaN and the sign of zero included: the written-out
+        stages against the loop over the rows of DP_A and DP_E, cold and
+        with a given k1, ±0.0 slopes among them."""
+        with np.errstate(all="ignore"):
+            for f in (self._field, self._zero_slopes):
+                for x, y in self.STATES:
+                    for h in self.STEPS + [1.0]:
+                        for k1 in (None, f(x, y), (0.0, -0.0), (-0.0, 0.0)):
+                            got = rk_step(f, x, y, h, k1)
+                            want = rk_step_reference(f, x, y, h, k1)
+                            assert self._bits(got) == self._bits(want), (x, y, h, k1)
+            x5 = rk_step(self._zero_slopes, -0.0, 0.0, 1.0)[0]
+            assert x5 == 0.0 and math.copysign(1.0, x5) == 1.0
+
+    def test_matches_tableau_loop_on_arrays(self):
+        """The same inputs as arrays: bit for bit against the loop form, and
+        each element against the float step."""
+        xs = np.array([s[0] for s in self.STATES] * len(self.STEPS))
+        ys = np.array([s[1] for s in self.STATES] * len(self.STEPS))
+        hs = np.repeat(self.STEPS, len(self.STATES))
+        with np.errstate(all="ignore"):
+            for k1 in (None, self._field(xs, ys), (np.zeros_like(xs), -np.zeros_like(ys))):
+                got = rk_step(self._field, xs, ys, hs, k1)
+                want = rk_step_reference(self._field, xs, ys, hs, k1)
+                assert self._bits(got) == self._bits(want)
+                for j in range(len(xs)):
+                    one = rk_step(self._field, float(xs[j]), float(ys[j]), float(hs[j]),
+                                  None if k1 is None else (float(k1[0][j]), float(k1[1][j])))
+                    assert self._bits(one) == np.array(
+                        [c[j] for c in got[:4]] + [got[4][0][j], got[4][1][j]]).tobytes()
+
     def test_error_estimate_scale(self):
         out = rk_step(self._circle_rhs, 1.0, 0.0, 0.1)
         est = math.hypot(out[2], out[3])
@@ -265,12 +323,13 @@ class TestDenseOutput:
         assert traj.terminated_by == "step_underflow"
         assert len(traj.times) == 1
         assert traj.state_at(0.0) == (1.0, 0.0)
-        assert all(math.isfinite(d) for d in traj.deriv_at(0.0))
         sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
         assert section_crossings(traj, sec) == []
 
     def test_deriv_residual_bound(self, corpus):
-        """deriv_at stays within 10x the local tolerance of the field.
+        """The interpolant's derivative, hermite_deriv on a segment's nodes
+        divided by the step, stays within 10x the local tolerance of the
+        field.
 
         The cubic interpolant's derivative error scales with h^3, so
         the bound is checked at a step cap where that term sits below
@@ -283,7 +342,8 @@ class TestDenseOutput:
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, traj.times[-1], size=200):
             x, y = traj.state_at(float(t))
-            dx, dy = traj.deriv_at(float(t))
+            i, h, s = traj._segment(float(t))
+            dx, dy = (hermite_deriv(*traj._nodes(i, h, c), s) / h for c in (0, 1))
             px, qx = v.eval(x, y)
             resid = math.hypot(dx - px, dy - qx)
             assert resid <= 10.0 * (rtol * math.hypot(px, qx) + atol)

@@ -19,6 +19,7 @@ from .analysis import (
     report_to_json,
     run,
 )
+from .certify import no_cycle_certificate
 from .critfind import CriticalPoint, find_critical_points, poincare_index
 from .cycledetect import (
     DetectConfig,
@@ -28,7 +29,6 @@ from .cycledetect import (
     enclosure_matrix,
     fiber_residence,
     hausdorff_distance,
-    no_cycle_certificate,
     winding_number,
 )
 from .milnorfiber import (

@@ -6,17 +6,14 @@ side.  The verdict compares the two; a violated inequality is reported as a
 finding, never suppressed.
 
 `run` is the one place that chains critical points -> loop counts ->
-detection.  A point's loop count is l = 1 from `certify_single_loop` where
-that interval certificate decides it, and the fiber sweep
-`vanishing_cycle_count` otherwise; a sweep left unstable gets a note naming
-the point, its failed levels and their causes.  Detection is skipped when
-`no_cycle_certificate` proves from the divergence that no limit cycle
-exists, or `_index_certificate` proves that every zero in the scouting
-rectangle is a saddle, so that no closed orbit can enclose zeros of index
-sum +1.  It returns the objects as a
-`PipelineRun` and never raises on a parseable field.  `compare` (the JSON
-report), `morsification_invariance` (one table row per field) and the CLI
-(report plus portrait) all consume it.
+detection.  A point's loop count is l = 1 where `certify_single_loop`
+decides it, and from the fiber sweep `vanishing_cycle_count` otherwise; a
+sweep left unstable gets a note naming the point, its failed levels and
+their causes.  Detection is skipped where `no_cycle_certificate` proves that
+no limit cycle exists (the certificates live in `certify`).  It returns the
+objects as a `PipelineRun` and never raises on a parseable field.
+`compare` (the JSON report), `morsification_invariance` (one table row per
+field) and the CLI (report plus portrait) all consume it.
 """
 
 from __future__ import annotations
@@ -28,37 +25,26 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
-from .critfind import (
-    CritFindError,
-    CriticalPoint,
-    find_critical_points,
-    interval_jacobian,
-    newton_certifies,
-    regular,
-)
+from .certify import certify_single_loop, no_cycle_certificate
+from .critfind import CritFindError, CriticalPoint, find_critical_points
 from .cycledetect import (
     DetectConfig,
     LimitCycle,
     cycle_class_map,
     detect_limit_cycles,
     fiber_residence,
-    no_cycle_certificate,
 )
 from .milnorfiber import (
     STABLE_TAIL,
     FiberConfig,
     FiberError,
     MilnorData,
-    certify_single_loop,
     extract_fiber,
     select_radii,
     submersion_check,
     vanishing_cycle_count,
 )
-from .odeflow import BOX_INFLATION
-from .polyalg import Box, IntervalBoxes, Poly2, VectorField, VectorFieldError
+from .polyalg import Poly2, VectorField, VectorFieldError
 
 VERDICT_HOLDS = "inequality_holds"
 VERDICT_VIOLATED = "inequality_violated"
@@ -196,52 +182,13 @@ class PipelineRun:
         return sum(m.l for m in self.milnor if m.stable)
 
 
-def _certified_saddle(v: VectorField, cp: CriticalPoint) -> bool:
-    """Interval Newton proves that cp's enclosure holds one zero, and the
-    determinant of [J] over the enclosure is negative: a saddle, index -1."""
-    if not newton_certifies(v, cp.enclosure):
-        return False
-    boxes = IntervalBoxes(*([e] for e in cp.enclosure))
-    (_, hi), _ = regular(interval_jacobian(v, boxes), boxes)
-    return bool(hi[0] < 0.0)
-
-
-def _index_certificate(v: VectorField, cps) -> str | None:
-    """Why v has no closed orbit in the scouting rectangle R =
-    box.inflate(BOX_INFLATION) by index theory, or None.
-
-    A closed orbit in the convex R encloses zeros whose indices sum to +1
-    (Perko, Differential Equations and Dynamical Systems, 3.12).  So if
-    every zero in R is a certified saddle (`_certified_saddle`), no subset
-    sums to +1 and R holds no closed orbit.  The points cps found in the box
-    are tested first; only when all pass does critfind run once more on R.
-    A box with no zero gives None: detection returns no cycle there anyway.
-    So does a search on R that raises.
-    """
-    if not cps:
-        return None
-    x0, x1, y0, y1 = v.box.inflate(BOX_INFLATION)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not all(_certified_saddle(v, cp) for cp in cps):
-                return None
-            wide = VectorField(v.p, v.q, v.name, Box.make(x0, x1, y0, y1))
-            if not all(_certified_saddle(v, cp) for cp in find_critical_points(wide)):
-                return None
-    except CritFindError:
-        return None
-    return (f"every zero of V in [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}] is a saddle "
-            f"(interval Newton, det [J] < 0 on its enclosure), so no closed orbit lies "
-            f"there: one would enclose zeros of index sum +1")
-
-
 def _cycles_or_certificate(v: VectorField, cps, cfg: PipelineConfig):
-    """(cycles, certificate, error): no cycles and the reason when the
-    divergence (`no_cycle_certificate`) or the index rule
-    (`_index_certificate`) rules cycles out, else the sampled search.  error
-    is "Type: message" when a step raised; cycles is then empty."""
+    """(cycles, certificate, error): no cycles and the reason when
+    `no_cycle_certificate` (the divergence or the index rule) rules cycles
+    out, else the sampled search.  error is "Type: message" when a step
+    raised; cycles is then empty."""
     try:
-        certificate = no_cycle_certificate(v) or _index_certificate(v, cps)
+        certificate = no_cycle_certificate(v, cps)
         if certificate is not None:
             return [], certificate, None
         return detect_limit_cycles(v, cps, cfg.detect), None, None

@@ -1,4 +1,5 @@
-"""Certified location of the zeros of a planar polynomial field.
+"""Certified location of the zeros of a planar polynomial field, and their
+Poincare indices.
 
 Breadth-first box subdivision with interval exclusion, an interval-Newton
 contraction test for existence/uniqueness, and a float Newton polish.
@@ -11,9 +12,15 @@ operations on the arrays of the boxes still alive, so a level costs a fixed
 number of numpy calls however many boxes it holds.  An enclosure with a NaN
 endpoint (the arithmetic left the float range) raises CritFindError.
 
-The interval Jacobian over boxes and its regularity (`interval_jacobian`,
-`regular`), the mean-value enclosure and the one-box interval-Newton test
-(`newton_certifies`) also serve milnorfiber's single-loop certificate.
+Every index is proved.  A zero whose enclosure interval Newton certifies
+has index sign det [J] there (`certified_index`); any other zero gets the
+degree of V on a box cover of a circle around it (`poincare_index`).
+
+This is the layer of interval primitives that `certify` builds on: the
+interval Jacobian over boxes and its regularity (`interval_jacobian`,
+`regular`), the mean-value enclosures of V (`field_enclosure`), the one-box
+interval-Newton test with the index it proves (`certified_index`) and the
+circle covers (`circle_covers`).
 """
 
 from __future__ import annotations
@@ -143,6 +150,13 @@ def interval_jacobian(v: VectorField, boxes: IntervalBoxes):
     in that order."""
     parts = _partials(v)
     return [_enclose(parts[k], boxes, _PARTIALS[k]) for k in _PARTIALS]
+
+
+def field_enclosure(v: VectorField, boxes: IntervalBoxes):
+    """The mean-value enclosures of P and Q over each box."""
+    jac = interval_jacobian(v, boxes)
+    return (mean_value_enclosure(v.p, jac[:2], boxes, "P"),
+            mean_value_enclosure(v.q, jac[2:], boxes, "Q"))
 
 
 def regular(jac, boxes: IntervalBoxes):
@@ -345,10 +359,14 @@ _BOUNDARY_TOL = 1e-9    # distance to the box edge that flags a zero
 def find_critical_points(v: VectorField) -> list[CriticalPoint]:
     """All zeros of v inside its box, sorted by (x, y), ids in sorted order.
 
+    Each index is `certified_index` on the zero's enclosure where interval
+    Newton certifies it, else `poincare_index` on a circle of at most half
+    the distance to the other zeros and to the box edge.
+
     Raises DepthLimitExceeded when subdivision explodes (non-isolated zeros),
     AmbiguousCluster when two distinct zeros sit closer than the resolution
-    tolerance, and CritFindError when Newton polishes no box of a cluster
-    that the interval tests could not exclude.
+    tolerance, CritFindError when Newton polishes no box of a cluster that
+    the interval tests could not exclude, and `poincare_index`'s errors.
     """
     parts = _partials(v)
     certified, unresolved = _subdivide(v, parts)
@@ -422,13 +440,16 @@ def find_critical_points(v: VectorField) -> list[CriticalPoint]:
         (a, b), (c, d) = j.tolist()
         det = a * d - b * c   # Python floats: overflow gives inf without a warning
         nondeg = bool(abs(det) > _DEGENERACY_TOL)
-        enc = _tight_enclosure(v, (x, y), enc) if was_certified else enc
+        if was_certified:
+            enc, idx = _tight_enclosure(v, (x, y), enc)
+        else:
+            idx = certified_index(v, enc)
         on_boundary = (
             min(abs(x - x0), abs(x - x1)) <= _BOUNDARY_TOL
             or min(abs(y - y0), abs(y - y1)) <= _BOUNDARY_TOL
         )
-        radius = _index_radius(v, (x, y), locs, pid)
-        idx = poincare_index(v, (x, y), radius)
+        if idx is None:
+            idx = poincare_index(v, (x, y), _index_radius(v, (x, y), locs, pid))
         points.append(
             CriticalPoint(
                 id=pid,
@@ -444,24 +465,36 @@ def find_critical_points(v: VectorField) -> list[CriticalPoint]:
     return points
 
 
-def _tight_enclosure(v, loc, fallback: _FBox) -> _FBox:
-    """Small certified box around a polished zero; falls back to the parent box."""
+def _tight_enclosure(v, loc, fallback: _FBox) -> tuple[_FBox, int | None]:
+    """Small certified box around a polished zero, or else the parent box,
+    with `certified_index` there."""
     x, y = loc
     scale = max(1.0, abs(x), abs(y))
     for w in (1e-9 * scale, 1e-7 * scale, 1e-5 * scale):
         b = (x - w, x + w, y - w, y + w)
-        if newton_certifies(v, b):
-            return b
-    return fallback
+        idx = certified_index(v, b)
+        if idx is not None:
+            return b, idx
+    return fallback, certified_index(v, fallback)
 
 
-def newton_certifies(v: VectorField, box: _FBox) -> bool:
-    """Does one interval-Newton step prove that box (xlo, xhi, ylo, yhi)
-    holds exactly one zero of v?"""
-    boxes = IntervalBoxes(*([e] for e in box))
+def certified_index(v: VectorField, enclosure: _FBox) -> int | None:
+    """The index of the one zero in enclosure E, sign det [J](E), where one
+    interval-Newton step proves that E holds exactly one zero of v; None
+    otherwise.
+
+    Interval Newton certifies only a box whose [J] is regular (`regular`),
+    so det J keeps one sign on E, and at a zero with det J != 0 that sign is
+    the index.
+    """
+    boxes = IntervalBoxes(*([e] for e in enclosure))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, certified, _ = _interval_newton(v, interval_jacobian(v, boxes), boxes)
-    return bool(certified[0])
+        jac = interval_jacobian(v, boxes)
+        _, certified, _ = _interval_newton(v, jac, boxes)
+        if not certified[0]:
+            return None
+        (lo, _), _ = regular(jac, boxes)
+    return 1 if lo[0] > 0.0 else -1
 
 
 def _index_radius(v: VectorField, loc, all_locs, self_id: int) -> float:
@@ -475,49 +508,70 @@ def _index_radius(v: VectorField, loc, all_locs, self_id: int) -> float:
     return max(min(0.5 * r, 1.0), 1e-8)
 
 
-# samples on the index circle: the first count, doubled up to the cap
-_INDEX_SAMPLES, _INDEX_MAX_SAMPLES = 256, 1 << 20
-_CIRCLE_ZERO_TOL = 1e-10  # |V| at a sample that counts as a zero on the circle
+# boxes of a circle cover: the first count, doubled up to the cap
+_ARCS, _MAX_ARCS = 64, 4096
+
+
+def circle_covers(center, r: float):
+    """Covers of the circle of radius r around center by n boxes, for
+    n = _ARCS, 2 _ARCS, ..., _MAX_ARCS: one (mx, my, boxes) per n.
+
+    The boxes are centred at the n points (mx, my) = center +
+    r (cos, sin)(2 pi k / n), each of half-width r pi / n plus the rounding
+    of its centre, and rounded outward.  Every point of the circle lies
+    within r pi / n of the nearest centre, so the arc between two adjacent
+    centres lies in their two boxes.
+    """
+    px, py = center
+    n = _ARCS
+    while n <= _MAX_ARCS:
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        mx, my = px + r * np.cos(theta), py + r * np.sin(theta)
+        w = r * math.pi / n * (1.0 + 1e-9) + 8.0 * 2.0 ** -52 * (max(abs(px), abs(py)) + r)
+        yield mx, my, IntervalBoxes.around(mx, my, w)
+        n *= 2
 
 
 def poincare_index(v: VectorField, center: tuple[float, float], radius: float) -> int:
-    """Winding number of v around a circle, by accumulated angle increments.
+    """Degree of v on the circle of radius `radius` around center, proved on
+    a box cover of the circle (`circle_covers`; Kearfott, Numer. Math. 1979).
 
-    Sampling starts at _INDEX_SAMPLES and doubles until every increment
-    is below pi/2.  Raises ZeroOnCircle if the field (numerically) vanishes
-    on a sample and StepTooCoarse if doubling hits its limit without
-    resolving.
+    Each box gets a half-plane that the mean-value enclosures of P and Q
+    prove holds V on it: P > 0, Q > 0, P < 0 or Q < 0, numbered 0 to 3
+    counterclockwise; of those that hold, the one that V at the box centre
+    lies deepest in.  The arc between two adjacent centres lies in their two
+    boxes, so where their half-planes are not opposite, the angle of V turns
+    along it by the quarter turns from one half-plane to the next (-1, 0 or
+    +1) plus the change of its offset from the half-planes' middle
+    directions, and the offsets cancel around the circle: the quarter turns
+    sum to 4 x the degree.  The cover doubles while some box has no
+    half-plane or two adjacent boxes opposite ones.  At the cap it raises ZeroOnCircle if interval
+    Newton proves a zero in a box with no half-plane, and StepTooCoarse
+    otherwise.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = _INDEX_SAMPLES
-    cx, cy = center
-    while True:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        xs = cx + radius * np.cos(theta)
-        ys = cy + radius * np.sin(theta)
-        vx = v.p.eval_grid(xs, ys)
-        vy = v.q.eval_grid(xs, ys)
-        norms = np.hypot(vx, vy)
-        if float(norms.min()) <= _CIRCLE_ZERO_TOL:
-            raise ZeroOnCircle(
-                f"field vanishes on the sample circle (min |V| = {norms.min():.3e})"
-            )
-        ang = np.arctan2(vy, vx)
-        d = np.diff(np.concatenate([ang, ang[:1]]))
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if float(np.abs(d).max()) < 0.5 * math.pi:
-            total = float(d.sum())
-            w = total / (2.0 * math.pi)
-            idx = round(w)
-            if abs(w - idx) > 0.1:
-                raise StepTooCoarse(f"winding sum {w:.4f} is not close to an integer")
-            return int(idx)
-        n *= 2
-        if n > _INDEX_MAX_SAMPLES:
-            raise StepTooCoarse(
-                f"angle increments stay above pi/2 at {_INDEX_MAX_SAMPLES} samples"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mx, my, arcs in circle_covers(center, radius):
+            (plo, phi), (qlo, qhi) = field_enclosure(v, arcs)
+            held = np.array([plo > 0.0, qlo > 0.0, phi < 0.0, qhi < 0.0])
+            pc, qc = v.p.eval_grid(mx, my), v.q.eval_grid(mx, my)
+            label = np.where(held, np.array([pc, qc, -pc, -qc]), -np.inf).argmax(axis=0)
+            turns = (np.roll(label, -1) - label) % 4
+            if held.any(axis=0).all() and not (turns == 2).any():
+                return int(np.where(turns == 3, -1, turns).sum()) // 4
+        bare = arcs.take(~held.any(axis=0))
+        if len(bare):
+            _, zero, _ = _interval_newton(v, interval_jacobian(v, bare), bare)
+            if zero.any():
+                k = int(np.argmax(zero))
+                raise ZeroOnCircle(
+                    f"V has a zero in the box [{bare.x[0][k]:.6g}, {bare.x[1][k]:.6g}] x "
+                    f"[{bare.y[0][k]:.6g}, {bare.y[1][k]:.6g}] of the {len(label)}-box "
+                    f"cover of the circle of radius {radius:.6g} (interval Newton)")
+    raise StepTooCoarse(
+        f"no cover of the circle of radius {radius:.6g} by up to {_MAX_ARCS} boxes gives "
+        "each box a half-plane of V with no two adjacent ones opposite")
 
 
 __all__ = [
@@ -527,10 +581,12 @@ __all__ = [
     "DepthLimitExceeded",
     "StepTooCoarse",
     "ZeroOnCircle",
+    "certified_index",
+    "circle_covers",
+    "field_enclosure",
     "find_critical_points",
     "interval_jacobian",
     "mean_value_enclosure",
-    "newton_certifies",
     "poincare_index",
     "regular",
 ]

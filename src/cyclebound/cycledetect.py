@@ -23,16 +23,9 @@ floor of `_settled`.  Its families are cut at that crossing, so the result
 does not depend on when a solve ran, and `_analyze_family` judges each
 settled family as a candidate (floor branch) or a closed-orbit band (stall
 test).  A seed also stops once a step ends in the certified basin disk of a
-sink of its own time direction (`_basin`): a sublevel set of a quadratic
-Lyapunov function, proved decreasing by interval arithmetic, from which the
-seed can only converge to the sink.  Seeds that do neither run to t_horizon
-or _MAX_RETURNS.
-
-`no_cycle_certificate` is the certified shortcut: when div V is identically
-zero or keeps one strict sign on the region scouting explores, no limit
-cycle lies there (Bendixson-Dulac) and the sampled search can be skipped.
-`analysis` adds the index rule, for fields whose zeros there are all
-saddles.
+sink of its own time direction (`certify.sink_basins`), from which it can
+only converge to the sink.  Seeds that do neither run to t_horizon or
+_MAX_RETURNS.
 """
 
 from __future__ import annotations
@@ -44,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odeflow
-from .critfind import CritFindError, interval_jacobian, newton_certifies
+from .certify import sink_basins
 from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_roots, integrate, rk_step,
                       section_crossings)
-from .polyalg import IntervalBoxes, Poly2, VectorField, ia_add, ia_mul, ia_sub, interval_eval
+from .polyalg import Poly2, VectorField
 
 log = logging.getLogger(__name__)
 
@@ -193,124 +186,6 @@ def _make_seeds(v: VectorField, cps, cfg: DetectConfig) -> np.ndarray:
     return seeds
 
 
-# the basin search tries the squares [p +- r0 2^-k]^2, k = 0 .. _BASIN_HALVINGS
-_BASIN_HALVINGS = 12
-
-
-@dataclass(frozen=True)
-class _Basin:
-    """A certified basin disk of a sink (`_basin`): every orbit that enters
-    {L <= level}, with L = s11 dx^2 + 2 s12 dx dy + s22 dy^2 and (dx, dy)
-    the offset from the float point (x, y), stays in a disk around the sink
-    on which a quadratic Lyapunov function decreases, and tends to the
-    sink.  It holds for the flow of time_sign V only."""
-
-    x: float
-    y: float
-    s11: float
-    s12: float
-    s22: float
-    level: float
-    time_sign: float
-
-    def holds(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        dx, dy = xx - self.x, yy - self.y
-        return self.s11 * dx * dx + 2.0 * self.s12 * dx * dy + self.s22 * dy * dy <= self.level
-
-
-def _lyapunov(a: float, b: float, c: float, d: float):
-    """(s11, s12, s22): the S with A^T S + S A = -I for A = [[a, b], [c, d]]
-    with trace t < 0 and determinant D > 0, in closed form:
-    S = (D I + adj(A)^T adj(A)) / (-2 t D)."""
-    t, det = a + d, a * d - b * c
-    k = -2.0 * t * det
-    return (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
-
-
-def _negative_definite(s, jac, time_sign: float):
-    """Per box: is S A + A^T S negative definite for every A in time_sign [J],
-    by interval arithmetic?  Its diagonal must be < 0 and its determinant
-    > 0, each entry enclosed on its own, which is conservative."""
-    s11, s12, s22 = ((e, e) for e in s)
-    a, b, c, d = jac if time_sign > 0 else [(-hi, -lo) for lo, hi in jac]
-    m11 = ia_add(ia_mul(s11, a), ia_mul(s12, c))
-    m22 = ia_add(ia_mul(s12, b), ia_mul(s22, d))
-    m12 = ia_add(ia_add(ia_mul(s11, b), ia_mul(s12, d)), ia_add(ia_mul(s12, a), ia_mul(s22, c)))
-    m11, m22 = (2.0 * m11[0], 2.0 * m11[1]), (2.0 * m22[0], 2.0 * m22[1])
-    det = ia_sub(ia_mul(m11, m22), ia_mul(m12, m12))
-    return (m11[1] < 0.0) & (m22[1] < 0.0) & (det[0] > 0.0)
-
-
-def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
-    """cp's certified basin disk in the direction time_sign, or None.
-
-    Only a hyperbolic sink of time_sign V qualifies: A = time_sign J(p) at
-    the float point p has trace < 0 and determinant > 0, tested before S is
-    solved (`_lyapunov`), since the solve is singular at a centre or a
-    saddle.  Interval Newton must prove that cp's enclosure E holds the zero
-    z.  Then the square K = [p +- r]^2 is halved from r0, half the distance
-    to the nearest other zero (or the box's half-width), until it holds E
-    and S A + A^T S is negative definite for every A in time_sign [J](K)
-    (`_negative_definite`).  Since V(x) = M (x - z) with M, the mean of J
-    along the segment, in [J](K), L_z(x) = (x - z)^T S (x - z) then
-    decreases along every orbit in K other than z, so each sublevel set of
-    L_z inside K is positively invariant and every orbit in it tends to z
-    (Khalil, Nonlinear Systems, 4.3).  The largest such ellipse, for every z
-    in E, has S-radius rho = (r - e) sqrt(det S / max(s11, s22)) with e the
-    reach of E from p.  z is known only to E, so the stop level on L at p
-    is (rho - e sqrt(s11 + 2 |s12| + s22))^2, shrunk by a relative margin
-    that covers the float rounding of L and of the level itself.
-    """
-    (a, b), (c, d) = cp.jacobian
-    a, b, c, d = time_sign * a, time_sign * b, time_sign * c, time_sign * d
-    t, det = a + d, a * d - b * c
-    # a hyperbolic sink, with t det clear of underflow so that S is defined
-    if not (t < 0.0 < det and t * det < 0.0):
-        return None
-    s = s11, s12, s22 = _lyapunov(a, b, c, d)
-    det_s = s11 * s22 - s12 * s12
-    if not (s11 > 0.0 and 0.0 < det_s < math.inf):
-        return None
-    # |s11 dx^2| + |2 s12 dx dy| + |s22 dy^2| <= 2 / (1 - q) L, so the float
-    # rounding of L, and of the level below, is far inside this margin
-    q = abs(s12) / math.sqrt(s11 * s22)
-    if not q < 0.99:
-        return None
-    margin = 2e-9 / (1.0 - q)
-    px, py = cp.x, cp.y
-    xlo, xhi, ylo, yhi = cp.enclosure
-    e = max(px - xlo, xhi - px, py - ylo, yhi - py) * 1.001
-    x0, x1, y0, y1 = v.box.floats()
-    r0 = 0.5 * min([x1 - x0, y1 - y0] + [math.hypot(px - ox, py - oy) for ox, oy in others])
-    radii = r0 * 0.5 ** np.arange(_BASIN_HALVINGS + 1)
-    radii = radii[radii > e]
-    if not radii.size:
-        return None
-    squares = IntervalBoxes(np.nextafter(px - radii, -np.inf), np.nextafter(px + radii, np.inf),
-                            np.nextafter(py - radii, -np.inf), np.nextafter(py + radii, np.inf))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not newton_certifies(v, cp.enclosure):
-                return None
-            ok = _negative_definite(s, interval_jacobian(v, squares), time_sign)
-    except CritFindError:
-        return None
-    if not ok.any():
-        return None
-    r = float(radii[np.argmax(ok)])
-    rho = (r - e) * math.sqrt(det_s / max(s11, s22)) - e * math.sqrt(s11 + 2.0 * abs(s12) + s22)
-    if not rho > 0.0:
-        return None
-    return _Basin(px, py, s11, s12, s22, rho * rho * (1.0 - margin), time_sign)
-
-
-def _basins(v: VectorField, cps, time_sign: float) -> tuple[_Basin, ...]:
-    """The certified basin disks (`_basin`) of the points that have one."""
-    locs = [(cp.x, cp.y) for cp in cps]
-    found = (_basin(v, cp, locs[:i] + locs[i + 1:], time_sign) for i, cp in enumerate(cps))
-    return tuple(b for b in found if b is not None)
-
-
 _SCOUT_RTOL, _SCOUT_ATOL = 1e-6, 1e-9  # scouting's step tolerances
 _MAX_RETURNS = 48  # crossings of one family that stop a seed
 
@@ -345,9 +220,9 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
     stop the trajectories that never settle.
 
     A trajectory also stops, like one that hits an equilibrium, once an
-    accepted step ends inside one of `basins` (`_Basin`) of its own time
-    sign: from there it can only tend to that sink, so its families are cut
-    to a prefix of what they would be without the basins.
+    accepted step ends inside one of `basins` (`certify.sink_basins`) of its
+    own time sign: from there it can only tend to that sink, so its families
+    are cut to a prefix of what they would be without the basins.
     """
     m = len(seeds)
     fams: list[dict] = [dict() for _ in range(2 * m)]
@@ -360,11 +235,12 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
         return sa * v.p.eval_grid(xx, yy), sa * v.q.eval_grid(xx, yy)
 
     bx0, bx1, by0, by1 = v.box.inflate(odeflow.BOX_INFLATION)
-    sy = [s.anchor[1] for s in sections]
-    sax = [s.anchor[0] for s in sections]
+    levels = np.array([s.anchor[1] for s in sections])
+    anchors = np.array([s.anchor[0] for s in sections])
 
-    # the pending line hits, one block of `_solve_rows` rows per step and section
-    rows: list = []
+    # the pending line hits: per step and section with a hit, the step, the
+    # section and the block of its `_solve_rows` rows
+    blocks: list = []
     n_rows = 0
 
     x = np.tile(seeds[:, 0].astype(float), 2)
@@ -377,9 +253,13 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
 
     def check():
         nonlocal n_rows
-        if rows:
-            active[_stop_settled(fams, _solve_rows(np.concatenate(rows)))] = False
-        rows.clear()
+        if blocks:
+            steps, secs, rows = zip(*blocks)
+            sizes = [len(r) for r in rows]
+            solved = _solve_rows(np.repeat(steps, sizes), np.repeat(secs, sizes),
+                                 np.concatenate(rows), levels, anchors)
+            active[_stop_settled(fams, solved)] = False
+        blocks.clear()
         n_rows = 0
 
     with np.errstate(all="ignore"):
@@ -417,15 +297,14 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
             xa_a = xa[acc]
 
             for si in range(len(sections)):
-                w = np.nonzero((ya_a - sy[si] < 0) != (y5_a - sy[si] < 0))[0]
+                w = np.nonzero((ya_a - levels[si] < 0) != (y5_a - levels[si] < 0))[0]
                 if not w.size:
                     continue
                 g = gidx[w]
                 hh = ha_a[w]
-                rows.append(np.column_stack(np.broadcast_arrays(
-                    step, g, si, t[g], hh,
-                    ya_a[w], k1y_a[w] * hh, y5_a[w], k7y_a[w] * hh,
-                    xa_a[w], k1x_a[w] * hh, x5_a[w], k7x_a[w] * hh, sy[si], sax[si])))
+                blocks.append((step, si, np.column_stack((
+                    g, t[g], hh, ya_a[w], k1y_a[w] * hh, y5_a[w], k7y_a[w] * hh,
+                    xa_a[w], k1x_a[w] * hh, x5_a[w], k7x_a[w] * hh))))
                 n_rows += w.size
 
             x[gidx] = x5_a
@@ -452,27 +331,28 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
     return fams[:m], fams[m:]
 
 
-def _solve_rows(rows: np.ndarray) -> list:
+def _solve_rows(step, section, rows, levels, anchors) -> list:
     """The crossing of each pending line hit, by one `hermite_roots` bisection.
 
-    A row is (loop step, seed, section, t0, h, y-Hermite data, x-Hermite
-    data, level, anchor): the step [t0, t0 + h] crosses y = level, and the
-    slopes are scaled by h.  The per-hit rules of scouting then apply to the
-    arrays.  A hit at t0 = 0 within 1e-12 of its start, where a seed starts
-    on the section line, is dropped, as is one with |u| < 1e-12.  The
-    direction is the sign of the y slope at the root, or of y1 - y0 where
-    that slope is 0.  Returns (step, seed, key, (t, u)) for each kept row,
-    in row order, with key = (section, direction, u > 0).
+    Row k of rows, (seed, t0, h, y-Hermite data, x-Hermite data), is a hit
+    at loop step step[k] on section section[k]: the step [t0, t0 + h]
+    crosses y = levels[section], and the slopes are scaled by h; u is
+    measured from anchors[section].  The per-hit rules of scouting then
+    apply to the arrays.  A hit at t0 = 0 within 1e-12 of its start, where a
+    seed starts on the section line, is dropped, as is one with |u| < 1e-12.
+    The direction is the sign of the y slope at the root, or of y1 - y0
+    where that slope is 0.  Returns (step, seed, key, (t, u)) for each kept
+    row, in row order, with key = (section, direction, u > 0).
     """
-    step, seed, si, t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, ax = rows.T
+    seed, t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1 = rows.T
+    level, ax = levels[section], anchors[section]
     tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
     tc = t0 + tau * hh
     u = -(hermite(x0, dx0, x1, dx1, tau) - ax)
     slope = hermite_deriv(y0, dy0, y1, dy1, tau)
     slope = np.where(slope == 0.0, y1 - y0, slope)
     keep = ~(((t0 == 0.0) & (tc - t0 < 1e-12)) | (np.abs(u) < 1e-12))
-    cols = (step.astype(int), seed.astype(int), si.astype(int), np.where(slope > 0, 1, -1),
-            u > 0, tc, u)
+    cols = (step, seed.astype(int), section, np.where(slope > 0, 1, -1), u > 0, tc, u)
     return [(s, g, (i, dirc, side), (tt, uu))
             for s, g, i, dirc, side, tt, uu in zip(*(c[keep].tolist() for c in cols))]
 
@@ -771,7 +651,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
     div = v.divergence()
 
     pool = []
-    basins = _basins(v, cps, 1.0) + _basins(v, cps, -1.0)
+    basins = sink_basins(v, cps, 1.0) + sink_basins(v, cps, -1.0)
     for time_sign, fams in zip((1.0, -1.0), _scout(v, seeds, sections, cfg, basins)):
         for per_seed in fams:
             for (si, dirc, _side), evs in sorted(per_seed.items()):
@@ -818,29 +698,6 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
                               closure_residual=c["residual"]))
     out.sort(key=lambda lc: lc.mean_radius())
     return out
-
-
-def no_cycle_certificate(v: VectorField) -> str | None:
-    """Why v can have no limit cycle where detection looks, or None.
-
-    Two cases.  div V is the zero polynomial: the flow preserves area, so no
-    periodic orbit is isolated.  Or the interval enclosure of div V over
-    box.inflate(odeflow.BOX_INFLATION), the rectangle that scouting and
-    refinement stay in, lies strictly on one side of 0: by Bendixson-Dulac no
-    closed orbit lies in that rectangle.  An enclosure that touches 0
-    certifies nothing, nor does one with a NaN endpoint (overflow).
-    """
-    div = v.divergence()
-    x0, x1, y0, y1 = v.box.inflate(odeflow.BOX_INFLATION)
-    where = f"[{x0:g}, {x1:g}] x [{y0:g}, {y1:g}]"
-    if div.is_zero():
-        return (f"div V is identically 0 on {where}: the flow preserves area, so no "
-                f"periodic orbit is isolated")
-    (lo,), (hi,) = interval_eval(div, IntervalBoxes([x0], [x1], [y0], [y1]))
-    if lo > 0.0 or hi < 0.0:
-        return (f"div V lies in [{lo:.6g}, {hi:.6g}] on {where}, so no closed "
-                f"orbit lies there (Bendixson-Dulac)")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +750,5 @@ __all__ = [
     "enclosure_matrix",
     "fiber_residence",
     "hausdorff_distance",
-    "no_cycle_certificate",
     "winding_number",
 ]

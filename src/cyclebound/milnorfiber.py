@@ -17,10 +17,8 @@ doubles.  At the cap agreement alone decides, so the cap grid never builds
 the enclosure.
 
 Where V is injective near p the fiber is one loop, and
-`certify_single_loop` proves that by interval arithmetic, without a sweep:
-a regular interval Jacobian on a square around p, and a lower bound of
-||V - V(p)|| on the circle inscribed in it.  `analysis.run` sweeps only the
-points it leaves undecided.
+`certify.certify_single_loop` proves that by interval arithmetic, without a
+sweep; `analysis.run` sweeps only the points it leaves undecided.
 
 The enclosure is a third-order Taylor form per cell (see `_Workspace`): the
 gradient and Hessian at the cell centre, plus one bound on the third
@@ -39,14 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .critfind import (
-    CritFindError,
-    interval_jacobian,
-    mean_value_enclosure,
-    newton_certifies,
-    regular,
-)
-from .polyalg import IntervalBoxes, Poly2, VectorField
+from .polyalg import Poly2, VectorField
 
 
 # the smallest eta whose square is a normal float: for smaller eta,
@@ -111,10 +102,10 @@ class FiberCurve:
 class MilnorData:
     """The loop count l of one critical point, and how it was decided.
 
-    decided_by is "certificate" where `certify_single_loop` proved l = 1:
-    counts_per_eta is then empty, and certified_radius and certified_eta
-    hold the disc radius and the eta below which the fiber in that disc is
-    one closed loop.  It is "sweep" where `vanishing_cycle_count` read l off
+    decided_by is "certificate" where `certify.certify_single_loop` proved
+    l = 1: counts_per_eta is then empty, and certified_radius and
+    certified_eta hold the disc radius and the eta below which the fiber in
+    that disc is one closed loop.  It is "sweep" where `vanishing_cycle_count` read l off
     the loop counts of the eta sweep, and level_errors then holds, per eta,
     "Type: message" of the level's FiberError, or None where it gave counts.
     delta and eta_sweep are `select_radii`'s either way.
@@ -656,96 +647,6 @@ def submersion_check(
     return False, (float(x[bad[0]]), float(y[bad[0]]))
 
 
-# the single-loop certificate tries the radii delta * 2^-k, k = 0 .. _HALVINGS
-_HALVINGS = 12
-# arc boxes on the certificate's circle: the first count, doubled up to the cap
-_ARCS, _MAX_ARCS = 64, 4096
-
-
-def certify_single_loop(
-    v: VectorField,
-    location: tuple[float, float],
-    enclosure: tuple[float, float, float, float],
-    delta: float,
-) -> tuple[float, float] | None:
-    """(r, eta_c) such that for every 0 < eta < eta_c the fiber
-    {x : ||V(x) - c|| = eta} in the disc D of radius r around p = location
-    is one closed loop, with c = V(p) as `_Workspace` evaluates it; None
-    where this argument does not decide the point.
-
-    - Existence: interval Newton proves that enclosure holds one zero z.
-    - Injectivity: for the largest r = delta * 2^-k, k <= _HALVINGS, whose
-      square K = [p +- r]^2 has a regular interval Jacobian [J](K)
-      (`critfind.regular`), V is injective on K.  D must hold enclosure.
-    - Eta bound: eta_c is an outward-rounded lower bound of ||V - c|| on
-      boxes covering the arcs of the circle dD, from the mean-value form of
-      P and Q on each box, and |c| < eta_c.
-
-    V maps D homeomorphically onto a closed disc bounded by V(dD).  The
-    open disc B(c, eta_c) misses V(dD) and holds V(z) = 0 with z inside D,
-    so it lies in V(D) and each eta-circle around c has one preimage in D,
-    a Jordan curve.  l is 1 for every radius below the Milnor radius, so D
-    decides the point.  A point that no radius certifies is left to the
-    sweep, and so is one whose enclosures leave the float range.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not newton_certifies(v, enclosure):
-                return None
-            px, py = float(location[0]), float(location[1])
-            c = (v.p.eval(px, py), v.q.eval(px, py))
-            xlo, xhi, ylo, yhi = enclosure
-            # the enclosure's farthest corner from p, rounded up generously
-            reach = math.hypot(max(px - xlo, xhi - px), max(py - ylo, yhi - py)) * 1.001
-            radii = delta * 0.5 ** np.arange(_HALVINGS + 1)
-            squares = IntervalBoxes(np.nextafter(px - radii, -np.inf),
-                                    np.nextafter(px + radii, np.inf),
-                                    np.nextafter(py - radii, -np.inf),
-                                    np.nextafter(py + radii, np.inf))
-            _, ok = regular(interval_jacobian(v, squares), squares)
-            for r in radii[ok & (radii > reach)].tolist():
-                eta_c = _circle_eta_bound(v, (px, py), c, r)
-                if eta_c > math.hypot(*c) * (1.0 + 2.0 ** -40):
-                    return r, eta_c
-    except CritFindError:
-        pass
-    return None
-
-
-def _circle_eta_bound(v: VectorField, location, c, r: float) -> float:
-    """A lower bound of ||V - c|| on the circle of radius r around location,
-    or 0 where none is found.
-
-    n boxes, centred at the n points r (cos, sin)(2 pi k / n) from location,
-    each of half-width r pi / n plus the rounding of its centre, cover the
-    circle: every point of it lies within r pi / n of one centre.  Each box
-    bounds ||V - c|| from below by the mean-value enclosures of P - c1 and
-    Q - c2, rounded outward.  n doubles from _ARCS while that bound is below
-    half the smallest ||V - c|| at the centres, up to _MAX_ARCS.
-    """
-    px, py = location
-    n = _ARCS
-    while True:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        mx, my = px + r * np.cos(theta), py + r * np.sin(theta)
-        w = r * math.pi / n * (1.0 + 1e-9) + 8.0 * 2.0 ** -52 * (max(abs(px), abs(py)) + r)
-        arcs = IntervalBoxes(np.nextafter(mx - w, -np.inf), np.nextafter(mx + w, np.inf),
-                             np.nextafter(my - w, -np.inf), np.nextafter(my + w, np.inf))
-        jac = interval_jacobian(v, arcs)
-        low = []
-        for poly, grad, ck, name in ((v.p, jac[:2], c[0], "P"), (v.q, jac[2:], c[1], "Q")):
-            lo, hi = mean_value_enclosure(poly, grad, arcs, name)
-            lo, hi = np.nextafter(lo - ck, -np.inf), np.nextafter(hi - ck, np.inf)
-            mig = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-            low.append(np.nextafter(mig * mig, -np.inf))
-        square = np.maximum(np.nextafter(low[0] + low[1], -np.inf), 0.0)
-        eta_c = max(float(np.nextafter(np.sqrt(square), -np.inf).min()), 0.0)
-        seen = float(np.hypot(v.p.eval_grid(mx, my) - c[0], v.q.eval_grid(mx, my) - c[1]).min())
-        if eta_c >= 0.5 * seen or 2 * n > _MAX_ARCS:
-            return eta_c
-        n *= 2
-
-
 def vanishing_cycle_count(
     v: VectorField,
     point_id: int,
@@ -802,7 +703,6 @@ __all__ = [
     "GridTooCoarse",
     "MilnorData",
     "betti",
-    "certify_single_loop",
     "extract_fiber",
     "select_radii",
     "submersion_check",

@@ -94,27 +94,14 @@ def hermite_deriv(y0, d0, y1, d1, s):
             + (-6 * s2 + 6 * s) * y1 + (3 * s2 - 2 * s) * d1)
 
 
-def hermite_root(y0, d0, y1, d1, level, lo, hi, flo, steps):
-    """Bisect hermite(y0, d0, y1, d1, s) = level on [lo, hi] in `steps` halvings.
-
-    flo is the interpolant minus level at lo; the bracket must hold a sign
-    change.  Returns the midpoint of the final bracket.
-    """
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fm = hermite(y0, d0, y1, d1, mid) - level
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def hermite_roots(y0, d0, y1, d1, level, lo, hi, flo, steps):
-    """`hermite_root` on numpy arrays of brackets, one root per element.
+    """Bisect hermite(y0, d0, y1, d1, s) = level on [lo, hi] in `steps`
+    halvings, elementwise on floats or numpy arrays of brackets.
 
-    Each element goes through the same float operations as the scalar
-    bisection, so each root is bit-identical to `hermite_root`'s.
+    flo is the interpolant minus level at lo; each bracket must hold a sign
+    change.  Returns the midpoint of each final bracket.  Each element goes
+    through the float operations of a scalar bisection loop, so its root is
+    bit-identical to that loop's.
     """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -303,7 +290,7 @@ def section_crossings(
     Along one segment the signed distance to the section line is itself a
     cubic Hermite, with node values n.(x_i - anchor) and slopes h n.x'_i; it
     is sampled at five points per segment to bracket sign changes, with the
-    sign convention of `hermite_root` (zero counts as positive).
+    sign convention of `hermite_roots` (zero counts as positive).
     """
     nx, ny = section.normal
     ax, ay = section.anchor
@@ -321,7 +308,7 @@ def section_crossings(
         h = float(hs[i])
         seg = tuple(float(c[i]) for c in segs)
         steps = max(0, math.ceil(math.log2(0.25 * h / t_tol)))
-        s = hermite_root(*seg, 0.0, _SAMPLES[k], _SAMPLES[k + 1], float(fa[i, k]), steps)
+        s = float(hermite_roots(*seg, 0.0, _SAMPLES[k], _SAMPLES[k + 1], float(fa[i, k]), steps))
         if direction * hermite_deriv(*seg, s) <= 0.0:
             continue  # wrong direction or tangential
         cx = hermite(*traj._nodes(i, h, 0), s)

@@ -142,6 +142,13 @@ class IntervalBoxes:
         self.y = (np.asarray(ylo, dtype=float), np.asarray(yhi, dtype=float))
         self._pow = [None, None]
 
+    @classmethod
+    def around(cls, cx, cy, w) -> "IntervalBoxes":
+        """The squares [cx +- w] x [cy +- w], each endpoint rounded outward
+        by one ulp; cx, cy and w broadcast against each other."""
+        return cls(np.nextafter(cx - w, -np.inf), np.nextafter(cx + w, np.inf),
+                   np.nextafter(cy - w, -np.inf), np.nextafter(cy + w, np.inf))
+
     def __len__(self) -> int:
         return len(self.x[0])
 

@@ -5,9 +5,10 @@ and refinement code paths: polynomial values come straight from the term
 dictionaries, fiber counts from a sign-grid flood fill, periods from scipy,
 distances from dense resampling.  Four exceptions pin optimised library
 paths bit for bit.  `scout_reference` is scouting's earlier per-hit loop on
-the library's own stepper and scalar bisection, which runs every seed to its
-end; with `truncate_at_settle` applied after it, it pins the crossing events
-that the deferred root solve and the early stop must reproduce.
+the library's own stepper and the scalar bisection `hermite_root`, which runs
+every seed to its end; with `truncate_at_settle` applied after it, it pins
+the crossing events that the deferred root solve and the early stop must
+reproduce, and `hermite_root` pins each root of `odeflow.hermite_roots`.
 `subdivide_reference` is critfind's earlier box-by-box subdivision on the
 scalar `Interval` arithmetic below; it pins the certified and unresolved
 boxes of the level-at-a-time array path.  `rk_step_reference` is the
@@ -27,8 +28,7 @@ import scipy.ndimage
 from cyclebound import critfind as cf
 from cyclebound import cycledetect as cd
 from cyclebound.critfind import DepthLimitExceeded
-from cyclebound.odeflow import (BOX_INFLATION, DP_A, DP_E, hermite, hermite_deriv, hermite_root,
-                                rk_step)
+from cyclebound.odeflow import BOX_INFLATION, DP_A, DP_E, hermite, hermite_deriv, rk_step
 from cyclebound.polyalg import Poly2, VectorField
 
 
@@ -140,6 +140,18 @@ def random_field(seed: int, degree: int = 4, box=None) -> VectorField:
     if box is None:
         return VectorField(p, q, name=f"random-{seed}")
     return VectorField(p, q, name=f"random-{seed}", box=box)
+
+
+def brute_index(v, cx, cy, radius, n=10_000):
+    """Winding number of v around a circle, by summing the wrapped angle
+    increments between n + 1 samples."""
+    th = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    px = v.p.eval_grid(cx + radius * np.cos(th), cy + radius * np.sin(th))
+    qx = v.q.eval_grid(cx + radius * np.cos(th), cy + radius * np.sin(th))
+    ang = np.arctan2(qx, px)
+    d = np.diff(ang)
+    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    return int(round(float(d.sum()) / (2.0 * math.pi)))
 
 
 def winding_brute(points: np.ndarray, px: float, py: float,
@@ -303,6 +315,24 @@ def rk_step_reference(f, x, y, h, k1=None):
         ks.append(f(x5, y5))
     ex, ey = _combine(DP_E, ks)
     return x5, y5, h * ex, h * ey, ks[6]
+
+
+def hermite_root(y0, d0, y1, d1, level, lo, hi, flo, steps):
+    """Bisect hermite(y0, d0, y1, d1, s) = level on [lo, hi] in `steps`
+    halvings, on floats: the scalar loop that `odeflow.hermite_roots` must
+    match bit for bit, element by element.
+
+    flo is the interpolant minus level at lo; the bracket must hold a sign
+    change.  Returns the midpoint of the final bracket.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = hermite(y0, d0, y1, d1, mid) - level
+        if (flo < 0) != (fm < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign: float):

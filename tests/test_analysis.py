@@ -9,7 +9,8 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import analysis as an
-from cyclebound.critfind import CritFindError
+from cyclebound import certify as ct
+from cyclebound.critfind import CritFindError, certified_index
 from cyclebound.milnorfiber import MilnorData
 
 from oracles import random_field
@@ -139,18 +140,18 @@ class TestIndexCertificate:
         v = cb.parse_vf("P = x^2 - 2.5*x\nQ = y\nbox = [-2, 2] x [-2, 2]\n")
         cps = cb.find_critical_points(v)
         assert [cp.location for cp in cps] == [(0.0, 0.0)]
-        assert an._certified_saddle(v, cps[0])
-        assert an._index_certificate(v, cps) is None
+        assert certified_index(v, cps[0].enclosure) == -1
+        assert ct._index_rule(v, cps) is None
 
     def test_degenerate_demo_not_certified(self, corpus_runs):
         r, _, _ = corpus_runs["degenerate-demo"]
-        assert an._index_certificate(r.field, r.cps) is None
+        assert ct._index_rule(r.field, r.cps) is None
         assert r.no_cycle_certificate is None
 
     def test_failed_wide_search_is_no_certificate(self, monkeypatch):
         """critfind on the scouting rectangle raises: the rule gives None,
         detection runs, and the verdict stands."""
-        real = an.find_critical_points
+        real = ct.find_critical_points
         v = random_field(3, 2, self.BOX)
 
         def wide_fails(f):
@@ -158,8 +159,8 @@ class TestIndexCertificate:
                 raise CritFindError("no search on the wide box")
             return real(f)
 
-        monkeypatch.setattr(an, "find_critical_points", wide_fails)
-        assert an._index_certificate(v, real(v)) is None
+        monkeypatch.setattr(ct, "find_critical_points", wide_fails)
+        assert ct._index_rule(v, real(v)) is None
         r = an.run(v)
         assert r.no_cycle_certificate is None and r.detect_error is None
         assert an.report_from_run(r).verdict == "inequality_holds"
@@ -175,7 +176,7 @@ class TestIndexCertificate:
                     cps = cb.find_critical_points(v)
                 except CritFindError:
                     continue
-                if an._index_certificate(v, cps) is not None:
+                if ct._index_rule(v, cps) is not None:
                     certified.append((degree, seed))
                     assert cb.detect_limit_cycles(v, cps) == []
         assert len(certified) == 8 and (2, 3) in certified and (4, 1) in certified

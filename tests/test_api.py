@@ -83,3 +83,31 @@ def test_private_names_are_read():
     private = {(f, name) for f, name in defined if name.startswith("_")
                and not (name.startswith("__") and name.endswith("__"))}
     assert sorted(f"{f}:{name}" for f, name in private if name not in refs) == []
+
+
+# critfind's and polyalg's interval primitives, besides every ia_* operation;
+# newton_certifies is the name critfind's Newton test had before certified_index
+INTERVAL_PRIMITIVES = {"IntervalBoxes", "certified_index", "circle_covers", "field_enclosure",
+                       "interval_eval", "interval_jacobian", "mean_value_enclosure",
+                       "newton_certifies", "regular"}
+INTERVAL_LAYERS = {"polyalg.py", "critfind.py", "certify.py"}
+
+
+def test_interval_primitives_stay_in_their_layers():
+    """Only polyalg, critfind and certify import an interval primitive or
+    read one as an attribute; the other modules use interval arithmetic
+    only through the certificates of `certify`."""
+    found = []
+    for p in sorted((ROOT / "src" / "cyclebound").glob("*.py")):
+        if p.name in INTERVAL_LAYERS:
+            continue
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{p.name}: {n}" for n in names
+                      if n in INTERVAL_PRIMITIVES or n.startswith("ia_")]
+    assert found == []

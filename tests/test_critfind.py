@@ -10,23 +10,14 @@ from cyclebound.critfind import (
     AmbiguousCluster,
     CritFindError,
     DepthLimitExceeded,
+    StepTooCoarse,
     ZeroOnCircle,
     find_critical_points,
     poincare_index,
 )
 from cyclebound.polyalg import Box, IntervalBoxes, Poly2, VectorField, parse_poly, parse_vf
 
-from oracles import random_field, subdivide_reference
-
-
-def brute_index(v, cx, cy, radius, n=10_000):
-    th = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    px = v.p.eval_grid(cx + radius * np.cos(th), cy + radius * np.sin(th))
-    qx = v.q.eval_grid(cx + radius * np.cos(th), cy + radius * np.sin(th))
-    ang = np.arctan2(qx, px)
-    d = np.diff(ang)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    return int(round(float(d.sum()) / (2.0 * math.pi)))
+from oracles import brute_index, random_field, subdivide_reference
 
 
 def linfac(var, root):
@@ -182,6 +173,25 @@ class TestPoincareIndex:
         with pytest.raises(ZeroOnCircle):
             poincare_index(v, (0.0, 0.0), 1.0)
 
+    def test_step_too_coarse(self):
+        """The degenerate zero (1, 0) of ((x - 1)^2, y) on the circle: no
+        cover gives its boxes a half-plane, and interval Newton proves no
+        zero there."""
+        v = parse_vf("P = (x - 1)^2\nQ = y")
+        with pytest.raises(StepTooCoarse, match="by up to 4096 boxes"):
+            poincare_index(v, (0.0, 0.0), 1.0)
+
+    def test_cap_reached_is_step_too_coarse(self, corpus, monkeypatch):
+        """Degenerate-demo's origin, of index 0, needs a cover of 16 boxes:
+        covers of 4 and 8 leave it undecided."""
+        v = corpus["degenerate-demo"]
+        monkeypatch.setattr(cf, "_ARCS", 4)
+        monkeypatch.setattr(cf, "_MAX_ARCS", 8)
+        with pytest.raises(StepTooCoarse, match="by up to 8 boxes"):
+            poincare_index(v, (0.0, 0.0), 0.5)
+        monkeypatch.setattr(cf, "_MAX_ARCS", 16)
+        assert poincare_index(v, (0.0, 0.0), 0.5) == 0
+
     def test_index_sign_of_det(self, corpus, corpus_cps):
         for name, cps in corpus_cps.items():
             for cp in cps:
@@ -189,6 +199,59 @@ class TestPoincareIndex:
                     expect = 1 if cp.jacobian_determinant() > 0 else -1
                     assert cp.index == expect
 
+    @staticmethod
+    def zeros(corpus):
+        """(field name, field, zeros, locations that went round the circle)
+        for the corpus, two-cycle included, and random fields of degree 2-4,
+        seeds 0-11, on [-2, 2]^2."""
+        fields = dict(corpus)
+        for degree in (2, 3, 4):
+            for seed in range(12):
+                fields[f"random-{degree}-{seed}"] = random_field(
+                    seed, degree, Box.make(-2, 2, -2, 2))
+        circled = []
+        real = cf.poincare_index
+
+        def spy(v, center, radius):
+            circled.append(center)
+            return real(v, center, radius)
+
+        out = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cf, "poincare_index", spy)
+            for name, v in fields.items():
+                circled.clear()
+                out.append((name, v, find_critical_points(v), list(circled)))
+        return out
+
+    def test_every_zero_matches_oracle(self, corpus):
+        """At every zero, the index, the circle cover's degree on critfind's
+        index circle and the sampled oracle there agree."""
+        count = 0
+        for name, v, cps, _ in self.zeros(corpus):
+            locs = [cp.location for cp in cps]
+            for cp in cps:
+                radius = cf._index_radius(v, cp.location, locs, cp.id)
+                assert cp.index == poincare_index(v, cp.location, radius), (name, cp.id)
+                assert cp.index == brute_index(v, cp.x, cp.y, radius), (name, cp.id)
+                count += 1
+        assert count == 68
+
+    def test_shortcut_or_circle(self, corpus):
+        """A zero whose enclosure interval Newton certifies takes its index
+        from there; only the others go round the circle, and on these fields
+        that is degenerate-demo's origin alone."""
+        went_round = []
+        for name, v, cps, circled in self.zeros(corpus):
+            for cp in cps:
+                shortcut = cf.certified_index(v, cp.enclosure)
+                assert (shortcut is None) == (cp.location in circled), (name, cp.id)
+                assert shortcut in (None, cp.index)
+                if shortcut is None:
+                    went_round.append((name, cp.index))
+        assert went_round == [("degenerate-demo", 0)]
+        [cp] = find_critical_points(corpus["van-der-pol"])
+        assert cf.certified_index(corpus["van-der-pol"], cp.enclosure) == cp.index == 1
 
 
 class TestSubdivisionMatchesReference:

@@ -19,14 +19,15 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import analysis as an
+from cyclebound import certify as ct
 from cyclebound import cycledetect as cd
 from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
-from cyclebound.odeflow import Section, hermite, hermite_deriv, hermite_root
+from cyclebound.odeflow import Section, hermite, hermite_deriv
 from cyclebound.polyalg import IntervalBoxes, interval_eval
 
-from oracles import (circle, directed_hausdorff_dense, hausdorff_resampled, random_field,
-                     scout_reference, truncate_at_settle, winding_brute)
+from oracles import (circle, directed_hausdorff_dense, hausdorff_resampled, hermite_root,
+                     random_field, scout_reference, truncate_at_settle, winding_brute)
 from test_polyalg import rand_poly
 
 TWO_PI = 2.0 * math.pi
@@ -225,9 +226,12 @@ class TestScoutDeferredRoots:
         hits = fuzz_hits(rng, 6000)
         n = len(hits[0])
         hh = 10.0 ** rng.uniform(-3, 0, n)
-        steps, seeds, sections = np.arange(n), np.arange(n) % 7, np.arange(n) % 3
-        rows = np.column_stack((steps, seeds, sections, hits[0], hh) + hits[1:])
-        got = {s: (g, key, event) for s, g, key, event in cd._solve_rows(rows)}
+        # each row its own section, so that it has its own level and anchor
+        steps, seeds, sections = np.arange(n), np.arange(n) % 7, np.arange(n)
+        t0, y0, dy0, y1, dy1, x0, dx0, x1, dx1, level, anchor = hits
+        rows = np.column_stack((seeds, t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1))
+        got = {s: (g, key, event)
+               for s, g, key, event in cd._solve_rows(steps, sections, rows, level, anchor)}
         dropped = 0
         for j in range(n):
             want = scalar_key(*(float(c[j]) for c in hits + (hh,)))
@@ -236,7 +240,7 @@ class TestScoutDeferredRoots:
                 assert j not in got, j
             else:
                 dirc, side, event = want
-                assert got[j] == (j % 7, (j % 3, dirc, side), event), j
+                assert got[j] == (j % 7, (j, dirc, side), event), j
         assert 0 < dropped < n // 2
 
 
@@ -336,23 +340,23 @@ class TestNoCycleCertificate:
     ], ids=["hamiltonian-cubic", "focus", "affine"])
     def test_certified_and_sampled_search_agree(self, make):
         v = make()
-        assert cd.no_cycle_certificate(v) is not None
         cps = find_critical_points(v)
+        assert ct.no_cycle_certificate(v, cps).startswith("div V ")
         assert any(cp.index == 1 for cp in cps)
         assert cd.detect_limit_cycles(v, cps) == []
 
     def test_only_center_certified(self, corpus):
         certified = [name for name, v in corpus.items()
-                     if cd.no_cycle_certificate(v) is not None]
+                     if ct._divergence_rule(v) is not None]
         assert certified == ["linear-center"]
         box = cb.Box.make(-2, 2, -2, 2)
         for degree, seed in ((2, 2), (2, 3), (3, 5), (4, 1)):
-            assert cd.no_cycle_certificate(random_field(seed, degree, box)) is None
+            assert ct._divergence_rule(random_field(seed, degree, box)) is None
 
     def test_certificate_names_case_and_box(self, corpus):
-        zero = cd.no_cycle_certificate(corpus["linear-center"])
+        zero = ct._divergence_rule(corpus["linear-center"])
         assert "identically 0" in zero and "[-7.5, 7.5] x [-7.5, 7.5]" in zero
-        signed = cd.no_cycle_certificate(cb.parse_vf("P = x - y\nQ = x + y\n"))
+        signed = ct._divergence_rule(cb.parse_vf("P = x - y\nQ = x + y\n"))
         assert "[2, 2]" in signed and "[-7.5, 7.5] x [-7.5, 7.5]" in signed
 
     @pytest.mark.parametrize("lo,hi,certified", [
@@ -360,9 +364,9 @@ class TestNoCycleCertificate:
         (-1.0, 1.0, False), (1e-300, 5.0, True), (-5.0, -1e-300, True)])
     def test_enclosure_must_exclude_zero(self, monkeypatch, corpus, lo, hi,
                                          certified):
-        monkeypatch.setattr(cd, "interval_eval",
+        monkeypatch.setattr(ct, "interval_eval",
                             lambda p, boxes: (np.array([lo]), np.array([hi])))
-        got = cd.no_cycle_certificate(corpus["van-der-pol"])
+        got = ct._divergence_rule(corpus["van-der-pol"])
         assert (got is not None) == certified
 
     def test_enclosure_taken_on_inflated_box(self):
@@ -372,7 +376,7 @@ class TestNoCycleCertificate:
         small_lo, _ = interval_eval(
             v.divergence(), IntervalBoxes([-0.4], [0.4], [-0.4], [0.4]))
         assert small_lo[0] > 0.0
-        assert cd.no_cycle_certificate(v) is None
+        assert ct._divergence_rule(v) is None
 
     def test_center_morsify_rows_skip_detection(self, corpus, monkeypatch):
         """The affine perturbations of the center have constant nonzero
@@ -417,7 +421,7 @@ class TestBasins:
             a = rng.uniform(-3.0, 3.0, (2, 2))
             if not (np.trace(a) < 0 and np.linalg.det(a) > 0):
                 continue
-            s11, s12, s22 = cd._lyapunov(*a.ravel())
+            s11, s12, s22 = ct._lyapunov(*a.ravel())
             s = np.array([[s11, s12], [s12, s22]])
             res = a.T @ s + s @ a + np.eye(2)
             assert np.abs(res).max() <= 1e-12 * max(1.0, np.abs(s).max() * np.abs(a).max())
@@ -429,7 +433,7 @@ class TestBasins:
         for name, v in fields.items():
             cps = find_critical_points(v)
             for time_sign in (1.0, -1.0):
-                for b in cd._basins(v, cps, time_sign):
+                for b in ct.sink_basins(v, cps, time_sign):
                     th = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
                     ux, uy = np.cos(th), np.sin(th)
                     scale = np.sqrt(b.level / (b.s11 * ux * ux + 2 * b.s12 * ux * uy
@@ -452,16 +456,16 @@ class TestBasins:
         for v in (fields["linear-center"], hamiltonian_cubic()):
             cps = find_critical_points(v)
             with monkeypatch.context() as m:
-                m.setattr(cd, "_lyapunov", never)
-                assert cd._basins(v, cps, 1.0) == cd._basins(v, cps, -1.0) == ()
+                m.setattr(ct, "_lyapunov", never)
+                assert ct.sink_basins(v, cps, 1.0) == ct.sink_basins(v, cps, -1.0) == ()
         saddles = 0
         for v in fields.values():
             cps = find_critical_points(v)
             for cp in cps:
                 if cp.jacobian_determinant() < 0:
                     saddles += 1
-                    assert cd._basin(v, cp, [], 1.0) is None
-                    assert cd._basin(v, cp, [], -1.0) is None
+                    assert ct._basin(v, cp, [], 1.0) is None
+                    assert ct._basin(v, cp, [], -1.0) is None
         assert saddles >= 5
 
     def test_no_numpy_linalg(self, corpus, monkeypatch):
@@ -472,7 +476,7 @@ class TestBasins:
                    "cholesky", "norm", "svd"):
             monkeypatch.setattr(np.linalg, fn, never)
         v = corpus["van-der-pol"]
-        assert len(cd._basins(v, find_critical_points(v), -1.0)) == 1
+        assert len(ct.sink_basins(v, find_critical_points(v), -1.0)) == 1
 
     @pytest.mark.parametrize("name", ["van-der-pol", "cubic-one-cycle", "random-3-5"])
     def test_families_are_prefixes(self, fields, name):
@@ -484,7 +488,7 @@ class TestBasins:
         cps = find_critical_points(v)
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        basins = cd._basins(v, cps, 1.0) + cd._basins(v, cps, -1.0)
+        basins = ct.sink_basins(v, cps, 1.0) + ct.sink_basins(v, cps, -1.0)
         assert [b.time_sign for b in basins] == [-1.0]
         got = cd._scout(v, seeds, sections_of(v, cps), cfg, basins)
         free = cd._scout(v, seeds, sections_of(v, cps), cfg)
@@ -505,7 +509,7 @@ class TestBasins:
         cps = find_critical_points(v)
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        (basin,) = cd._basins(v, cps, -1.0)
+        (basin,) = ct.sink_basins(v, cps, -1.0)
         flipped = dataclasses.replace(basin, time_sign=1.0)
         got = cd._scout(v, seeds, sections_of(v, cps), cfg, (flipped,))
         free = cd._scout(v, seeds, sections_of(v, cps), cfg)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import cyclebound as cb
+from cyclebound import certify as ct
 from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
 from cyclebound.polyalg import VectorField
@@ -665,7 +666,7 @@ class TestSingleLoopCertificate:
         for k, cp in enumerate(cps):
             others = locs[:k] + locs[k + 1:]
             delta, _ = mf.select_radii(v, cp.location, others)
-            cert = mf.certify_single_loop(v, cp.location, cp.enclosure, delta)
+            cert = ct.certify_single_loop(v, cp.location, cp.enclosure, delta)
             decided.append(cert is not None)
             if cert is None:
                 continue
@@ -704,15 +705,15 @@ class TestSingleLoopCertificate:
         v = corpus["cubic-one-cycle"]
         [cp] = find_critical_points(v)
         delta, _ = mf.select_radii(v, cp.location)
-        r, _ = mf.certify_single_loop(v, cp.location, cp.enclosure, delta)
+        r, _ = ct.certify_single_loop(v, cp.location, cp.enclosure, delta)
         assert (delta, r) == (1.5, 0.375)
 
     def test_enclosure_without_zero_is_not_decided(self, pair_field):
         """Interval Newton must certify the enclosure: a box beside the
         zero (1, 0) of (x^2 - 1, y) holds none."""
-        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (1.01, 1.02, -0.01, 0.01),
+        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (1.01, 1.02, -0.01, 0.01),
                                       1.0) is None
-        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (0.99, 1.01, -0.01, 0.01),
+        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (0.99, 1.01, -0.01, 0.01),
                                       1.0) is not None
 
     def test_point_far_from_its_zero_is_not_decided(self):
@@ -721,11 +722,11 @@ class TestSingleLoopCertificate:
         the minimum 0.1 of ||V - V(p)|| on its circle."""
         v = cb.parse_vf("P = x\nQ = 10*y\n")
         enclosure = (-0.001, 0.001, -0.001, 0.001)
-        assert mf.certify_single_loop(v, (0.0, 0.05), enclosure, 0.1) is None
-        assert mf.certify_single_loop(v, (0.0, 0.0005), enclosure, 0.1) is not None
+        assert ct.certify_single_loop(v, (0.0, 0.05), enclosure, 0.1) is None
+        assert ct.certify_single_loop(v, (0.0, 0.0005), enclosure, 0.1) is not None
 
     def test_enclosure_outside_disc_is_not_decided(self, pair_field):
         """The disc must hold the enclosure: the one around the zero
         (-1, 0) does not certify the point (1, 0)."""
-        assert mf.certify_single_loop(pair_field, (1.0, 0.0), (-1.01, -0.99, -0.01, 0.01),
+        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (-1.01, -0.99, -0.01, 0.01),
                                       1.0) is None

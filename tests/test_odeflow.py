@@ -13,19 +13,18 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import odeflow
-from cyclebound.cycledetect import no_cycle_certificate
+from cyclebound.certify import no_cycle_certificate
 from cyclebound.odeflow import (
     Section,
     hermite,
     hermite_deriv,
-    hermite_root,
     hermite_roots,
     integrate,
     rk_step,
     section_crossings,
 )
 
-from oracles import rk_step_reference
+from oracles import hermite_root, rk_step_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +79,7 @@ class TestIntegrate:
     def test_one_inflation_for_flow_and_certificate(self, corpus, monkeypatch):
         """The certificate's rectangle and the box exit move together."""
         monkeypatch.setattr(odeflow, "BOX_INFLATION", 2.0)
-        assert "[-10, 10] x [-10, 10]" in no_cycle_certificate(corpus["linear-center"])
+        assert "[-10, 10] x [-10, 10]" in no_cycle_certificate(corpus["linear-center"], [])
         traj = integrate(corpus["degenerate-demo"], (0.5, 0.5), 10.0)
         assert traj.terminated_by == "box_exit"
         before, end = traj.states[-2:]
@@ -299,6 +298,18 @@ class TestHermiteRoots:
                              float(level[j]), 0.0, 1.0, float(y0[j] - level[j]), 45)
                 for j in range(200)]
         assert got.tobytes() == np.array(want).tobytes()
+
+    def test_float_brackets(self):
+        """On floats, as `section_crossings` calls it, each root is the
+        scalar loop's too, whatever the number of halvings."""
+        rng = np.random.default_rng(13)
+        y0, d0, y1, d1, level = self.brackets(rng, 200)
+        for j in range(200):
+            args = (float(y0[j]), float(d0[j]), float(y1[j]), float(d1[j]), float(level[j]),
+                    0.0, 1.0, float(y0[j] - level[j]))
+            steps = j % 50
+            got = np.float64(hermite_roots(*args, steps))
+            assert got.tobytes() == np.float64(hermite_root(*args, steps)).tobytes()
 
 
 class TestDenseOutput:

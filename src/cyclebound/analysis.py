@@ -90,7 +90,7 @@ def _cp_summary(cp) -> dict:
         "jacobian": [[float(a), float(b)], [float(c), float(d)]],
         "determinant": _json_float(cp.jacobian_determinant()),
         "nondegenerate": bool(cp.nondegenerate),
-        "index": None if cp.index is None else int(cp.index),
+        "index": int(cp.index),
         "on_boundary": bool(cp.on_boundary),
     }
 
@@ -201,7 +201,7 @@ def _milnor(v: VectorField, cp: CriticalPoint, others, cfg: FiberConfig) -> Miln
     sweep's loop count.  A certified point keeps `select_radii`'s delta and
     eta sweep, and its submersion check, as a swept one would."""
     delta, sweep = select_radii(v, cp.location, others)
-    cert = certify_single_loop(v, cp.location, cp.enclosure, delta)
+    cert = certify_single_loop(v, cp, delta)
     if cert is None:
         return vanishing_cycle_count(v, cp.id, cp.location, others, cfg)
     ok, witness = submersion_check(v, cp.location, delta, min(sweep), max(sweep), cfg)

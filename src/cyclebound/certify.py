@@ -1,6 +1,9 @@
 """The interval certificates: what the pipeline proves instead of sampling.
 
-Each certificate is built on critfind's interval primitives:
+Each certificate is built on critfind's interval primitives, and each
+starts from a zero that critfind proved: `CriticalPoint.certified` says that
+interval Newton showed its enclosure holds exactly one zero, so no
+certificate here runs that test again.
 
 - `certify_single_loop` proves l = 1 at a zero p: a regular interval
   Jacobian on a square around p, and a lower bound of ||V - V(p)|| on a box
@@ -30,7 +33,6 @@ import numpy as np
 from . import odeflow
 from .critfind import (
     CritFindError,
-    certified_index,
     circle_covers,
     field_enclosure,
     find_critical_points,
@@ -70,21 +72,18 @@ def _squares(location, r0: float, reach: float):
 
 
 @_guarded
-def certify_single_loop(
-    v: VectorField,
-    location: tuple[float, float],
-    enclosure: tuple[float, float, float, float],
-    delta: float,
-) -> tuple[float, float] | None:
+def certify_single_loop(v: VectorField, cp, delta: float) -> tuple[float, float] | None:
     """(r, eta_c) such that for every 0 < eta < eta_c the fiber
-    {x : ||V(x) - c|| = eta} in the disc D of radius r around p = location
-    is one closed loop, with c = V(p) as `milnorfiber` evaluates it; None
-    where this argument does not decide the point.
+    {x : ||V(x) - c|| = eta} in the disc D of radius r around the critical
+    point's location p is one closed loop, with c = V(p) as `milnorfiber`
+    evaluates it; None where this argument does not decide the point.
 
-    - Existence: interval Newton proves that enclosure holds one zero z.
+    - Existence: critfind proved that cp's enclosure holds one zero z
+      (`cp.certified`).
     - Injectivity: for the largest r = delta * 2^-k (`_squares`) whose
       square K = [p +- r]^2 has a regular interval Jacobian [J](K)
-      (`critfind.regular`), V is injective on K.  D must hold enclosure.
+      (`critfind.regular`), V is injective on K.  D must hold the
+      enclosure.
     - Eta bound: eta_c is an outward-rounded lower bound of ||V - c|| on
       a box cover of the circle dD (`_circle_eta_bound`), and |c| < eta_c.
 
@@ -95,11 +94,11 @@ def certify_single_loop(
     decides the point.  A point that no radius certifies is left to the
     sweep, and so is one whose enclosures leave the float range.
     """
-    if certified_index(v, enclosure) is None:
+    if not cp.certified:
         return None
-    px, py = float(location[0]), float(location[1])
+    px, py = float(cp.x), float(cp.y)
     c = (v.p.eval(px, py), v.q.eval(px, py))
-    xlo, xhi, ylo, yhi = enclosure
+    xlo, xhi, ylo, yhi = cp.enclosure
     # the enclosure's farthest corner from p, rounded up generously
     reach = math.hypot(max(px - xlo, xhi - px), max(py - ylo, yhi - py)) * 1.001
     radii, squares = _squares((px, py), delta, reach)
@@ -190,11 +189,12 @@ def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
     Only a hyperbolic sink of time_sign V qualifies: A = time_sign J(p) at
     the float point p has trace < 0 and determinant > 0, tested before S is
     solved (`_lyapunov`), since the solve is singular at a centre or a
-    saddle.  Interval Newton must prove that cp's enclosure E holds the zero
-    z.  Then the square K = [p +- r]^2 is halved from r0, half the distance
-    to the nearest other zero (or the box's half-width), until it holds E
-    and S A + A^T S is negative definite for every A in time_sign [J](K)
-    (`_negative_definite`).  Since V(x) = M (x - z) with M, the mean of J
+    saddle.  critfind must have proved that cp's enclosure E holds the one
+    zero z (`cp.certified`).  Then the square K = [p +- r]^2 is halved from
+    r0, half the distance to the nearest other zero (or the box's
+    half-width), until it holds E and S A + A^T S is negative definite for
+    every A in time_sign [J](K) (`_negative_definite`).  Since
+    V(x) = M (x - z) with M, the mean of J
     along the segment, in [J](K), L_z(x) = (x - z)^T S (x - z) then
     decreases along every orbit in K other than z, so each sublevel set of
     L_z inside K is positively invariant and every orbit in it tends to z
@@ -204,6 +204,8 @@ def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
     is (rho - e sqrt(s11 + 2 |s12| + s22))^2, shrunk by a relative margin
     that covers the float rounding of L and of the level itself.
     """
+    if not cp.certified:
+        return None
     (a, b), (c, d) = cp.jacobian
     a, b, c, d = time_sign * a, time_sign * b, time_sign * c, time_sign * d
     t, det = a + d, a * d - b * c
@@ -226,7 +228,7 @@ def _basin(v: VectorField, cp, others, time_sign: float) -> _Basin | None:
     x0, x1, y0, y1 = v.box.floats()
     r0 = 0.5 * min([x1 - x0, y1 - y0] + [math.hypot(px - ox, py - oy) for ox, oy in others])
     radii, squares = _squares((px, py), r0, e)
-    if not radii.size or certified_index(v, cp.enclosure) is None:
+    if not radii.size:
         return None
     ok = _negative_definite(s, interval_jacobian(v, squares), time_sign)
     if not ok.any():
@@ -288,19 +290,20 @@ def _index_rule(v: VectorField, cps) -> str | None:
 
     A closed orbit in the convex R encloses zeros whose indices sum to +1
     (Perko, Differential Equations and Dynamical Systems, 3.12).  So if
-    every zero in R is a certified saddle (`critfind.certified_index` is
-    -1), no subset sums to +1 and R holds no closed orbit.  The points cps
-    found in the box are tested first; only when all pass does critfind run
-    once more on R.  A box with no zero gives None: detection returns no
-    cycle there anyway.  So does a search on R that raises.
+    every zero in R is a certified saddle (critfind proved its enclosure,
+    `cp.certified`, and its index is -1), no subset sums to +1 and R holds
+    no closed orbit.  The points cps found in the box are tested first;
+    only when all pass does critfind run once more on R.  A box with no
+    zero gives None: detection returns no cycle there anyway.  So does a
+    search on R that raises.
     """
     if not cps:
         return None
     x0, x1, y0, y1 = v.box.inflate(odeflow.BOX_INFLATION)
-    if not all(certified_index(v, cp.enclosure) == -1 for cp in cps):
+    if not all(cp.certified and cp.index == -1 for cp in cps):
         return None
     wide = VectorField(v.p, v.q, v.name, Box.make(x0, x1, y0, y1))
-    if not all(certified_index(v, cp.enclosure) == -1 for cp in find_critical_points(wide)):
+    if not all(cp.certified and cp.index == -1 for cp in find_critical_points(wide)):
         return None
     return (f"every zero of V in [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}] is a saddle "
             f"(interval Newton, det [J] < 0 on its enclosure), so no closed orbit lies "

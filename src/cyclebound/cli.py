@@ -156,8 +156,7 @@ def cmd_critpoints(args) -> int:
     print(f"{'id':>3} {'x':>18} {'y':>18} {'index':>6} {'det':>12} "
           f"{'nondeg':>7} {'bdry':>5}")
     for cp in cps:
-        idx = "-" if cp.index is None else str(cp.index)
-        print(f"{cp.id:>3} {cp.x:>18.12g} {cp.y:>18.12g} {idx:>6} "
+        print(f"{cp.id:>3} {cp.x:>18.12g} {cp.y:>18.12g} {cp.index:>6} "
               f"{cp.jacobian_determinant():>12.5g} {str(cp.nondegenerate):>7} "
               f"{str(cp.on_boundary):>5}")
     if args.json:

@@ -13,13 +13,15 @@ number of numpy calls however many boxes it holds.  An enclosure with a NaN
 endpoint (the arithmetic left the float range) raises CritFindError.
 
 Every index is proved.  A zero whose enclosure interval Newton certifies
-has index sign det [J] there (`certified_index`); any other zero gets the
-degree of V on a box cover of a circle around it (`poincare_index`).
+has index sign det [J] there (`_certified_index`); any other zero gets the
+degree of V on a box cover of a circle around it (`poincare_index`).  That
+one-box Newton test runs here only, once per zero, and
+`CriticalPoint.certified` records its result: the certificates of `certify`
+read the flag rather than prove the enclosure again.
 
 This is the layer of interval primitives that `certify` builds on: the
 interval Jacobian over boxes and its regularity (`interval_jacobian`,
-`regular`), the mean-value enclosures of V (`field_enclosure`), the one-box
-interval-Newton test with the index it proves (`certified_index`) and the
+`regular`), the mean-value enclosures of V (`field_enclosure`) and the
 circle covers (`circle_covers`).
 """
 
@@ -80,6 +82,7 @@ class CriticalPoint:
     jacobian: tuple[tuple[float, float], tuple[float, float]]
     nondegenerate: bool
     index: int
+    certified: bool   # interval Newton proved that enclosure holds exactly one zero
     on_boundary: bool = False
 
     @property
@@ -359,9 +362,10 @@ _BOUNDARY_TOL = 1e-9    # distance to the box edge that flags a zero
 def find_critical_points(v: VectorField) -> list[CriticalPoint]:
     """All zeros of v inside its box, sorted by (x, y), ids in sorted order.
 
-    Each index is `certified_index` on the zero's enclosure where interval
-    Newton certifies it, else `poincare_index` on a circle of at most half
-    the distance to the other zeros and to the box edge.
+    Each index is `_certified_index` on the zero's enclosure where interval
+    Newton certifies it, with `certified` set, else `poincare_index` on a
+    circle of at most half the distance to the other zeros and to the box
+    edge.
 
     Raises DepthLimitExceeded when subdivision explodes (non-isolated zeros),
     AmbiguousCluster when two distinct zeros sit closer than the resolution
@@ -443,12 +447,13 @@ def find_critical_points(v: VectorField) -> list[CriticalPoint]:
         if was_certified:
             enc, idx = _tight_enclosure(v, (x, y), enc)
         else:
-            idx = certified_index(v, enc)
+            idx = _certified_index(v, enc)
         on_boundary = (
             min(abs(x - x0), abs(x - x1)) <= _BOUNDARY_TOL
             or min(abs(y - y0), abs(y - y1)) <= _BOUNDARY_TOL
         )
-        if idx is None:
+        by_newton = idx is not None
+        if not by_newton:
             idx = poincare_index(v, (x, y), _index_radius(v, (x, y), locs, pid))
         points.append(
             CriticalPoint(
@@ -459,6 +464,7 @@ def find_critical_points(v: VectorField) -> list[CriticalPoint]:
                           (float(j[1, 0]), float(j[1, 1]))),
                 nondegenerate=nondeg,
                 index=idx,
+                certified=by_newton,
                 on_boundary=bool(on_boundary),
             )
         )
@@ -467,18 +473,18 @@ def find_critical_points(v: VectorField) -> list[CriticalPoint]:
 
 def _tight_enclosure(v, loc, fallback: _FBox) -> tuple[_FBox, int | None]:
     """Small certified box around a polished zero, or else the parent box,
-    with `certified_index` there."""
+    with `_certified_index` there."""
     x, y = loc
     scale = max(1.0, abs(x), abs(y))
     for w in (1e-9 * scale, 1e-7 * scale, 1e-5 * scale):
         b = (x - w, x + w, y - w, y + w)
-        idx = certified_index(v, b)
+        idx = _certified_index(v, b)
         if idx is not None:
             return b, idx
-    return fallback, certified_index(v, fallback)
+    return fallback, _certified_index(v, fallback)
 
 
-def certified_index(v: VectorField, enclosure: _FBox) -> int | None:
+def _certified_index(v: VectorField, enclosure: _FBox) -> int | None:
     """The index of the one zero in enclosure E, sign det [J](E), where one
     interval-Newton step proves that E holds exactly one zero of v; None
     otherwise.
@@ -581,7 +587,6 @@ __all__ = [
     "DepthLimitExceeded",
     "StepTooCoarse",
     "ZeroOnCircle",
-    "certified_index",
     "circle_covers",
     "field_enclosure",
     "find_critical_points",

@@ -10,7 +10,7 @@ import pytest
 import cyclebound as cb
 from cyclebound import analysis as an
 from cyclebound import certify as ct
-from cyclebound.critfind import CritFindError, certified_index
+from cyclebound.critfind import CritFindError
 from cyclebound.milnorfiber import MilnorData
 
 from oracles import random_field
@@ -140,7 +140,29 @@ class TestIndexCertificate:
         v = cb.parse_vf("P = x^2 - 2.5*x\nQ = y\nbox = [-2, 2] x [-2, 2]\n")
         cps = cb.find_critical_points(v)
         assert [cp.location for cp in cps] == [(0.0, 0.0)]
-        assert certified_index(v, cps[0].enclosure) == -1
+        assert cps[0].certified and cps[0].index == -1
+        assert ct._index_rule(v, cps) is None
+
+    def test_unproved_saddle_counts(self, monkeypatch):
+        """Every zero needs interval Newton's proof, in the box and in the
+        scouting rectangle.  The degenerate saddle of (y - x^3, y) has index
+        -1 from the circle cover but certifies nothing; nor does random
+        (2,3), certified as it is, once the box's or the wide search's
+        points are not marked certified."""
+        v = cb.parse_vf("P = y - x^3\nQ = y\nbox = [-2, 2] x [-2, 2]\n")
+        [cp] = cb.find_critical_points(v)
+        assert (cp.index, cp.certified) == (-1, False)
+        assert ct._index_rule(v, [cp]) is None
+
+        def unprove(points):
+            return [dataclasses.replace(cp, certified=False) for cp in points]
+
+        real = ct.find_critical_points
+        v = random_field(3, 2, self.BOX)
+        cps = real(v)
+        assert ct._index_rule(v, cps) is not None
+        assert ct._index_rule(v, unprove(cps)) is None
+        monkeypatch.setattr(ct, "find_critical_points", lambda f: unprove(real(f)))
         assert ct._index_rule(v, cps) is None
 
     def test_degenerate_demo_not_certified(self, corpus_runs):

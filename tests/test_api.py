@@ -93,21 +93,32 @@ INTERVAL_PRIMITIVES = {"IntervalBoxes", "certified_index", "circle_covers", "fie
 INTERVAL_LAYERS = {"polyalg.py", "critfind.py", "certify.py"}
 
 
+def _imported_or_read(path: pathlib.Path) -> list[str]:
+    """Names one Python file imports from a module or reads as an attribute."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return names
+
+
 def test_interval_primitives_stay_in_their_layers():
     """Only polyalg, critfind and certify import an interval primitive or
     read one as an attribute; the other modules use interval arithmetic
     only through the certificates of `certify`."""
-    found = []
-    for p in sorted((ROOT / "src" / "cyclebound").glob("*.py")):
-        if p.name in INTERVAL_LAYERS:
-            continue
-        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found += [f"{p.name}: {n}" for n in names
-                      if n in INTERVAL_PRIMITIVES or n.startswith("ia_")]
+    found = [f"{p.name}: {n}" for p in sorted((ROOT / "src" / "cyclebound").glob("*.py"))
+             if p.name not in INTERVAL_LAYERS for n in _imported_or_read(p)
+             if n in INTERVAL_PRIMITIVES or n.startswith("ia_")]
+    assert found == []
+
+
+def test_newton_test_stays_in_critfind():
+    """Only critfind imports or reads its one-box interval-Newton test: it
+    runs once per zero there, and `CriticalPoint.certified` records the
+    result that the certificates read."""
+    found = [f"{p.name}: {n}" for p in sorted((ROOT / "src" / "cyclebound").glob("*.py"))
+             if p.name != "critfind.py" for n in _imported_or_read(p)
+             if n in ("certified_index", "_certified_index")]
     assert found == []

@@ -239,19 +239,21 @@ class TestPoincareIndex:
 
     def test_shortcut_or_circle(self, corpus):
         """A zero whose enclosure interval Newton certifies takes its index
-        from there; only the others go round the circle, and on these fields
-        that is degenerate-demo's origin alone."""
+        from there, and `certified` records that proof; only the others go
+        round the circle, and on these fields that is degenerate-demo's
+        origin alone."""
         went_round = []
         for name, v, cps, circled in self.zeros(corpus):
             for cp in cps:
-                shortcut = cf.certified_index(v, cp.enclosure)
+                shortcut = cf._certified_index(v, cp.enclosure)
+                assert cp.certified == (shortcut is not None), (name, cp.id)
                 assert (shortcut is None) == (cp.location in circled), (name, cp.id)
                 assert shortcut in (None, cp.index)
                 if shortcut is None:
                     went_round.append((name, cp.index))
         assert went_round == [("degenerate-demo", 0)]
         [cp] = find_critical_points(corpus["van-der-pol"])
-        assert cf.certified_index(corpus["van-der-pol"], cp.enclosure) == cp.index == 1
+        assert cf._certified_index(corpus["van-der-pol"], cp.enclosure) == cp.index == 1
 
 
 class TestSubdivisionMatchesReference:

@@ -468,6 +468,15 @@ class TestBasins:
                     assert ct._basin(v, cp, [], -1.0) is None
         assert saddles >= 5
 
+    def test_unproved_sink_has_no_basin(self, fields):
+        """A basin needs critfind's proof that the enclosure holds the sink:
+        van der Pol's origin, a sink backward, has none once its point is
+        not marked certified."""
+        v = fields["van-der-pol"]
+        [cp] = find_critical_points(v)
+        assert ct._basin(v, cp, [], -1.0) is not None
+        assert ct._basin(v, dataclasses.replace(cp, certified=False), [], -1.0) is None
+
     def test_no_numpy_linalg(self, corpus, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("numpy.linalg called")

@@ -19,6 +19,7 @@ import pytest
 
 import cyclebound as cb
 from cyclebound import certify as ct
+from cyclebound import critfind as cf
 from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
 from cyclebound.polyalg import VectorField
@@ -666,7 +667,7 @@ class TestSingleLoopCertificate:
         for k, cp in enumerate(cps):
             others = locs[:k] + locs[k + 1:]
             delta, _ = mf.select_radii(v, cp.location, others)
-            cert = ct.certify_single_loop(v, cp.location, cp.enclosure, delta)
+            cert = ct.certify_single_loop(v, cp, delta)
             decided.append(cert is not None)
             if cert is None:
                 continue
@@ -705,28 +706,41 @@ class TestSingleLoopCertificate:
         v = corpus["cubic-one-cycle"]
         [cp] = find_critical_points(v)
         delta, _ = mf.select_radii(v, cp.location)
-        r, _ = ct.certify_single_loop(v, cp.location, cp.enclosure, delta)
+        r, _ = ct.certify_single_loop(v, cp, delta)
         assert (delta, r) == (1.5, 0.375)
 
+    @staticmethod
+    def point_at(v, location):
+        """The critical point of v nearest to location."""
+        return min(find_critical_points(v), key=lambda cp: math.dist(cp.location, location))
+
+    def test_box_beside_the_zero_is_not_certified(self, pair_field):
+        """Interval Newton certifies a box around the zero (1, 0) of
+        (x^2 - 1, y), and not one beside it, which holds none."""
+        assert cf._certified_index(pair_field, (1.01, 1.02, -0.01, 0.01)) is None
+        assert cf._certified_index(pair_field, (0.99, 1.01, -0.01, 0.01)) is not None
+
     def test_enclosure_without_zero_is_not_decided(self, pair_field):
-        """Interval Newton must certify the enclosure: a box beside the
-        zero (1, 0) of (x^2 - 1, y) holds none."""
-        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (1.01, 1.02, -0.01, 0.01),
-                                      1.0) is None
-        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (0.99, 1.01, -0.01, 0.01),
-                                      1.0) is not None
+        """critfind must have proved the enclosure: the same point, not
+        marked certified, is left to the sweep."""
+        cp = self.point_at(pair_field, (1.0, 0.0))
+        assert ct.certify_single_loop(pair_field, cp, 1.0) is not None
+        unproved = dataclasses.replace(cp, certified=False)
+        assert ct.certify_single_loop(pair_field, unproved, 1.0) is None
 
     def test_point_far_from_its_zero_is_not_decided(self):
         """||V(p)|| must stay below eta_c: for V = (x, 10 y) at p = (0, 0.05)
         the disc of radius 0.1 holds the zero, but ||V(p)|| = 0.5 exceeds
         the minimum 0.1 of ||V - V(p)|| on its circle."""
         v = cb.parse_vf("P = x\nQ = 10*y\n")
-        enclosure = (-0.001, 0.001, -0.001, 0.001)
-        assert ct.certify_single_loop(v, (0.0, 0.05), enclosure, 0.1) is None
-        assert ct.certify_single_loop(v, (0.0, 0.0005), enclosure, 0.1) is not None
+        cp = self.point_at(v, (0.0, 0.0))
+        far, near = (dataclasses.replace(cp, location=(0.0, y)) for y in (0.05, 0.0005))
+        assert ct.certify_single_loop(v, far, 0.1) is None
+        assert ct.certify_single_loop(v, near, 0.1) is not None
 
     def test_enclosure_outside_disc_is_not_decided(self, pair_field):
         """The disc must hold the enclosure: the one around the zero
         (-1, 0) does not certify the point (1, 0)."""
-        assert ct.certify_single_loop(pair_field, (1.0, 0.0), (-1.01, -0.99, -0.01, 0.01),
-                                      1.0) is None
+        cp, far = self.point_at(pair_field, (1.0, 0.0)), self.point_at(pair_field, (-1.0, 0.0))
+        misplaced = dataclasses.replace(cp, enclosure=far.enclosure)
+        assert ct.certify_single_loop(pair_field, misplaced, 1.0) is None

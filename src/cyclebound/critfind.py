@@ -139,8 +139,7 @@ def mean_value_enclosure(poly: Poly2, grad, boxes: IntervalBoxes, what: str):
     mx = 0.5 * (boxes.x[0] + boxes.x[1])
     my = 0.5 * (boxes.y[0] + boxes.y[1])
     val = poly.eval(mx, my)
-    mag = np.polynomial.polynomial.polyval2d(np.abs(mx), np.abs(my),
-                                             poly.abs_coeff_matrix())
+    mag = poly.majorant().eval_grid(np.abs(mx), np.abs(my))
     err = 1e-13 * mag + 1e-300
     dx = ia_sub(boxes.x, (mx, mx))
     dy = ia_sub(boxes.y, (my, my))

@@ -226,8 +226,8 @@ class _Workspace:
     Grid evaluation is separable (`Poly2.eval_outer`): Horner runs on the
     1-D x axis, then the y pass multiplies and adds into one preallocated
     (n+1)^2 array in place, so a level of n cells holds no coordinate
-    meshes and no per-coefficient-row temporaries.  Each value goes through
-    the same operations as polyval2d at that point, in the same order."""
+    meshes and no per-coefficient-row temporaries.  Each value is polygrid2d's
+    float, which is polyval2d's, and so `Poly2.eval_grid`'s, at that node."""
 
     def __init__(self, v: VectorField, location: tuple[float, float], delta: float):
         self.location = (float(location[0]), float(location[1]))

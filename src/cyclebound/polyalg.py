@@ -3,9 +3,13 @@
 Coefficients are `fractions.Fraction`, so all algebra (sums, products,
 derivatives, affine substitution) is exact.  Floats only appear at the
 evaluation boundary: `Poly2.eval` (Horner, on floats or on arrays),
+`Poly2.eval_grid` (numpy's polyval2d floats at arrays of points, bit for bit,
+by Horner over each coefficient column from its highest nonzero entry),
+`Poly2.eval_outer` (polygrid2d's floats on the grid of two axes), and
 `interval_eval` (outward-rounded enclosures over an `IntervalBoxes` array of
-boxes, on the `ia_*` interval-array operations), and the cached coefficient
-matrices used for vectorized evaluation on grids.
+boxes, on the `ia_*` interval-array operations).  A Poly2 never changes, so
+what is derived from it (float coefficients, column plan, interval terms,
+partials, majorant) is built on first use and kept with it.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ class Poly2:
     x^i * y^j.  The zero polynomial has no terms.
     """
 
-    __slots__ = ("_terms", "_key", "_rows", "_cmat", "_amat", "_ivals")
+    __slots__ = ("_terms", "_key", "_rows", "_cmat", "_cols", "_ivals", "_partials", "_majorant")
 
     def __init__(self, terms=None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -202,8 +206,10 @@ class Poly2:
         self._key = tuple(sorted(clean.items()))
         self._rows = None
         self._cmat = None
-        self._amat = None
+        self._cols = None
         self._ivals = None
+        self._partials = None
+        self._majorant = None
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -260,16 +266,21 @@ class Poly2:
         return Poly2({k: c * v for k, v in self._terms.items()})
 
     def partial(self, var: int) -> "Poly2":
-        """Exact partial derivative; var == 0 for x, 1 for y."""
+        """Exact partial derivative; var == 0 for x, 1 for y.  Both are built
+        on the first call and kept: a Poly2 never changes, so neither do its
+        derivatives and the caches they fill."""
         if var not in (0, 1):
             raise PolyError("var must be 0 (x) or 1 (y)")
-        t: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._terms.items():
-            if var == 0 and i > 0:
-                t[(i - 1, j)] = c * i
-            elif var == 1 and j > 0:
-                t[(i, j - 1)] = c * j
-        return Poly2(t)
+        if self._partials is None:
+            dx: dict[tuple[int, int], Fraction] = {}
+            dy: dict[tuple[int, int], Fraction] = {}
+            for (i, j), c in self._terms.items():
+                if i > 0:
+                    dx[(i - 1, j)] = c * i
+                if j > 0:
+                    dy[(i, j - 1)] = c * j
+            self._partials = (Poly2(dx), Poly2(dy))
+        return self._partials[var]
 
     def compose_affine(self, a11, a12, a21, a22, c1=0, c2=0) -> "Poly2":
         """Exact substitution x -> a11*u + a12*v + c1, y -> a21*u + a22*v + c2."""
@@ -317,10 +328,13 @@ class Poly2:
                 self._cmat = c
         return self._cmat
 
-    def abs_coeff_matrix(self) -> np.ndarray:
-        if self._amat is None:
-            self._amat = np.abs(self.coeff_matrix())
-        return self._amat
+    def majorant(self) -> "Poly2":
+        """The polynomial of the absolute coefficients, built once.  Its
+        value at (|x|, |y|) is the sum of |c x^i y^j| over the terms, which
+        bounds |p(x, y)| and scales the rounding error of its float value."""
+        if self._majorant is None:
+            self._majorant = Poly2({k: abs(c) for k, c in self._terms.items()})
+        return self._majorant
 
     def _interval_terms(self):
         """Exponent arrays and coefficient enclosures, in `_key` order, for
@@ -332,8 +346,46 @@ class Poly2:
                            (lo[:, None], hi[:, None]))
         return self._ivals
 
+    def _columns(self) -> tuple:
+        """The column plan: per power of y, the coefficients of x^k down to
+        x^0, k the highest power with a nonzero one, as float64 scalars; ()
+        for a column with none."""
+        if self._cols is None:
+            cols = []
+            for col in self.coeff_matrix().T:
+                nz = np.flatnonzero(col)
+                cols.append(tuple(col[nz[-1]::-1]) if len(nz) else ())
+            self._cols = tuple(cols)
+        return self._cols
+
     def eval_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval2d(x, y, self.coeff_matrix())
+        """Values at the points (x, y), bit-identical to numpy's
+        polyval2d(x, y, coeff_matrix()).
+
+        polyval2d runs Horner in x over every column of the coefficient
+        matrix, then polyval's Horner in y over the column values.  Here
+        each column starts at its highest nonzero coefficient.  polyval2d's
+        steps above it add ±0 to +0.0, which for a finite x stays +0.0, so
+        its first nonzero step gives that coefficient plus ±0, as
+        `col[0] + z` does.  Carrying z = x * 0.0 there makes inf and NaN
+        propagate as in polyval2d.
+        """
+        x = np.asanyarray(x)
+        y = np.asanyarray(y)
+        z = x * 0.0
+        h = []
+        for col in self._columns():
+            if not col:
+                h.append(z + 0.0)
+                continue
+            c0 = col[0] + z
+            for c in col[1:]:
+                c0 = c + c0 * x
+            h.append(c0)
+        c0 = h[-1] + y * 0
+        for hj in h[-2::-1]:
+            c0 = hj + c0 * y
+        return c0
 
     def eval_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Values on the grid xs[:, None], ys[None, :], bit-identical to
@@ -616,11 +668,14 @@ class VectorField:
     def __post_init__(self):
         if self.p.is_zero() and self.q.is_zero():
             raise VectorFieldError("vector field must have a nonzero component")
+        # div V is built once here and kept: the certificates and the
+        # detection read it on every pass
+        object.__setattr__(self, "_divergence", self.p.partial(0) + self.q.partial(1))
         # critfind's enclosures and Newton steps read the partials and div V
         # as floats too, so their coefficients must fit as well
         try:
             for poly in (self.p, self.q, self.p.partial(0), self.p.partial(1),
-                         self.q.partial(0), self.q.partial(1), self.divergence()):
+                         self.q.partial(0), self.q.partial(1), self._divergence):
                 poly.coeff_matrix()
             self.box.floats()
         except OverflowError:
@@ -631,7 +686,7 @@ class VectorField:
 
     def divergence(self) -> Poly2:
         """div V = dp/dx + dq/dy, exactly."""
-        return self.p.partial(0) + self.q.partial(1)
+        return self._divergence
 
     def jacobian_at(self, x: float, y: float) -> np.ndarray:
         return np.array(

@@ -596,7 +596,7 @@ def _mv_contains_zero(poly: Poly2, gx: Poly2, gy: Poly2, b) -> bool:
     mx, my = ix.mid, iy.mid
     val = poly.eval(mx, my)
     mag = float(np.polynomial.polynomial.polyval2d(abs(mx), abs(my),
-                                                   poly.abs_coeff_matrix()))
+                                                   np.abs(poly.coeff_matrix())))
     err = 1e-13 * mag + 1e-300
     fm = Interval(val - err, val + err)
     dx = ix - Interval.point(mx)

@@ -255,6 +255,37 @@ class TestCompareReports:
             for c in rep.detected:
                 assert c["return_derivative"] == math.exp(c["return_exponent"])
 
+    def test_second_compare_builds_no_derived_polynomial(self, corpus, monkeypatch):
+        """Partials and div V are kept with the polynomial they come from, so
+        a second compare of a field reuses them, with their coefficient
+        matrices, column plans and interval-term tables.  These fields
+        extract no fiber: a fiber extraction derives its own |V - V(p)|^2
+        and its partials on every pass."""
+        built = []
+        partial, terms = cb.Poly2.partial, cb.Poly2._interval_terms
+
+        def spy_partial(p, var):
+            if p._partials is None:
+                built.append(("partial", p, var))
+            return partial(p, var)
+
+        def spy_terms(p):
+            if p._ivals is None:
+                built.append(("interval terms", p))
+            return terms(p)
+
+        monkeypatch.setattr(cb.Poly2, "partial", spy_partial)
+        monkeypatch.setattr(cb.Poly2, "_interval_terms", spy_terms)
+        box = cb.Box.make(-2, 2, -2, 2)
+        fields = [corpus["van-der-pol"], corpus["linear-center"]]
+        fields += [random_field(seed, degree, box)
+                   for degree, seed in ((2, 2), (2, 3), (3, 5), (4, 1))]
+        for v in fields:
+            cb.compare(v)
+            built.clear()
+            cb.compare(v)
+            assert built == [], v.name
+
     def test_timestamps_present(self, corpus_reports):
         for rep, _ in corpus_reports.values():
             assert rep.timestamp

@@ -122,3 +122,12 @@ def test_newton_test_stays_in_critfind():
              if p.name != "critfind.py" for n in _imported_or_read(p)
              if n in ("certified_index", "_certified_index")]
     assert found == []
+
+
+def test_one_grid_evaluator():
+    """No module calls numpy's polyval2d: `Poly2.eval_grid` gives its floats
+    bit for bit and skips each column's structural zeros, and
+    tests/oracles.py keeps it as the reference."""
+    found = [f"{p.name}: {n}" for p in sorted((ROOT / "src" / "cyclebound").glob("*.py"))
+             for n in _imported_or_read(p) if n == "polyval2d"]
+    assert found == []

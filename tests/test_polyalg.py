@@ -102,6 +102,39 @@ class TestEval:
             ref = float(eval_terms(p, x, y))
             assert p.eval(x, y) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
+    def test_grid_is_polyval2d_bit_for_bit(self):
+        """eval_grid skips each column's zeros above its highest nonzero
+        coefficient; value, sign of zero, NaN bits, dtype, shape and type
+        stay those of polyval2d on random zero patterns, on the upper
+        triangle of a total degree, and on inputs with ±0, ±inf, NaN,
+        subnormals and ±1e308."""
+        rng = np.random.default_rng(29)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.5e-310, 1e308, -1e308, 1.0, -1.0])
+
+        def point(shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5)
+            return np.where(rng.random(shape) < 0.3, rng.choice(special, size=shape), v)
+
+        polys = [Poly2(), parse_poly("-3/7"), parse_poly("y^3"), parse_poly("x^4")]
+        for k in range(4000):
+            mi, mj = rng.integers(0, 6, size=2)
+            c = rng.standard_normal((mi + 1, mj + 1)) * 10.0 ** rng.integers(-3, 4)
+            if k % 2:
+                c[rng.random(c.shape) < 0.5] = 0.0
+            else:
+                i, j = np.indices(c.shape)
+                c[i + j > max(mi, mj)] = 0.0
+            polys.append(Poly2({(i, j): F(a) for (i, j), a in np.ndenumerate(c)}))
+        for k, p in enumerate(polys):
+            shape = ((), (7,), (3, 4))[k % 3]
+            x, y = point(shape), point(shape)
+            with np.errstate(all="ignore"):
+                ref = np.polynomial.polynomial.polyval2d(x, y, p.coeff_matrix())
+                got = p.eval_grid(x, y)
+            assert type(got) is type(ref) and got.dtype == ref.dtype
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
 
 class TestEvalOuter:
     AXES = [np.linspace(-1.5, 1.5, 7), np.linspace(-0.9, 2.3, 12),
@@ -152,6 +185,12 @@ class TestPartial:
         for _ in range(1000):
             p = rand_poly(rng, 8)
             assert p.partial(0).partial(1) == p.partial(1).partial(0)
+
+    def test_built_once(self):
+        p = parse_poly("x^3*y - 2*y^2 + x")
+        assert p.partial(0) is p.partial(0) and p.partial(1) is p.partial(1)
+        assert p.partial(0).partial(1) is p.partial(0).partial(1)
+        assert p.majorant() is p.majorant() == parse_poly("x^3*y + 2*y^2 + x")
 
     def test_fd_agreement(self):
         rng = np.random.default_rng(5)

@@ -319,6 +319,32 @@ class TestReturnExponent:
         self.check(cycles[0], 9.0 * math.pi)
 
 
+class TestSemistable:
+    """r' = +-r(1 - r^2)^2, theta' = 1: the unit circle attracts from one
+    side and repels from the other, so lambda = 0 and only the isolation
+    probe can label it.  The two signs swap the sides, (conv, div) and
+    (div, conv)."""
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["outward", "inward"])
+    def test_unit_circle_is_semistable(self, monkeypatch, sign):
+        calls = []
+        probe = cd._probe_semistable
+
+        def spy(*args):
+            calls.append(probe(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(cd, "_probe_semistable", spy)
+        v = radial_field(f"{sign}(1 - x^2 - y^2)^2")
+        cycles = cd.detect_limit_cycles(v, find_critical_points(v))
+        assert len(cycles) == 1
+        c = cycles[0]
+        assert c.stability == "semi_stable"
+        assert abs(c.mean_radius() - 1.0) < 1e-5
+        assert abs(c.period - TWO_PI) < 1e-9
+        assert "semi_stable" in calls
+
+
 def hamiltonian_cubic() -> cb.VectorField:
     """P = H_y, Q = -H_x: a center ringed by periodic orbits, and a saddle."""
     h = rand_poly(np.random.default_rng(3), 3)

@@ -42,7 +42,7 @@ from .milnorfiber import (
     submersion_check,
     vanishing_cycle_count,
 )
-from .odeflow import Section, Trajectory, integrate, section_crossings
+from .odeflow import Trajectory, integrate
 from .polyalg import Box, Poly2, VectorField, load_vf, parse_poly, parse_vf
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineRun",
     "Poly2",
-    "Section",
     "Trajectory",
     "VectorField",
     "betti",
@@ -85,7 +84,6 @@ __all__ = [
     "report_from_run",
     "report_to_json",
     "run",
-    "section_crossings",
     "select_radii",
     "submersion_check",
     "vanishing_cycle_count",

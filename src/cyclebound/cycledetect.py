@@ -2,27 +2,33 @@
 
 Strategy: seed trajectories on rays around each equilibrium and on a coarse
 box grid, integrate them forward and backward in one vectorized adaptive
-stepper loop, and watch where they cross the horizontal line through each
-equilibrium.  A crossing sequence that converges geometrically marks a
-candidate periodic orbit; candidates are refined by Newton shooting on the
-return map (anchor offset and period as unknowns), classified by the
-return-map derivative exp(lambda), lambda the integral of div V once around
-the refined orbit, deduplicated by Hausdorff distance, and tagged with the
-equilibria they enclose via winding numbers.
+stepper loop, and watch where they cross the section of each equilibrium
+(ax, ay): the line y = ay, on which a point has the offset u = ax - x.  A
+crossing sequence that converges geometrically marks a candidate periodic
+orbit; candidates are refined by Newton shooting on the return map (offset
+and period as unknowns), classified by the return-map derivative
+exp(lambda), lambda the integral of div V once around the refined orbit,
+deduplicated by Hausdorff distance, and tagged with the equilibria they
+enclose via winding numbers.
 
 Repelling cycles are found by the backward pass (they attract in reversed
 time) and refined in that direction; lambda is the same integral either way.
+Where exp(lambda) is within _ISOLATION_TOL of 1, the isolation probe
+follows one trajectory from each side of the orbit; their returns tell a
+semistable cycle from a hyperbolic one, or from a band of closed orbits,
+which is dropped.
 
 Scouting brackets each line crossing inside one step and records it as a
 pending row.  Once there are at least as many pending rows as live seeds,
-one array bisection (`odeflow.hermite_roots`) solves them all, and each
-crossing takes its family key, direction and side of the anchor, from its
-root.  After each solve, a seed stops at the first crossing at which one of
-its families has settled: four crossings or more, the last two within the
-floor of `_settled`.  Its families are cut at that crossing, so the result
-does not depend on when a solve ran, and `_analyze_family` judges each
-settled family as a candidate (floor branch) or a closed-orbit band (stall
-test).  A seed also stops once a step ends in the certified basin disk of a
+one array bisection (`_solve_rows`, the one crossing solver, which reads
+the probe's returns too) solves them all, and each crossing takes its
+family key, direction and side of the anchor, from its root.  After each
+solve, a seed stops at the first crossing at which one of its families has
+settled: four crossings or more, the last two within the floor of
+`_settled`.  Its families are cut at that crossing, so the result does not
+depend on when a solve ran, and `_analyze_family` judges each settled
+family as a candidate (floor branch) or a closed-orbit band (stall test).
+A seed also stops once a step ends in the certified basin disk of a
 sink of its own time direction (`certify.sink_basins`), from which it can
 only converge to the sink.  Seeds that do neither run to t_horizon or
 _MAX_RETURNS.
@@ -38,8 +44,7 @@ import numpy as np
 
 from . import odeflow
 from .certify import sink_basins
-from .odeflow import (Section, T_END, hermite, hermite_deriv, hermite_roots, integrate, rk_step,
-                      section_crossings)
+from .odeflow import T_END, hermite, hermite_deriv, hermite_roots, integrate, rk_step
 from .polyalg import Poly2, VectorField
 
 log = logging.getLogger(__name__)
@@ -73,9 +78,9 @@ class LimitCycle:
         return _mean_radius(self.points)
 
 
-def _section_point(sec: Section, u: float) -> tuple[float, float]:
-    tx, ty = sec.tangent
-    return (sec.anchor[0] + u * tx, sec.anchor[1] + u * ty)
+def _section_point(ax: float, ay: float, u: float) -> tuple[float, float]:
+    """The point at offset u on the section line y = ay of the anchor (ax, ay)."""
+    return (ax - u, ay)
 
 
 def _mean_radius(pts: np.ndarray) -> float:
@@ -190,13 +195,14 @@ _SCOUT_RTOL, _SCOUT_ATOL = 1e-6, 1e-9  # scouting's step tolerances
 _MAX_RETURNS = 48  # crossings of one family that stop a seed
 
 
-def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basins=()):
+def _scout(v: VectorField, seeds: np.ndarray, anchors, cfg: DetectConfig, basins=()):
     """Integrate all seeds forward and backward at once, logging section-line
     crossings.
 
-    Returns (forward, backward): per direction, one dict per seed mapping
-    (section_index, crossing_direction, positive_side) to the time-ordered
-    list of (t, u) crossing events.
+    Section i is the line y = ay through anchors[i] = (ax, ay), with offset
+    u = ax - x.  Returns (forward, backward): per direction, one dict per
+    seed mapping (section_index, crossing_direction, positive_side) to the
+    time-ordered list of (t, u) crossing events.
 
     Each seed runs twice in one array loop, as a trajectory of V and as one
     of -V: the field value of each trajectory is multiplied by its time sign
@@ -235,8 +241,8 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
         return sa * v.p.eval_grid(xx, yy), sa * v.q.eval_grid(xx, yy)
 
     bx0, bx1, by0, by1 = v.box.inflate(odeflow.BOX_INFLATION)
-    levels = np.array([s.anchor[1] for s in sections])
-    anchors = np.array([s.anchor[0] for s in sections])
+    xs = np.array([ax for ax, _ in anchors], dtype=float)
+    levels = np.array([ay for _, ay in anchors], dtype=float)
 
     # the pending line hits: per step and section with a hit, the step, the
     # section and the block of its `_solve_rows` rows
@@ -257,7 +263,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
             steps, secs, rows = zip(*blocks)
             sizes = [len(r) for r in rows]
             solved = _solve_rows(np.repeat(steps, sizes), np.repeat(secs, sizes),
-                                 np.concatenate(rows), levels, anchors)
+                                 np.concatenate(rows), levels, xs)
             active[_stop_settled(fams, solved)] = False
         blocks.clear()
         n_rows = 0
@@ -296,7 +302,7 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
             k1x_a, k7x_a = k1x[gidx], k7x[acc]
             xa_a = xa[acc]
 
-            for si in range(len(sections)):
+            for si in range(len(anchors)):
                 w = np.nonzero((ya_a - levels[si] < 0) != (y5_a - levels[si] < 0))[0]
                 if not w.size:
                     continue
@@ -331,13 +337,13 @@ def _scout(v: VectorField, seeds: np.ndarray, sections, cfg: DetectConfig, basin
     return fams[:m], fams[m:]
 
 
-def _solve_rows(step, section, rows, levels, anchors) -> list:
+def _solve_rows(step, section, rows, levels, xs) -> list:
     """The crossing of each pending line hit, by one `hermite_roots` bisection.
 
     Row k of rows, (seed, t0, h, y-Hermite data, x-Hermite data), is a hit
     at loop step step[k] on section section[k]: the step [t0, t0 + h]
     crosses y = levels[section], and the slopes are scaled by h; u is
-    measured from anchors[section].  The per-hit rules of scouting then
+    xs[section] - x at the crossing.  The per-hit rules of scouting then
     apply to the arrays.  A hit at t0 = 0 within 1e-12 of its start, where a
     seed starts on the section line, is dropped, as is one with |u| < 1e-12.
     The direction is the sign of the y slope at the root, or of y1 - y0
@@ -345,7 +351,7 @@ def _solve_rows(step, section, rows, levels, anchors) -> list:
     row, in row order, with key = (section, direction, u > 0).
     """
     seed, t0, hh, y0, dy0, y1, dy1, x0, dx0, x1, dx1 = rows.T
-    level, ax = levels[section], anchors[section]
+    level, ax = levels[section], xs[section]
     tau = hermite_roots(y0, dy0, y1, dy1, level, 0.0, 1.0, y0 - level, 45)
     tc = t0 + tau * hh
     u = -(hermite(x0, dx0, x1, dx1, tau) - ax)
@@ -487,28 +493,47 @@ def _flow_to(v, q, T, sgn, cfg):
     return traj
 
 
-def _first_return_u(v, sec, u, t_ref, dirc, cfg):
-    q = _section_point(sec, u)
-    traj = integrate(v, q, 3.0 * t_ref, rtol=cfg.refine_rtol, atol=cfg.refine_atol,
-                     equilibrium_tol=1e-14)
-    for c in section_crossings(traj, sec, direction=dirc):
-        if c.t > 0.05 * t_ref:
-            return float(c.u)
-    return None
+_PROBE_RETURNS = 4  # returns of each side of the isolation probe
 
 
-def _probe_semistable(v, sec, u_star, period, dirc_fwd, probe, cfg):
+def _returns(traj, ax, ay, dirc, gap) -> list:
+    """The returns of traj to the section y = ay of the anchor (ax, ay).
+
+    Each segment of traj whose end values straddle the line becomes one
+    `_solve_rows` row, as a step of scouting does, so a return is solved
+    and dropped by scouting's rules.  Keeps the crossings of direction dirc
+    that come more than gap after the one kept before, the first more than
+    gap after t = 0, and returns their (t, u) in time order.
+    """
+    ts, (x, y), (dx, dy) = traj.times, traj.states.T, traj.derivs.T
+    w = np.nonzero((y[:-1] - ay < 0) != (y[1:] - ay < 0))[0]
+    h = ts[w + 1] - ts[w]
+    zero = np.zeros(len(w), dtype=int)
+    rows = np.column_stack((zero, ts[w], h, y[w], dy[w] * h, y[w + 1],
+                            dy[w + 1] * h, x[w], dx[w] * h, x[w + 1], dx[w + 1] * h))
+    out = []
+    last = 0.0
+    for _, _, (_, d, _), (t, u) in _solve_rows(zero, zero, rows, np.array([ay]), np.array([ax])):
+        if d == dirc and t - last > gap:
+            out.append((t, u))
+            last = t
+    return out
+
+
+def _probe_semistable(v, ax, ay, u_star, period, dirc_fwd, probe, cfg):
+    """Stability of the orbit through offset u_star from its return map:
+    on each side, the distance of the _PROBE_RETURNS-th return from u_star,
+    starting probe away, read off one trajectory of (_PROBE_RETURNS + 1)
+    periods.  None when a side neither converges nor diverges: a band of
+    closed orbits."""
     trends = []
     for side in (1.0, -1.0):
-        ucur = u_star + side * probe
-        dist = probe
-        for _ in range(4):
-            r = _first_return_u(v, sec, ucur, period, dirc_fwd, cfg)
-            if r is None:
-                dist = math.inf
-                break
-            ucur = r
-            dist = abs(ucur - u_star)
+        traj = integrate(v, _section_point(ax, ay, u_star + side * probe),
+                         (_PROBE_RETURNS + 1) * period, rtol=cfg.refine_rtol,
+                         atol=cfg.refine_atol, equilibrium_tol=1e-14)
+        hits = _returns(traj, ax, ay, dirc_fwd, 0.05 * period)
+        dist = (abs(hits[_PROBE_RETURNS - 1][1] - u_star) if len(hits) >= _PROBE_RETURNS
+                else math.inf)
         if dist < 0.6 * probe:
             trends.append("conv")
         elif dist > 1.6 * probe:
@@ -554,18 +579,17 @@ def _return_exponent(div: Poly2, traj) -> float:
     return float(np.dot(weights, div.eval_grid(xs, ys)))
 
 
-def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectConfig):
-    sec = sections[cand["sec"]]
+def _refine_candidate(v: VectorField, div: Poly2, anchors, cand, cfg: DetectConfig):
+    ax, ay = anchors[cand["sec"]]
     sgn = cand["sign"]
     u = float(cand["u"])
     T = float(cand["T"])
     scale = max(1.0, abs(u))
     tol = 1e-9 * scale
-    tx, ty = sec.tangent
     traj = None
     res = math.inf
     for _ in range(_NEWTON_ITERS):
-        q = _section_point(sec, u)
+        q = _section_point(ax, ay, u)
         traj = _flow_to(v, q, T, sgn, cfg)
         if traj is None:
             return None
@@ -575,12 +599,12 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
         if res <= tol:
             break
         du = 1e-6 * scale
-        traj2 = _flow_to(v, _section_point(sec, u + du), T, sgn, cfg)
+        traj2 = _flow_to(v, _section_point(ax, ay, u + du), T, sgn, cfg)
         if traj2 is None:
             return None
         e2 = traj2.states[-1]
-        j11 = (float(e2[0]) - float(ex)) / du - tx
-        j21 = (float(e2[1]) - float(ey)) / du - ty
+        j11 = (float(e2[0]) - float(ex)) / du + 1.0
+        j21 = (float(e2[1]) - float(ey)) / du
         fx, fy = v.eval(float(ex), float(ey))
         j12, j22 = sgn * fx, sgn * fy
         det = j11 * j22 - j12 * j21
@@ -600,9 +624,8 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
     if abs(u) < _MIN_CYCLE_SIZE:
         return None
 
-    q = _section_point(sec, u)
-    fx, fy = v.eval(*q)
-    wy = sgn * (fx * sec.normal[0] + fy * sec.normal[1])
+    fx, fy = v.eval(*_section_point(ax, ay, u))
+    wy = sgn * fy
     if wy == 0.0:
         return None
     dirc = 1 if wy > 0 else -1
@@ -619,7 +642,7 @@ def _refine_candidate(v: VectorField, div: Poly2, sections, cand, cfg: DetectCon
         stability = "repelling"
     else:
         dirc_fwd = dirc if sgn > 0 else -dirc
-        stability = _probe_semistable(v, sec, u, T, dirc_fwd, 1e-2 * scale, cfg)
+        stability = _probe_semistable(v, ax, ay, u, T, dirc_fwd, 1e-2 * scale, cfg)
         if stability is None:
             log.debug("candidate at u=%.6g not isolated, dropped", u)
             return None
@@ -643,16 +666,13 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
     cps = list(cps)
     if not cps:
         return []
-    x0, x1, y0, y1 = v.box.floats()
-    diag = math.hypot(x1 - x0, y1 - y0)
-    sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0), halfwidth=diag)
-                for cp in cps]
+    anchors = [(cp.x, cp.y) for cp in cps]
     seeds = _make_seeds(v, cps, cfg)
     div = v.divergence()
 
     pool = []
     basins = sink_basins(v, cps, 1.0) + sink_basins(v, cps, -1.0)
-    for time_sign, fams in zip((1.0, -1.0), _scout(v, seeds, sections, cfg, basins)):
+    for time_sign, fams in zip((1.0, -1.0), _scout(v, seeds, anchors, cfg, basins)):
         for per_seed in fams:
             for (si, dirc, _side), evs in sorted(per_seed.items()):
                 got = _analyze_family(evs)
@@ -666,7 +686,7 @@ def detect_limit_cycles(v: VectorField, cps, cfg: DetectConfig = DetectConfig())
 
     raw = []
     for cand in _cluster(pool)[:_MAX_CANDIDATES]:
-        got = _refine_candidate(v, div, sections, cand, cfg)
+        got = _refine_candidate(v, div, anchors, cand, cfg)
         if got is not None:
             raw.append(got)
 

@@ -2,6 +2,8 @@
 
 Embedded Dormand-Prince 5(4) pair with PI step-size control, first-same-as-last
 stage reuse, and cubic Hermite dense output on every accepted step.
+`hermite_roots` bisects that interpolant for a level; its one caller,
+`cycledetect._solve_rows`, solves every section crossing of the program with it.
 
 References
 ----------
@@ -101,7 +103,8 @@ def hermite_roots(y0, d0, y1, d1, level, lo, hi, flo, steps):
     flo is the interpolant minus level at lo; each bracket must hold a sign
     change.  Returns the midpoint of each final bracket.  Each element goes
     through the float operations of a scalar bisection loop, so its root is
-    bit-identical to that loop's.
+    bit-identical to that loop's.  `cycledetect._solve_rows` calls it on the
+    arrays of scouting's line hits and of the isolation probe's returns.
     """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -243,93 +246,14 @@ def integrate(
     )
 
 
-@dataclass(frozen=True)
-class Section:
-    """Oriented transversal segment: {anchor + u * tangent, |u| <= halfwidth}."""
-
-    anchor: tuple[float, float]
-    normal: tuple[float, float]
-    halfwidth: float
-
-    def __post_init__(self):
-        n = math.hypot(*self.normal)
-        if not math.isclose(n, 1.0, rel_tol=1e-9):
-            raise ValueError("normal must be a unit vector")
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
-
-    @property
-    def tangent(self) -> tuple[float, float]:
-        return (-self.normal[1], self.normal[0])
-
-    def offset(self, x: float, y: float) -> float:
-        tx, ty = self.tangent
-        return (x - self.anchor[0]) * tx + (y - self.anchor[1]) * ty
-
-
-@dataclass(frozen=True)
-class SectionCrossing:
-    t: float
-    state: tuple[float, float]
-    u: float
-
-
-# positions along a segment where the signed distance is sampled for brackets
-_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def section_crossings(
-    traj: Trajectory,
-    section: Section,
-    t_tol: float = 1e-10,
-    direction: float = 1.0,
-) -> list[SectionCrossing]:
-    """All transversal crossings of the section in the positive normal
-    direction, localized to t_tol by bisection on the dense output.
-
-    Along one segment the signed distance to the section line is itself a
-    cubic Hermite, with node values n.(x_i - anchor) and slopes h n.x'_i; it
-    is sampled at five points per segment to bracket sign changes, with the
-    sign convention of `hermite_roots` (zero counts as positive).
-    """
-    nx, ny = section.normal
-    ax, ay = section.anchor
-    dist = (traj.states[:, 0] - ax) * nx + (traj.states[:, 1] - ay) * ny
-    rate = traj.derivs[:, 0] * nx + traj.derivs[:, 1] * ny
-    hs = np.diff(traj.times)
-    segs = (dist[:-1], hs * rate[:-1], dist[1:], hs * rate[1:])
-    vals = np.stack([hermite(*segs, s) for s in _SAMPLES], axis=1)
-    fa, fb = vals[:, :-1], vals[:, 1:]
-    bracket = (fa < 0.0) != (fb < 0.0)
-    if bracket.size:
-        bracket[0, 0] &= fa[0, 0] != 0.0  # departure exactly on the section
-    out: list[SectionCrossing] = []
-    for i, k in zip(*np.nonzero(bracket)):
-        h = float(hs[i])
-        seg = tuple(float(c[i]) for c in segs)
-        steps = max(0, math.ceil(math.log2(0.25 * h / t_tol)))
-        s = float(hermite_roots(*seg, 0.0, _SAMPLES[k], _SAMPLES[k + 1], float(fa[i, k]), steps))
-        if direction * hermite_deriv(*seg, s) <= 0.0:
-            continue  # wrong direction or tangential
-        cx = hermite(*traj._nodes(i, h, 0), s)
-        cy = hermite(*traj._nodes(i, h, 1), s)
-        u = section.offset(cx, cy)
-        if abs(u) <= section.halfwidth:
-            out.append(SectionCrossing(t=float(traj.times[i]) + s * h, state=(cx, cy), u=u))
-    return out
-
-
 __all__ = [
     "BOX_EXIT",
     "DP_A",
     "DP_E",
     "EQUILIBRIUM",
-    "Section",
-    "SectionCrossing",
     "STEP_UNDERFLOW",
     "T_END",
     "Trajectory",
     "integrate",
     "rk_step",
-    "section_crossings",
 ]

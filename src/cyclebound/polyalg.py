@@ -778,4 +778,8 @@ def load_vf(path) -> VectorField:
     from pathlib import Path
 
     path = Path(path)
-    return parse_vf(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise VectorFieldError(f"not UTF-8 text: {e}") from e
+    return parse_vf(text, name=path.stem)

@@ -335,7 +335,7 @@ def hermite_root(y0, d0, y1, d1, level, lo, hi, flo, steps):
     return 0.5 * (lo + hi)
 
 
-def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign: float):
+def scout_reference(v: VectorField, seeds: np.ndarray, anchors, cfg, time_sign: float):
     """`cycledetect._scout` with every line hit bisected on the spot.
 
     The per-hit loop that scouting used before it deferred its line hits to
@@ -354,8 +354,8 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
         return time_sign * v.p.eval_grid(xx, yy), time_sign * v.q.eval_grid(xx, yy)
 
     bx0, bx1, by0, by1 = v.box.inflate(BOX_INFLATION)
-    sy = [s.anchor[1] for s in sections]
-    sax = [s.anchor[0] for s in sections]
+    sy = [ay for _, ay in anchors]
+    sax = [ax for ax, _ in anchors]
 
     x = seeds[:, 0].astype(float).copy()
     y = seeds[:, 1].astype(float).copy()
@@ -398,7 +398,7 @@ def scout_reference(v: VectorField, seeds: np.ndarray, sections, cfg, time_sign:
             k1x_a, k7x_a = k1x[gidx], k7x[acc]
             xa_a = xa[acc]
 
-            for si in range(len(sections)):
+            for si in range(len(anchors)):
                 f0 = ya_a - sy[si]
                 f1 = y5_a - sy[si]
                 hit = (f0 < 0) != (f1 < 0)

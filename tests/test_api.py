@@ -131,3 +131,17 @@ def test_one_grid_evaluator():
     found = [f"{p.name}: {n}" for p in sorted((ROOT / "src" / "cyclebound").glob("*.py"))
              for n in _imported_or_read(p) if n == "polyval2d"]
     assert found == []
+
+
+def test_one_crossing_solver():
+    """Only cycledetect imports or reads `odeflow.hermite_roots`, and odeflow
+    does not call it: `cycledetect._solve_rows` solves every section
+    crossing, scouting's and the isolation probe's."""
+    src = ROOT / "src" / "cyclebound"
+    found = [f"{p.name}: {n}" for p in sorted(src.glob("*.py"))
+             if p.name != "cycledetect.py" for n in _imported_or_read(p) if n == "hermite_roots"]
+    assert found == []
+    assert "hermite_roots" in _imported_or_read(src / "cycledetect.py")
+    tree = ast.parse((src / "odeflow.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.Name) and node.id == "hermite_roots"
+                   for node in ast.walk(tree))

@@ -89,6 +89,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "line 1" in err
 
+    @pytest.mark.parametrize("argv", [["critpoints"], ["fiber", "--point-id", "0", "--eta", "0.1"],
+                                      ["cycles"], ["analyze"], ["morsify", "--s", "1e-3"]],
+                             ids=lambda argv: argv[0])
+    def test_file_not_utf8(self, capsys, tmp_path, argv):
+        """A byte that is not UTF-8 is a load error like any other."""
+        path = tmp_path / "binary.vf"
+        path.write_bytes(b"P = x\xff\nQ = y\n")
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_USAGE
+        assert "cannot load" in err and "UTF-8" in err
+
     @pytest.mark.parametrize("command", ["analyze", "critpoints"])
     @pytest.mark.parametrize("text", ["P = 10^400*x\nQ = y\n",
                                       "P = x - y\nQ = x + y\n"

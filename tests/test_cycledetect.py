@@ -23,7 +23,7 @@ from cyclebound import certify as ct
 from cyclebound import cycledetect as cd
 from cyclebound import milnorfiber as mf
 from cyclebound.critfind import find_critical_points
-from cyclebound.odeflow import Section, hermite, hermite_deriv
+from cyclebound.odeflow import hermite, hermite_deriv, integrate
 from cyclebound.polyalg import IntervalBoxes, interval_eval
 
 from oracles import (circle, directed_hausdorff_dense, hausdorff_resampled, hermite_root,
@@ -93,6 +93,11 @@ class TestDetect:
         assert len(a) == len(b) == 1
         assert np.array_equal(a[0].points, b[0].points)
         assert a[0].period == b[0].period
+
+
+def anchors_of(cps):
+    """The section anchors of `detect_limit_cycles`: the equilibria."""
+    return [(cp.x, cp.y) for cp in cps]
 
 
 def fuzz_hits(rng, n):
@@ -185,13 +190,10 @@ class TestScoutDeferredRoots:
         v = (random_field(5, 3, cb.Box.make(-2, 2, -2, 2)) if name == "random-3-5"
              else corpus[name])
         cps = find_critical_points(v)
-        x0, x1, y0, y1 = v.box.floats()
-        sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
-                            halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
         cfg = cd.DetectConfig()
         seeds = cd._make_seeds(v, cps, cfg)
-        got = cd._scout(v, seeds, sections, cfg)[time_sign < 0]
-        full = scout_reference(v, seeds, sections, cfg, time_sign)
+        got = cd._scout(v, seeds, anchors_of(cps), cfg)[time_sign < 0]
+        full = scout_reference(v, seeds, anchors_of(cps), cfg, time_sign)
         want = truncate_at_settle(full)
         if cap is None:
             assert max(len(evs) for fam in full for evs in fam.values()) < cd._MAX_RETURNS
@@ -278,10 +280,7 @@ class TestSettled:
         so every seed stops long before t_horizon, and nothing is found."""
         v, cps, cfg = corpus["linear-center"], corpus_cps["linear-center"], cd.DetectConfig()
         assert cd.detect_limit_cycles(v, cps, cfg) == []
-        x0, x1, y0, y1 = v.box.floats()
-        sections = [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
-                            halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
-        fams, _ = cd._scout(v, cd._make_seeds(v, cps, cfg), sections, cfg)
+        fams, _ = cd._scout(v, cd._make_seeds(v, cps, cfg), anchors_of(cps), cfg)
         last = [max(t for evs in fam.values() for t, _ in evs) for fam in fams if fam]
         assert len(last) > len(fams) // 2
         assert max(last) < cfg.t_horizon
@@ -343,6 +342,67 @@ class TestSemistable:
         assert abs(c.mean_radius() - 1.0) < 1e-5
         assert abs(c.period - TWO_PI) < 1e-9
         assert "semi_stable" in calls
+
+
+@pytest.fixture(scope="module")
+def rotation():
+    return cb.parse_vf("P = -y\nQ = x\nbox = [-3, 3] x [-3, 3]\n")
+
+
+class TestReturns:
+    """`_returns`, the probe's reader of the returns to y = ay: the rotation
+    (-y, x) meets the x-axis at closed-form times, and van der Pol's gaps
+    converge to its independently computed period."""
+
+    def test_circle_periods(self, rotation):
+        """Upward crossings of y = 0 land at multiples of 2 pi, at x = 1."""
+        traj = integrate(rotation, (1.0, 0.0), 20.0)
+        hits = cd._returns(traj, 0.0, 0.0, 1, 0.0)
+        assert len(hits) == 3
+        for k, (t, u) in enumerate(hits, start=1):
+            assert t == pytest.approx(k * TWO_PI, abs=1e-6)
+            assert u == pytest.approx(-1.0, abs=1e-6)
+
+    def test_direction_filter(self, rotation):
+        """The rotation crosses y = 0 downward only at x = -1, at odd
+        multiples of pi."""
+        traj = integrate(rotation, (1.0, 0.0), 20.0)
+        down = cd._returns(traj, 0.0, 0.0, -1, 0.0)
+        assert [round(t / math.pi) for t, _ in down] == [1, 3, 5]
+        assert all(u == pytest.approx(1.0, abs=1e-6) for _, u in down)
+
+    def test_gap_filter(self, rotation):
+        """A return counts only more than gap after the one kept before it,
+        the first more than gap after t = 0."""
+        traj = integrate(rotation, (1.0, 0.0), 20.0)
+        hits = cd._returns(traj, 0.0, 0.0, 1, TWO_PI + 0.1)
+        assert [round(t / TWO_PI) for t, _ in hits] == [2]
+
+    def test_section_never_met(self, rotation):
+        traj = integrate(rotation, (1.0, 0.0), 20.0)
+        assert cd._returns(traj, 0.0, 10.0, 1, 0.0) == []
+        assert cd._returns(traj, 0.0, 10.0, -1, 0.0) == []
+
+    def test_single_node_trajectory(self, rotation):
+        """A run that underflows before its first step has no segment."""
+        traj = integrate(rotation, (1.0, 0.0), 1e-13)
+        assert len(traj.times) == 1
+        assert cd._returns(traj, 0.0, 0.0, 1, 0.0) == []
+
+    def test_vdp_gaps_match_reference(self, corpus, vdp_period):
+        """Each return lies on y = 0 by the dense output, and the gaps
+        converge to the reference period."""
+        v = corpus["van-der-pol"]
+        traj = integrate(v, (2.0, 0.0), 60.0)
+        hits = cd._returns(traj, 0.0, 0.0, -1, 0.0)
+        assert len(hits) >= 8
+        for t, u in hits:
+            sx, sy = traj.state_at(t)
+            assert abs(sy) <= 1e-9
+            assert abs(-sx - u) <= 1e-12
+        gaps = np.diff([t for t, _ in hits])
+        assert abs(gaps[0] - vdp_period) < 1e-3
+        assert np.all(np.abs(gaps[1:] - vdp_period) < 1e-6)
 
 
 def hamiltonian_cubic() -> cb.VectorField:
@@ -417,12 +477,6 @@ class TestNoCycleCertificate:
         for row in rows:
             assert (row["k"], row["B"], row["detected"]) == (1, 1, 0)
             assert row["error"] is None and not row["changed"]
-
-
-def sections_of(v, cps):
-    x0, x1, y0, y1 = v.box.floats()
-    return [Section(anchor=(cp.x, cp.y), normal=(0.0, 1.0),
-                    halfwidth=math.hypot(x1 - x0, y1 - y0)) for cp in cps]
 
 
 PANEL = ((2, 2), (2, 3), (3, 5), (4, 1))   # the benchmark's random-fields
@@ -525,8 +579,8 @@ class TestBasins:
         seeds = cd._make_seeds(v, cps, cfg)
         basins = ct.sink_basins(v, cps, 1.0) + ct.sink_basins(v, cps, -1.0)
         assert [b.time_sign for b in basins] == [-1.0]
-        got = cd._scout(v, seeds, sections_of(v, cps), cfg, basins)
-        free = cd._scout(v, seeds, sections_of(v, cps), cfg)
+        got = cd._scout(v, seeds, anchors_of(cps), cfg, basins)
+        free = cd._scout(v, seeds, anchors_of(cps), cfg)
         for half, ref_half in zip(got, free):
             for fam, ref in zip(half, ref_half):
                 assert set(fam) <= set(ref)
@@ -546,8 +600,8 @@ class TestBasins:
         seeds = cd._make_seeds(v, cps, cfg)
         (basin,) = ct.sink_basins(v, cps, -1.0)
         flipped = dataclasses.replace(basin, time_sign=1.0)
-        got = cd._scout(v, seeds, sections_of(v, cps), cfg, (flipped,))
-        free = cd._scout(v, seeds, sections_of(v, cps), cfg)
+        got = cd._scout(v, seeds, anchors_of(cps), cfg, (flipped,))
+        free = cd._scout(v, seeds, anchors_of(cps), cfg)
         assert pickle.dumps(got[1]) == pickle.dumps(free[1])
         assert sum(a != b for a, b in zip(got[0], free[0])) > 0
 

@@ -1,9 +1,10 @@
-"""Integrator, dense output, and section-crossing checks.
+"""Integrator, dense output and Hermite root checks.
 
 The rotation field (-y, x) flows in exact circles, so endpoints,
-crossing times, and reversal errors can all be measured against
-closed forms. Van der Pol supplies a nontrivial period for the
-section machinery, checked against an independent scipy reference.
+interpolated states and reversal errors can all be measured against
+closed forms.  The array bisection `hermite_roots` is pinned against
+the scalar loop of tests/oracles.py; the section crossings that
+cycledetect solves with it are checked in test_cycledetect.py.
 """
 
 import math
@@ -14,15 +15,7 @@ import pytest
 import cyclebound as cb
 from cyclebound import odeflow
 from cyclebound.certify import no_cycle_certificate
-from cyclebound.odeflow import (
-    Section,
-    hermite,
-    hermite_deriv,
-    hermite_roots,
-    integrate,
-    rk_step,
-    section_crossings,
-)
+from cyclebound.odeflow import hermite, hermite_deriv, hermite_roots, integrate, rk_step
 
 from oracles import hermite_root, rk_step_reference
 
@@ -300,8 +293,8 @@ class TestHermiteRoots:
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_float_brackets(self):
-        """On floats, as `section_crossings` calls it, each root is the
-        scalar loop's too, whatever the number of halvings."""
+        """On floats too each root is the scalar loop's, whatever the
+        number of halvings."""
         rng = np.random.default_rng(13)
         y0, d0, y1, d1, level = self.brackets(rng, 200)
         for j in range(200):
@@ -334,8 +327,6 @@ class TestDenseOutput:
         assert traj.terminated_by == "step_underflow"
         assert len(traj.times) == 1
         assert traj.state_at(0.0) == (1.0, 0.0)
-        sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        assert section_crossings(traj, sec) == []
 
     def test_deriv_residual_bound(self, corpus):
         """The interpolant's derivative, hermite_deriv on a segment's nodes
@@ -358,48 +349,3 @@ class TestDenseOutput:
             px, qx = v.eval(x, y)
             resid = math.hypot(dx - px, dy - qx)
             assert resid <= 10.0 * (rtol * math.hypot(px, qx) + atol)
-
-
-class TestSectionCrossings:
-    def test_circle_periods(self, rotation):
-        """Crossings of the positive x-axis land at multiples of 2 pi."""
-        traj = integrate(rotation, (1.0, 0.0), 20.0)
-        sec = Section((1.0, 0.0), (0.0, 1.0), 2.0)
-        hits = section_crossings(traj, sec)
-        assert len(hits) == 3
-        for k, hit in enumerate(hits, start=1):
-            assert hit.t == pytest.approx(k * TWO_PI, abs=1e-6)
-            assert abs(hit.u) < 1e-6
-            assert hit.state[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_direction_filter(self, rotation):
-        """The rotation crosses the positive x-axis upward only."""
-        traj = integrate(rotation, (1.0, 0.0), 20.0)
-        sec = Section((1.0, 0.0), (0.0, 1.0), 1.0)
-        assert section_crossings(traj, sec, direction=-1.0) == []
-        # on the negative axis the same flow crosses downward, at odd
-        # multiples of pi
-        neg = Section((-1.0, 0.0), (0.0, 1.0), 0.5)
-        down = section_crossings(traj, neg, direction=-1.0)
-        assert [round(h.t / math.pi) for h in down] == [1, 3, 5]
-
-    def test_section_never_met(self, rotation):
-        traj = integrate(rotation, (1.0, 0.0), 20.0)
-        far = Section((10.0, 0.0), (0.0, 1.0), 0.5)
-        assert section_crossings(traj, far) == []
-
-    def test_vdp_gaps_match_reference(self, corpus, vdp_period):
-        """Crossing gaps converge to the independently computed period."""
-        v = corpus["van-der-pol"]
-        traj = integrate(v, (2.0, 0.0), 60.0)
-        sec = Section((2.0, 0.0), (0.0, 1.0), 1.9)
-        hits = section_crossings(traj, sec, direction=-1.0)
-        assert len(hits) >= 8
-        (ax, ay), (nx, ny) = sec.anchor, sec.normal
-        for hit in hits:
-            sx, sy = traj.state_at(hit.t)
-            assert abs((sx - ax) * nx + (sy - ay) * ny) <= 1e-9
-            assert math.hypot(hit.state[0] - sx, hit.state[1] - sy) <= 1e-12
-        gaps = np.diff([h.t for h in hits])
-        assert abs(gaps[0] - vdp_period) < 1e-3
-        assert np.all(np.abs(gaps[1:] - vdp_period) < 1e-6)
